@@ -35,7 +35,9 @@ must be at least ``SPEEDUP_FLOOR``x faster than its object mean, and
 on the batch kernel (pre-combined sorted chunks, the layout's home
 turf) columnar must be at least as fast as object even at smoke
 scale. Both ratios are intra-run, so machine calibration cancels out
-of them.
+of them. So is the snapshot-fold gate: from 50k events up, the array
+fold (``combine_many``) must stay at least ``FOLD_SPEEDUP_FLOOR``x
+faster than the reference descent fold timed on the same shards.
 """
 
 from __future__ import annotations
@@ -100,6 +102,19 @@ RING_INGEST = PROCESS_INGEST
 PIPE_ERA_BASELINE_MIN_S = 0.0485
 RING_SPEEDUP_FLOOR = 1.4
 RING_GATE_MIN_EVENTS = 50_000
+
+#: The array snapshot fold's value proposition: ``combine_many``
+#: (gather shard counter rows, expand the partition level by level,
+#: prune with the vectorized merge) must stay >= 3x faster than the
+#: reference per-counter descent fold timed on the *same* shards in
+#: the same run — a live intra-run min ratio per backend lineage, so
+#: machine calibration cancels out. SKIP-with-ratio below 50k, where
+#: the shards are too small for the fold's fixed numpy overhead to
+#: amortize.
+FOLD_ROW = "test_runtime_snapshot_fold"
+FOLD_DESCENT_ROW = "test_runtime_snapshot_fold_descent"
+FOLD_SPEEDUP_FLOOR = 3.0
+FOLD_GATE_MIN_EVENTS = 50_000
 
 
 def load_payload(path: pathlib.Path) -> dict:
@@ -313,6 +328,34 @@ def main(argv=None) -> int:
         )
         if status == "FAIL":
             failures.append("ring-transport-ingest-speedup")
+
+    # And the array fold must keep beating the descent it replaced.
+    mins = {row["name"]: row["min_s"] for row in candidate["results"]}
+    for backend in ("object", "columnar"):
+        fold = mins.get(f"{FOLD_ROW}[{backend}]")
+        descent = mins.get(f"{FOLD_DESCENT_ROW}[{backend}]")
+        if not fold or not descent:
+            print(
+                f"SKIP snapshot-fold gate ({backend}): missing "
+                f"{FOLD_ROW} / {FOLD_DESCENT_ROW} rows in candidate"
+            )
+            continue
+        ratio = descent / fold
+        if candidate["events"] < FOLD_GATE_MIN_EVENTS:
+            print(
+                f"SKIP snapshot-fold gate ({backend}): measured "
+                f"{ratio:.2f}x at {candidate['events']} events; the "
+                f"{FOLD_SPEEDUP_FLOOR:.1f}x floor applies from "
+                f"{FOLD_GATE_MIN_EVENTS} events up"
+            )
+            continue
+        status = "OK" if ratio >= FOLD_SPEEDUP_FLOOR else "FAIL"
+        print(
+            f"{status:4s} snapshot-fold speedup ({backend}): {ratio:.2f}x "
+            f"the descent fold (floor {FOLD_SPEEDUP_FLOOR:.1f}x)"
+        )
+        if status == "FAIL":
+            failures.append(f"snapshot-fold-speedup-{backend}")
 
     if failures:
         print(

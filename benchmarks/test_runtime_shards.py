@@ -25,8 +25,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import RapConfig
-from repro.core.combine import combine_many
+from repro.core import RapConfig, dump_tree
+from repro.core.combine import combine_by_descent, combine_many
 from repro.runtime import Profiler
 from repro.workloads import benchmark as load_benchmark
 
@@ -156,13 +156,34 @@ def test_runtime_process_pipe_ingest(benchmark, backend, value_stream):
     _bench_ingest(benchmark, make, *value_stream, rounds=21)
 
 
-def test_runtime_snapshot_fold(benchmark, value_stream):
-    """Latency of folding 4 populated shards into one snapshot tree."""
+@pytest.mark.parametrize("backend", ["object", "columnar"])
+def test_runtime_snapshot_fold(benchmark, backend, value_stream):
+    """Latency of folding 4 populated shards into one snapshot tree.
+
+    ``combine_many`` folds through array kernels; columnar shards hand
+    over their counter columns, object shards take one walk each."""
     values, universe = value_stream
-    with _multi_shard(values, universe) as profiler:
+    with _multi_shard(values, universe, backend) as profiler:
         profiler.ingest(values)
         profiler.drain()  # folds below then see quiesced shards
         folded = benchmark(combine_many, profiler.shard_trees())
+    assert folded.events == EVENTS
+
+
+@pytest.mark.parametrize("backend", ["object", "columnar"])
+def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
+    """The reference per-counter descent fold, on shards built exactly
+    like the row above (threaded block-policy ingest is deterministic).
+
+    The live denominator of ``check_regression.py``'s fold gate: the
+    array fold above must stay >= 3x faster than this row at 50k."""
+    values, universe = value_stream
+    with _multi_shard(values, universe, backend) as profiler:
+        profiler.ingest(values)
+        profiler.drain()
+        shards = profiler.shard_trees()
+        folded = benchmark(combine_by_descent, shards)
+        assert dump_tree(folded) == dump_tree(combine_many(shards))
     assert folded.events == EVENTS
 
 

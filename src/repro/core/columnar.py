@@ -33,8 +33,9 @@ splits queue positioned-insert splices on ``_cov_pending`` (a split
 node's owned region is exactly its missing partition cells), and merge
 passes remap every segment to the nearest surviving ancestor of its old
 owner and coalesce equal-owner runs — no wholesale rebuild on either
-path (``_rebuild_cover`` survives only as the oracle that
-``check_invariants`` compares against).
+path (``_rebuild_cover`` survives as the oracle that
+``check_invariants`` compares against, and as the deferred build for
+trees wrapped by ``attach_columns``, run on the first cover read).
 
 Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
 *window* per round. The round routes the window through the cover
@@ -266,6 +267,8 @@ class ColumnarRapTree:
         self._cov_owner = np.zeros(1, dtype=np.int64)
         # Queued split splices, folded in batch by the next _sync_cover.
         self._cov_pending: List[Tuple[int, List[int]]] = []
+        # Set by attach_columns: the cover is built on first read.
+        self._cover_stale = False
         # Materialized RapNode view, cached per mutation generation.
         self._view_root: Optional[RapNode] = None
         self._view_generation = -1
@@ -507,8 +510,13 @@ class ColumnarRapTree:
         the new children's ranges. Batching the queued splits means one
         positioned insert per vectorized round instead of one per split;
         a fresh child that itself split later in the same batch
-        contributes no segment (its own children do).
+        contributes no segment (its own children do). A tree wrapped by
+        :meth:`attach_columns` has no cover yet; it is built here, on
+        the first read that needs it.
         """
+        if self._cover_stale:
+            self._rebuild_cover()
+            self._cover_stale = False
         pending = self._cov_pending
         if not pending:
             return
@@ -755,8 +763,79 @@ class ColumnarRapTree:
         tree._view_root = None
         tree._view_generation = -1
         tree._rebind_views()
-        tree._rebuild_cover()
+        # A fold reads only counter_rows; the cover index is a Python
+        # walk over the chains, so it waits for a reader (_sync_cover).
+        tree._cov_starts = np.zeros(0, dtype=np.uint64)
+        tree._cov_owner = np.zeros(0, dtype=np.int64)
+        tree._cover_stale = True
         return tree
+
+    @classmethod
+    def from_complete_partition(
+        cls,
+        config: RapConfig,
+        los: np.ndarray,
+        his: np.ndarray,
+        depths: np.ndarray,
+        parents: np.ndarray,
+        counts: np.ndarray,
+    ) -> "ColumnarRapTree":
+        """Heap-backed tree over a laid-out partition, before any merge.
+
+        Row ``i`` becomes slot ``i``: ``[los[i], his[i]]`` at depth
+        ``depths[i]`` under slot ``parents[i]`` holding ``counts[i]``.
+        Row 0 must be the root (parent ``-1``), and every node with
+        children must carry *all* of its ``partition_range`` cells —
+        the shape :func:`repro.core.combine.combine_many` expands to.
+        That makes the cover index exactly the leaves in ``lo`` order.
+        Every slot starts dirty, so the caller's :meth:`merge_now`
+        prunes and finalizes the tree like any fresh one.
+        """
+        size = int(los.size)
+        tree = cls(config)
+        columns = {
+            "_counts": counts,
+            "_los": los,
+            "_his": his,
+            "_parents": parents,
+            "_depth": depths,
+            "_is_item": los == his,
+        }
+        for name in _ARRAY_COLUMNS + ("_free_slots",):
+            column = np.zeros(size, dtype=cls.COLUMN_DTYPES[name])
+            if name in columns:
+                column[:] = columns[name]
+            setattr(tree, name, column)
+        tree._dirty.fill(True)
+        tree._live.fill(True)
+        tree._capacity = size
+        tree._size = size
+        tree._node_count = size
+        tree._events = int(counts.sum())
+        tree._rebind_views()
+        tree._rebuild_chains(np.arange(size, dtype=np.int64))
+        leaves = np.flatnonzero(tree._n_children == 0)
+        tree._cov_owner = leaves[np.argsort(tree._los[leaves])]
+        tree._cov_starts = tree._los[tree._cov_owner]
+        return tree
+
+    def counter_rows(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero counter as ``(lo, hi, count, depth)`` columns.
+
+        Fresh arrays (one fancy-index gather per column), so they stay
+        valid after an attached tree's shared memory is unmapped. Dead
+        slots hold zero, so the nonzero mask needs no liveness mask.
+        """
+        counts = self._counts[: self._size]
+        slots = np.flatnonzero(counts)
+        return (
+            self._los[slots],
+            self._his[slots],
+            counts[slots],
+            self._depth[slots],
+        )
 
     # ------------------------------------------------------------------
     # Updates — scalar path (exact port of RapTree.add/_absorb)

@@ -18,23 +18,40 @@ then merge the trees into one summary whose guarantees still hold:
 * memory is re-pruned with a final merge batch, so the result obeys the
   same worst-case bound.
 
-The construction walks each shard once and adds each node's *own* count
-into a single accumulator tree at the finest existing-or-creatable
-position: counts recorded for range ``[lo, hi]`` are added at the node
-for ``[lo, hi]`` itself (created on demand along the deterministic
-partition path, so structure stays valid). One accumulator for all
-shards keeps ``combine_many`` linear in total shard size — the old
-pairwise fold re-copied the whole accumulated tree per shard, going
-quadratic in the number of shards.
+The fold is arithmetic, not a search. Every counter of every shard sits
+on a cell of the same deterministic b-ary partition, so the combined
+tree before pruning is fixed by the shards' ``(lo, hi, count, depth)``
+rows alone: a node has children iff some deeper row starts inside its
+range, and then it has *all* of its ``partition_range`` cells. The
+fold gathers the rows (straight from the columns for columnar shards,
+shared-memory attachments included; one walk for object shards),
+expands that partition top-down one level per pass with a vectorized
+``(base, extra)`` cell formula, deposits the counts with
+``np.add.at``, lays the result out as columns and prunes it with the
+columnar kernel's vectorized merge pass. All shards go into one
+accumulator and each shard is read once (a pairwise fold re-copies the
+accumulated tree per shard, quadratic in the number of shards).
+
+Columns hold 64-bit bounds and counters, so universes above ``2**64``
+(or totals above ``2**63 - 1``) take the reference fold instead:
+:func:`combine_by_descent` adds each counter at its exact range by a
+descent from the root, creating the missing partition cells on the
+way. The two folds build byte-identical trees (``dump_tree``), which
+the test suite checks property by property.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from .columnar import ColumnarRapTree
 from .config import RapConfig
 from .node import RapNode, partition_range
 from .tree import RapTree
+
+_INT64_MAX = 2**63 - 1
 
 
 def combine_trees(
@@ -65,11 +82,13 @@ def combine_many(
 ) -> RapTree:
     """Merge any number of shard profiles into a single accumulator tree.
 
-    Every shard is walked exactly once and deposited into one fresh
-    accumulator — linear in total shard size, unlike a pairwise
-    :func:`combine_trees` fold. A single tree is returned as-is (callers
-    that must not alias the input — e.g. runtime snapshots — should
-    :meth:`~repro.core.tree.RapTree.clone` it).
+    Every shard's counters are gathered once and folded into one fresh
+    tree, unlike a pairwise :func:`combine_trees` fold, which would
+    re-copy the accumulated tree per shard. A single tree is returned
+    as-is (callers that must not alias the input — e.g. runtime
+    snapshots — should :meth:`~repro.core.tree.RapTree.clone` it).
+    Otherwise the result is a new object-backend :class:`RapTree` that
+    passed ``check_invariants``.
 
     Error bound: each shard ``i`` undercounts any range by at most
     ``epsilon_i * n_i``, and the fold deposits every shard counter at
@@ -79,11 +98,39 @@ def combine_many(
     the result's config records ``max_i(epsilon_i)``, the smallest
     single epsilon for which the bound still reads ``epsilon * n``.
     """
+    trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
+    if len(trees) == 1:
+        return trees[0]
+    total_events = sum(tree.events for tree in trees)
+    if config.range_max > 2**64 or total_events > _INT64_MAX:
+        return _fold_by_descent(trees, config)
+    return _fold_columns(trees, config, total_events)
+
+
+def combine_by_descent(
+    trees: Iterable[RapTree],
+    *,
+    allow_mismatched_epsilon: bool = False,
+) -> RapTree:
+    """The reference fold: one root descent per shard counter.
+
+    Same contract and same result as :func:`combine_many`, at any
+    universe size; ``combine_many`` uses it above ``2**64``. Kept as the
+    oracle the array fold is tested and benchmarked against.
+    """
+    trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
+    if len(trees) == 1:
+        return trees[0]
+    return _fold_by_descent(trees, config)
+
+
+def _fold_inputs(
+    trees: Iterable[RapTree], allow_mismatched_epsilon: bool
+) -> Tuple[List[RapTree], RapConfig]:
+    """Validate the shards; return them and the combined config."""
     trees = list(trees)
     if not trees:
         raise ValueError("combine_many needs at least one tree")
-    if len(trees) == 1:
-        return trees[0]
     first = trees[0]
     for other in trees[1:]:
         _check_compatible(
@@ -93,6 +140,10 @@ def combine_many(
     max_epsilon = max(tree.config.epsilon for tree in trees)
     if max_epsilon != config.epsilon:
         config = config.with_updates(epsilon=max_epsilon)
+    return trees, config
+
+
+def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
     combined = RapTree(config)
     total_events = 0
     for source in trees:
@@ -105,6 +156,153 @@ def combine_many(
         combined.merge_now()
         combined.check_invariants()
     return combined
+
+
+def _fold_columns(
+    trees: Sequence[RapTree], config: RapConfig, total_events: int
+) -> RapTree:
+    """The array fold: gather, expand, deposit, merge (module docstring)."""
+    row_lo, row_hi, row_count, row_depth = (
+        np.concatenate(column) for column in zip(*map(_counter_rows, trees))
+    )
+    combined = RapTree(config)
+    if not row_count.size:
+        return combined
+    by_depth = np.argsort(row_depth, kind="stable")
+    row_lo, row_hi, row_count, row_depth = (
+        column[by_depth] for column in (row_lo, row_hi, row_count, row_depth)
+    )
+    max_depth = int(row_depth[-1])
+    bounds = np.searchsorted(row_depth, np.arange(max_depth + 2))
+    branching = config.branching
+
+    level_lo = np.zeros(1, dtype=np.uint64)
+    level_hi = np.full(1, config.range_max - 1, dtype=np.uint64)
+    level_parent = np.full(1, -1, dtype=np.int64)
+    lo_parts: List[np.ndarray] = []
+    hi_parts: List[np.ndarray] = []
+    parent_parts: List[np.ndarray] = []
+    count_parts: List[np.ndarray] = []
+    depth_parts: List[np.ndarray] = []
+    base_slot = 0
+    for depth in range(max_depth + 1):
+        # Deposit this level's rows onto their nodes; the level is
+        # sorted by lo and its ranges are disjoint, so one binary
+        # search per row finds its node.
+        rows = slice(bounds[depth], bounds[depth + 1])
+        level_count = np.zeros(level_lo.size, dtype=np.int64)
+        at = np.searchsorted(level_lo, row_lo[rows])
+        if at.size:
+            at_ok = np.minimum(at, level_lo.size - 1)
+            if not level_lo.size or not (
+                np.array_equal(level_lo[at_ok], row_lo[rows])
+                and np.array_equal(level_hi[at_ok], row_hi[rows])
+            ):
+                raise ValueError(
+                    "a shard counter is not a partition range of this "
+                    "universe at its depth"
+                )
+            np.add.at(level_count, at, row_count[rows])
+        lo_parts.append(level_lo)
+        hi_parts.append(level_hi)
+        parent_parts.append(level_parent)
+        count_parts.append(level_count)
+        depth_parts.append(np.full(level_lo.size, depth, dtype=np.int64))
+        if depth == max_depth:
+            break
+        # Expand a node iff some deeper row starts inside it.
+        deeper_lo = np.sort(row_lo[bounds[depth + 1] :])
+        inside = np.searchsorted(
+            deeper_lo, level_hi, side="right"
+        ) - np.searchsorted(deeper_lo, level_lo, side="left")
+        expand = np.flatnonzero(inside)
+        if np.any(level_lo[expand] == level_hi[expand]):
+            raise ValueError("a shard counter lies below an item range")
+        level_lo, level_hi, rows_of = _partition_cells(
+            level_lo[expand], level_hi[expand], branching, root=depth == 0
+        )
+        level_parent = base_slot + expand[rows_of]
+        base_slot += lo_parts[-1].size
+
+    folded = ColumnarRapTree.from_complete_partition(
+        config,
+        np.concatenate(lo_parts),
+        np.concatenate(hi_parts),
+        np.concatenate(depth_parts),
+        np.concatenate(parent_parts),
+        np.concatenate(count_parts),
+    )
+    folded.merge_now()
+    # Hand the pruned tree over as the object backend the fold has
+    # always returned: the columnar view *is* a linked RapNode tree,
+    # and the fold owns both trees.
+    combined._root = folded.root  # noqa: SLF001 - fold owns it
+    combined._node_count = folded.node_count  # noqa: SLF001 - fold owns it
+    combined._events = total_events  # noqa: SLF001 - fold owns it
+    combined._scheduler = folded.merge_scheduler  # noqa: SLF001 - fold owns it
+    combined._stats = folded.stats  # noqa: SLF001 - fold owns it
+    combined._generation = folded.mutation_generation  # noqa: SLF001 - fold owns it
+    combined.check_invariants()
+    return combined
+
+
+def _counter_rows(
+    tree: RapTree,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A shard's nonzero counters as ``(lo, hi, count, depth)`` arrays."""
+    if isinstance(tree, ColumnarRapTree):
+        return tree.counter_rows()
+    los: List[int] = []
+    his: List[int] = []
+    counts: List[int] = []
+    depths: List[int] = []
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.count:
+            los.append(node.lo)
+            his.append(node.hi)
+            counts.append(node.count)
+            depths.append(depth)
+        stack.extend((child, depth + 1) for child in node.children)
+    return (
+        np.array(los, dtype=np.uint64),
+        np.array(his, dtype=np.uint64),
+        np.array(counts, dtype=np.int64),
+        np.array(depths, dtype=np.int64),
+    )
+
+
+def _partition_cells(
+    lo: np.ndarray, hi: np.ndarray, branching: int, *, root: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``partition_range`` of every ``[lo[i], hi[i]]`` at once.
+
+    Returns the cells' bounds in ``(parent, lo)`` order and each cell's
+    parent row. Cell ``j`` of a width-``w`` range with ``c = min(b, w)``
+    cells starts at ``lo + j * (w // c) + min(j, w % c)``. The root's
+    width can be ``2**64``, which uint64 cannot hold, so the root (one
+    range) goes through ``partition_range`` in Python ints.
+    """
+    if root:
+        cells = partition_range(int(lo[0]), int(hi[0]), branching)
+        return (
+            np.array([cell[0] for cell in cells], dtype=np.uint64),
+            np.array([cell[1] for cell in cells], dtype=np.uint64),
+            np.zeros(len(cells), dtype=np.int64),
+        )
+    width = hi - lo + np.uint64(1)
+    cells_n = np.minimum(width, np.uint64(branching))
+    base = width // cells_n
+    extra = width % cells_n
+    j = np.arange(branching, dtype=np.uint64)[None, :]
+    starts = lo[:, None] + j * base[:, None] + np.minimum(j, extra[:, None])
+    ends = np.empty_like(starts)
+    ends[:, :-1] = starts[:, 1:] - np.uint64(1)
+    ends[np.arange(lo.size), cells_n.astype(np.int64) - 1] = hi
+    valid = j < cells_n[:, None]
+    rows, cols = np.nonzero(valid)
+    return starts[rows, cols], ends[rows, cols], rows.astype(np.int64)
 
 
 def _check_compatible(

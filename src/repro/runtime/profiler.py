@@ -13,8 +13,9 @@ worker thread or worker *process* per shard fed through a bounded
              ├─ queue[0] ── worker 0 ── RapTree shard 0   (confined)
              ├─ queue[1] ── worker 1 ── RapTree shard 1   (confined)
              └─ ...
-    snapshot()  =  quiesce every queue, then fold the shard trees
-                   with ``combine_many`` into one consistent tree
+    snapshot()  =  quiesce every queue, then fold the shards' counter
+                   rows with ``combine_many`` (array kernels) into one
+                   consistent tree
 
 The executor is selected uniformly through the config —
 ``RapConfig(executor="serial"|"thread"|"process", shards=N)`` — with
@@ -1032,7 +1033,9 @@ class Profiler:
         """Fold every shard into one consistent tree (epoch boundary).
 
         Locks out new ingests, drains every accepted batch, then folds
-        the shard trees with :func:`~repro.core.combine.combine_many`.
+        the shard trees with :func:`~repro.core.combine.combine_many`,
+        which builds the combined tree from the shards' counter rows
+        with array kernels.
         The result is independent of the live shards (single-shard
         profiles are cloned; process-executor shards are folded from
         attached or serialized copies) and cached: repeated snapshots
@@ -1101,8 +1104,9 @@ class Profiler:
         the fold walks them without copying a column; shards without
         shared memory are fetched as serialized-v2 text. The result is
         always independent of worker state: a single shard is cloned,
-        multiple shards fold through ``combine_many`` (which builds a
-        fresh tree from the constituents' node views).
+        multiple shards fold through ``combine_many``, which copies each
+        attached shard's nonzero counter rows out of its columns (no
+        node view, no cover index) and builds a fresh tree from them.
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
         from ..core.serialize import load_tree

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ExactProfiler
-from repro.core import RapConfig, RapTree
-from repro.core.combine import combine_many, combine_trees, split_stream_profile
+from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree
+from repro.core.combine import (
+    combine_by_descent,
+    combine_many,
+    combine_trees,
+    split_stream_profile,
+)
 
 UNIVERSE = 1024
 
@@ -175,3 +182,114 @@ class TestCombineProperties:
         exact = ExactProfiler(UNIVERSE)
         exact.extend(values)
         assert combined.estimate(lo, hi) <= exact.count(lo, hi)
+
+
+UNIVERSES = [
+    2, 3, 5, 1000, 1023, 4096, 2**32 + 7, 10**12 + 3, 2**64, 2**64 + 5,
+]
+
+
+def shard_of(config: RapConfig, seed: int, events: int) -> RapTree:
+    """A seeded shard: a few hot values (item leaves) over a uniform tail."""
+    rnd = random.Random(seed)
+    universe = config.range_max
+    hot = [rnd.randrange(universe) for _ in range(rnd.randint(1, 6))]
+    values = [
+        rnd.choice(hot) if rnd.random() < 0.7 else rnd.randrange(universe)
+        for _ in range(events)
+    ]
+    tree = RapTree.from_config(config)
+    tree.extend(values)
+    return tree
+
+
+class TestArrayFoldMatchesDescent:
+    """``combine_many`` folds by array kernels up to ``2**64``; the
+    reference descent must build the byte-identical tree."""
+
+    @given(
+        universe=st.sampled_from(UNIVERSES),
+        branching=st.sampled_from([2, 3, 4, 8]),
+        shards=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.sampled_from([0, 1, 40, 700, 2500]),
+                st.sampled_from(["object", "columnar"]),
+                st.sampled_from([0.02, 0.05, 0.2]),
+            ),
+            min_size=1, max_size=6,
+        ),
+        mismatched=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_dump_is_byte_identical(self, universe, branching, shards, mismatched):
+        trees = []
+        for seed, events, backend, epsilon in shards:
+            if universe > 2**64:
+                backend = "object"  # columns hold 64-bit bounds only
+            config = RapConfig(
+                range_max=universe,
+                epsilon=epsilon if mismatched else 0.05,
+                branching=branching,
+                merge_initial_interval=64,
+                backend=backend,
+            )
+            trees.append(shard_of(config, seed, events))
+        folded = combine_many(trees, allow_mismatched_epsilon=mismatched)
+        reference = combine_by_descent(
+            trees, allow_mismatched_epsilon=mismatched
+        )
+        assert dump_tree(folded) == dump_tree(reference)
+        folded.check_invariants()
+
+    def test_attached_shards_fold_without_a_cover(self):
+        config = RapConfig(range_max=2**64, epsilon=0.02, backend="columnar")
+        shards = [shard_of(config, seed, 3000) for seed in (1, 2, 3)]
+        attached = []
+        for tree in shards:
+            columns = {
+                name: getattr(tree, name)
+                for name in ColumnarRapTree.COLUMN_DTYPES
+            }
+            attached.append(
+                ColumnarRapTree.attach_columns(
+                    config, columns, tree.column_state()
+                )
+            )
+        folded = combine_many(attached)
+        assert all(tree._cover_stale for tree in attached)  # noqa: SLF001
+        assert dump_tree(folded) == dump_tree(combine_by_descent(shards))
+        # A reader that needs the cover builds it; it must match the
+        # live shard's incrementally maintained one.
+        attached[0].check_invariants()
+        clone = attached[1].clone()
+        clone.check_invariants()
+        live = shards[1].clone()  # clone() folds in pending splices
+        assert np.array_equal(clone._cov_starts, live._cov_starts)  # noqa: SLF001
+        assert np.array_equal(clone._cov_owner, live._cov_owner)  # noqa: SLF001
+
+    def test_counter_off_the_partition_is_rejected(self):
+        config = RapConfig(range_max=1024, epsilon=0.05)
+        first = shard_of(config, 7, 500)
+        second = shard_of(config, 8, 500)
+        second.root.children[0].lo += 1  # no longer a partition cell
+        with pytest.raises(ValueError, match="partition range"):
+            combine_many([first, second])
+
+    def test_complete_partition_tree_is_valid_before_and_after_merge(self):
+        # Root [0, 15] with all four cells, the second cell expanded
+        # again: the layout the array fold hands to the columnar kernel.
+        config = RapConfig(range_max=16, epsilon=0.3, branching=4)
+        los = np.array([0, 0, 4, 8, 12, 4, 5, 6, 7], dtype=np.uint64)
+        his = np.array([15, 3, 7, 11, 15, 4, 5, 6, 7], dtype=np.uint64)
+        depths = np.array([0, 1, 1, 1, 1, 2, 2, 2, 2])
+        parents = np.array([-1, 0, 0, 0, 0, 2, 2, 2, 2])
+        counts = np.array([1, 0, 2, 0, 3, 9, 0, 0, 1], dtype=np.int64)
+        tree = ColumnarRapTree.from_complete_partition(
+            config, los, his, depths, parents, counts
+        )
+        assert tree.events == 16 and tree.node_count == 9
+        tree.check_invariants()
+        tree.merge_now()
+        tree.check_invariants()
+        assert tree.estimate(4, 4) == 9 and tree.total_weight() == 16

@@ -190,6 +190,34 @@ class TestProcessExecutorOracle:
         )
         assert dump_tree(ring) == dump_tree(pipe)
 
+    def test_dump_fallback_folds_like_shared_memory(self, monkeypatch):
+        # Without shared memory each worker ships its shard as serialized
+        # text and the parent folds object trees from load_tree; with it
+        # the parent folds attached columns. Same shards, same tree.
+        import multiprocessing
+
+        from repro.core import dump_tree
+        from repro.runtime import worker
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit the patched arena only under fork")
+        rng = random.Random(2026)
+        values = zipf_stream(rng, UNIVERSE, 30_000)
+        attached = profiled_snapshot(values, 4, executor="process")
+
+        class NoSharedMemory:
+            def __init__(self, *args, **kwargs):
+                raise OSError("shared memory disabled for this test")
+
+        monkeypatch.setattr(worker, "ShmArena", NoSharedMemory)
+        config = RapConfig(UNIVERSE, epsilon=EPS, backend="columnar")
+        with Profiler(config, shards=4, executor="process") as profiler:
+            profiler.ingest(np.asarray(values, dtype=np.uint64))
+            dumped = profiler.snapshot()
+            states = profiler._shard_states  # noqa: SLF001
+            assert not any(state["shm"] for state in states)
+        assert dump_tree(dumped) == dump_tree(attached)
+
     def test_process_within_envelope_of_threaded(self):
         rng = random.Random(127)
         values = zipf_stream(rng, UNIVERSE, 20_000)
