@@ -88,13 +88,9 @@ PROCESS_GATE_MIN_EVENTS = 50_000
 #: last pipe-era lineage value — min_s at the 50k tier on the
 #: reference machine, frozen here from the pre-ring
 #: ``BENCH_core_throughput.json`` — is the denominator the ring row
-#: must stay >= 1.4x faster than. The live pipe row
-#: (``test_runtime_process_pipe_ingest[columnar]``) remains in the
-#: payload as its own tracked lineage so the comparison stays
-#: reproducible, but the gate divides against the frozen figure: the
-#: worker warm-up/readiness handshake that landed *with* the ring sped
-#: the pipe path up too, so the intra-run ratio understates what the
-#: transport rewrite bought end to end. Calibration-scaled like the
+#: must stay >= 1.4x faster than. The pipe transport has since been
+#: deleted, so no live pipe row exists to divide against; the frozen
+#: figure is the only denominator left. Calibration-scaled like the
 #: mean comparisons; SKIP below 50k (same policy as the
 #: process-executor gate — transport cost drowns in spawn overhead at
 #: smoke scale).

@@ -65,20 +65,17 @@ def _multi_shard(values, universe, backend="object"):
     )
 
 
-def _process_shard(values, universe, backend="columnar", transport="ring"):
+def _process_shard(values, universe, backend="columnar"):
     """The multiprocess path: same partition/budget, worker processes
     over shared-memory columnar trees fed raw partitioned frames that
     each worker duplicate-combines in its own combining buffer. The
-    frames travel over the shared-memory ring transport by default;
-    ``transport="pipe"`` keeps the pickle-framed pipe lineage alive as
-    the comparison row the ring gate divides against."""
+    frames travel through one shared-memory ring per shard."""
     return Profiler(
         RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
         shards=SHARDS,
         executor="process",
         shard_epsilon=SHARDS * EPSILON,
         batch_size=BATCH,
-        transport=transport,
     )
 
 
@@ -127,32 +124,16 @@ def test_runtime_multi_shard_ingest(benchmark, backend, value_stream):
 
 # Parametrized like the threaded row so the two lineages pair by
 # backend; only "columnar" exists — the process executor keeps shard
-# trees in shared-memory column arrays by construction. This row rides
-# the default (ring) transport; the pipe row below is its comparison
-# lineage.
+# trees in shared-memory column arrays by construction.
 @pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_process_shard_ingest(benchmark, backend, value_stream):
     def make(values, universe):
         return _process_shard(values, universe, backend)
 
-    # The two transport rows feed the ring gate's numerator and
-    # denominator, whose 1.4x floor leaves far less margin than the 30%
-    # tolerance band — so give their min estimator more samples to find
-    # the quiet-machine floor through scheduler noise.
-    _bench_ingest(benchmark, make, *value_stream, rounds=21)
-
-
-@pytest.mark.parametrize("backend", ["columnar"])
-def test_runtime_process_pipe_ingest(benchmark, backend, value_stream):
-    """The pickle-pipe transport lineage: same executor, same workload.
-
-    Exists so the ring-transport gate in ``check_regression.py`` has a
-    live denominator measured under identical conditions — the ring row
-    above must stay >= 1.4x faster at the 50k tier."""
-
-    def make(values, universe):
-        return _process_shard(values, universe, backend, transport="pipe")
-
+    # This row feeds the ring gate, whose 1.4x floor leaves far less
+    # margin than the 30% tolerance band — so give its min estimator
+    # more samples to find the quiet-machine floor through scheduler
+    # noise.
     _bench_ingest(benchmark, make, *value_stream, rounds=21)
 
 

@@ -134,15 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--partition", choices=["hash", "range"], default="hash"
     )
-    serve.add_argument(
-        "--transport",
-        choices=["ring", "pipe"],
-        default=None,
-        help=(
-            "process-executor frame transport (default: the config "
-            "default, ring); ignored by serial/thread executors"
-        ),
-    )
     serve.add_argument("--epsilon", type=float, default=0.01)
     serve.add_argument(
         "--shard-epsilon",
@@ -373,7 +364,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             shards=args.shards,
             executor=args.executor,
             partition=args.partition,
-            transport=args.transport,
             shard_epsilon=args.shard_epsilon,
             backpressure=args.backpressure,
             batch_size=args.batch_size,
@@ -384,13 +374,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profiler.ingest(batch)
             snapshot = profiler.close()
         metrics = profiler.metrics
-        label = f"{args.executor}/{args.partition}"
-        if args.executor == "process":
-            # profiler.transport reflects any fallback from ring to pipe.
-            label += f"/{profiler.transport}"
         print(
             f"{stream.name}: {metrics.events:,} events through "
-            f"{args.shards} shard(s) [{label}, {args.backpressure}]"
+            f"{args.shards} shard(s) [{args.executor}/{args.partition}, "
+            f"{args.backpressure}]"
         )
         if args.executor == "process" and metrics.transport_stalls:
             print(

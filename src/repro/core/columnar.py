@@ -1020,7 +1020,7 @@ class ColumnarRapTree:
         but the pair list is never built unless a scalar window needs
         it: the vectorized rounds consume the arrays directly. This is
         the process executor's frame path — shard workers receive
-        ``(values, counts)`` ndarray frames off the pipe and ingest
+        ``(values, counts)`` ndarray frames off the ring and ingest
         them without a tuple transpose on either side. Inputs the
         column dtypes cannot represent faithfully (negative or
         non-integer values, counts past int64) take the exact per-item

@@ -75,23 +75,13 @@ class RapConfig:
         (inline on the calling thread), ``"thread"`` (one worker thread
         per shard behind bounded queues, the default) or ``"process"``
         (one worker process per shard, each owning a columnar tree in
-        shared memory — requires ``backend="columnar"``). Like
-        ``backend`` it selects an observably-equivalent engine, is
-        construction-time only, and is never serialized.
+        shared memory and fed through a shared-memory ring — requires
+        ``backend="columnar"``). Like ``backend`` it selects an
+        observably-equivalent engine, is construction-time only, and
+        is never serialized.
     shards:
         How many shard trees that profiler partitions the stream
         across (``>= 1``). Construction-time only, never serialized.
-    transport:
-        How the process executor moves partitioned frames to its shard
-        workers: ``"ring"`` (the default — binary counted frames
-        through a shared-memory SPSC ring buffer per shard, zero
-        pickle on the data path; see :mod:`repro.runtime.ring`) or
-        ``"pipe"`` (pickle-framed ``multiprocessing`` pipes fed by
-        per-shard feeder threads — the fallback when POSIX shared
-        memory is unavailable, which the runtime also selects
-        automatically). Ignored by the serial and thread executors,
-        which move nothing between processes. Construction-time only,
-        never serialized.
     debug_sanitize:
         If true, a :class:`~repro.checks.sanitizer.RapSanitizer` is
         attached to every :class:`~repro.runtime.profiler.Profiler`
@@ -116,7 +106,6 @@ class RapConfig:
     backend: str = "object"
     executor: str = "thread"
     shards: int = 1
-    transport: str = "ring"
     debug_sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -161,10 +150,6 @@ class RapConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.transport not in ("ring", "pipe"):
-            raise ValueError(
-                f"transport must be 'ring' or 'pipe', got {self.transport!r}"
-            )
         if self.executor == "process" and self.backend != "columnar":
             raise ValueError(
                 "executor='process' requires backend='columnar': worker "

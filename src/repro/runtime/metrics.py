@@ -23,9 +23,9 @@ class ShardMetrics:
     ``transport_stalls`` / ``transport_stall_s`` count how often (and,
     with a clock, for how long) the producer blocked waiting for the
     shard's transport to make room — ring-space waits under the
-    process executor's ring transport. They read zero under the serial
-    and thread executors and the pipe transport, whose blocking waits
-    are already visible as queue backpressure. ``ring_peak_bytes`` is
+    process executor. They read zero under the serial and thread
+    executors, whose blocking waits are already visible as queue
+    backpressure. ``ring_peak_bytes`` is
     the high-water occupancy of the shard's ring (zero off-ring);
     ``transport_stall_s`` is time-shaped and stays ``0.0`` without a
     clock, like every other duration here.

@@ -3,17 +3,17 @@
 ``Profiler`` is the API v2 top-level entry point for profiling a
 stream. It owns ``N`` shard trees, a deterministic partitioner mapping
 each event value to its shard, and — depending on the executor — a
-worker thread or worker *process* per shard fed through a bounded
-:class:`ShardQueue`:
+worker thread per shard fed through a bounded :class:`ShardQueue`, or
+a worker *process* per shard fed through a shared-memory ring:
 
 .. code-block:: text
 
     ingest(values)                       coordinating thread
         └─ partition + duplicate-combine (numpy, one pass)
-             ├─ queue[0] ── worker 0 ── RapTree shard 0   (confined)
-             ├─ queue[1] ── worker 1 ── RapTree shard 1   (confined)
+             ├─ queue/ring[0] ── worker 0 ── RapTree shard 0   (confined)
+             ├─ queue/ring[1] ── worker 1 ── RapTree shard 1   (confined)
              └─ ...
-    snapshot()  =  quiesce every queue, then fold the shards' counter
+    snapshot()  =  quiesce every shard, then fold the shards' counter
                    rows with ``combine_many`` (array kernels) into one
                    consistent tree
 
@@ -26,12 +26,12 @@ the constructor keywords as call-site overrides:
   live in this process, thread-confined.
 * ``"process"`` runs one worker *process* per shard (requires
   ``backend="columnar"``): each worker owns a columnar tree whose
-  columns live in shared memory (:mod:`repro.runtime.shm`), fed
-  array-shaped counted frames over a pipe by a per-shard feeder thread
-  that drains the same bounded :class:`ShardQueue` — so the
-  block/drop/spill backpressure discipline, dispositions and metrics
-  are identical across executors. Snapshots attach the quiesced
-  workers' columns zero-copy and fold them in the parent (serialized
+  columns live in shared memory (:mod:`repro.runtime.shm`). The
+  dispatching thread writes binary counted frames straight into a
+  per-shard shared-memory ring (:mod:`repro.runtime.ring`), which
+  applies the :class:`ShardQueue` block/drop/spill backpressure
+  vocabulary with the same dispositions and metrics. Snapshots attach
+  the quiesced workers' columns zero-copy and fold them in the parent (serialized
   exchange as fallback when shared memory is unavailable).
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
@@ -44,8 +44,8 @@ worker failure.
 
 Consistency model: a snapshot is taken on an *epoch boundary* — new
 ingests are locked out, every accepted batch is drained (and, under
-the process executor, every worker acknowledges a sync marker that
-trails its batches in pipe order), and only then are the shard trees
+the process executor, every worker acknowledges a sync frame that
+trails its batches in ring order), and only then are the shard trees
 folded. The snapshot therefore reflects exactly the events accepted
 before the call, no torn batches. Under the ``block`` and ``spill``
 backpressure policies the shard trees (and hence every snapshot) are a
@@ -69,7 +69,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import warnings
 from typing import (
     Callable,
     Dict,
@@ -102,6 +101,7 @@ Clock = Callable[[], float]
 Values = Union[np.ndarray, Iterable[int]]
 
 _EXECUTORS = ("serial", "thread", "process")
+_BACKPRESSURE = ("block", "drop", "spill")
 
 #: How long (seconds) to poll a live worker for a protocol reply before
 #: re-checking liveness, and how long to wait for voluntary exit before
@@ -121,9 +121,9 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
     plain Python lists arrive as ``int64`` (also native). Anything else
     — ``int32``, object arrays of Python ints — is widened once here.
     Values the tree would reject (negatives, non-integers) still flow
-    through and fail inside the worker exactly as the pipe transport's
-    pickled frames would, except out-of-``int64``-range object arrays,
-    which are re-tried as ``uint64``.
+    through and fail inside the worker, where ``add_counted_arrays``
+    validates them; out-of-``int64``-range object arrays are re-tried
+    as ``uint64``.
     """
     if part.dtype in _FRAME_DTYPES:
         return part
@@ -135,16 +135,29 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
         return part.astype(np.uint64)
 
 
+def _ring_counters(producer: RingProducer) -> Dict[str, object]:
+    """A ring producer's backpressure counters, keyed by the
+    :class:`ShardMetrics` fields they fill."""
+    return {
+        "dropped_batches": producer.dropped_batches,
+        "dropped_events": producer.dropped_events,
+        "spilled_batches": producer.spilled_batches,
+        "transport_stalls": producer.stalls,
+        "transport_stall_s": producer.stall_seconds,
+        "ring_peak_bytes": producer.peak_bytes,
+    }
+
+
 class WorkerCrashed(RuntimeError):
     """A shard worker process died without completing the protocol.
 
     Raised by ``drain()``/``snapshot()``/``close()`` instead of hanging
     when a worker was killed (OOM, SIGKILL, crash): carries the shard
     index and exit code so the failure is diagnosable from the message.
-    Under the ring transport it also carries the ring's frame counters
-    — ``committed`` frames published by the producer and ``consumed``
-    frames the worker had taken — pinpointing exactly how far the
-    shard's stream got before the crash.
+    While the shard's ring is still mapped it also carries the ring's
+    frame counters — ``committed`` frames published by the producer and
+    ``consumed`` frames the worker had taken — pinpointing exactly how
+    far the shard's stream got before the crash.
     """
 
     def __init__(
@@ -196,11 +209,6 @@ class Profiler:
         shim and oracle tests use; ``"process"`` runs one worker
         process per shard over shared-memory columnar trees (requires
         ``backend="columnar"``).
-    threads:
-        Deprecated alias from the thread-only runtime: ``threads=N``
-        means ``shards=N, executor="thread"``. Emits a
-        ``DeprecationWarning``; use ``shards=``/``executor=`` (or the
-        config fields) instead.
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.
@@ -213,28 +221,18 @@ class Profiler:
     queue_capacity / backpressure:
         Bounds and overflow policy of the per-shard transport —
         ``"block"`` / ``"drop"`` / ``"spill"``. Under the thread
-        executor (and the process executor's pipe transport) the policy
-        lives on each bounded :class:`ShardQueue`; under the ring
-        transport the same policy vocabulary, dispositions and
-        counters apply to the shared-memory ring directly
-        (``queue_capacity`` is then unused — the bound is
-        ``ring_bytes``). See :mod:`repro.runtime.queues` and
-        :mod:`repro.runtime.ring`.
+        executor the policy lives on each :class:`ShardQueue` of
+        ``queue_capacity`` batches; under the process executor the same
+        policy vocabulary, dispositions and counters apply to the
+        shared-memory ring directly, bounded by ``ring_bytes``
+        (``queue_capacity`` is thread-executor only). See
+        :mod:`repro.runtime.queues` and :mod:`repro.runtime.ring`.
     batch_size:
         Ingest calls chop their input into chunks of this many events
         before partitioning, bounding queue memory per slot.
-    transport:
-        Process-executor frame transport: ``"ring"`` (shared-memory
-        SPSC ring buffers carrying binary counted frames — the
-        default, zero pickle on the data path) or ``"pipe"``
-        (pickle-framed pipes fed by feeder threads). ``None``
-        (default) inherits ``config.transport``. Ignored by the
-        serial and thread executors. If POSIX shared memory turns out
-        to be unavailable at ``open()``, the profiler falls back to
-        ``"pipe"`` automatically.
     ring_bytes:
-        Size of each shard's shared ring region under the ring
-        transport (counter header included). The default (4 MiB)
+        Size of each shard's shared ring region under the process
+        executor (counter header included). The default (4 MiB)
         comfortably holds several worker combining windows; tests use
         small rings to exercise wrap-around and backpressure.
     clock:
@@ -250,28 +248,14 @@ class Profiler:
         *,
         shards: Optional[int] = None,
         executor: Optional[str] = None,
-        threads: Optional[int] = None,
         partition: str = "hash",
         shard_epsilon: Optional[float] = None,
         queue_capacity: int = 8,
         backpressure: str = "block",
         batch_size: int = 4096,
-        transport: Optional[str] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
         clock: Optional[Clock] = None,
     ) -> None:
-        if threads is not None:
-            warnings.warn(
-                "Profiler(threads=N) is deprecated; use "
-                "Profiler(config, shards=N, executor='thread') or set "
-                "RapConfig(shards=N, executor='thread')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if shards is None:
-                shards = threads
-            if executor is None:
-                executor = "thread"
         if shards is None:
             shards = config.shards
         if executor is None:
@@ -282,24 +266,24 @@ class Profiler:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
             )
+        if backpressure not in _BACKPRESSURE:
+            raise ValueError(
+                f"unknown backpressure policy {backpressure!r}; "
+                f"expected one of {_BACKPRESSURE}"
+            )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if transport is None:
-            transport = config.transport
         if ring_bytes < MIN_RING_BYTES:
             raise ValueError(
                 f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
             )
         # Route the resolved knobs through the config's own validation
-        # so every executor/backend/transport combination fails with one
-        # message (notably executor='process' + backend='object').
-        config.with_updates(
-            executor=executor, shards=shards, transport=transport
-        )
+        # so every executor/backend combination fails with one message
+        # (notably executor='process' + backend='object').
+        config.with_updates(executor=executor, shards=shards)
         self._config = config
         self._shards = shards
         self._executor = executor
-        self._transport = transport
         self._backpressure = backpressure
         self._ring_bytes = ring_bytes
         self._partitioner: Partitioner = make_partitioner(
@@ -320,17 +304,16 @@ class Profiler:
                 RapTree.from_config(shard_config) for _ in range(shards)
             ]
         self._queues: List[ShardQueue] = []
-        if executor in ("thread", "process"):
+        if executor == "thread":
             self._queues = [
                 ShardQueue(queue_capacity, backpressure)
                 for _ in range(shards)
             ]
         self._workers: List[threading.Thread] = []
-        # Process-executor plumbing: one worker process + duplex pipe
-        # per shard (plus, under the pipe transport, a feeder thread),
-        # plus the latest synced payload. Under the ring transport the
-        # parent owns one ring arena + producer per shard; the final
-        # producer stats survive teardown for post-close metrics.
+        # Process-executor plumbing: one worker process, duplex control
+        # pipe, ring arena and ring producer per shard, plus the latest
+        # synced payload. The final producer counters survive teardown
+        # for post-close metrics.
         self._processes: List[multiprocessing.process.BaseProcess] = []
         self._conns: List = []
         self._ring_arenas: List[ShmArena] = []
@@ -402,12 +385,12 @@ class Profiler:
 
     @property
     def transport(self) -> str:
-        """The resolved frame transport (``"ring"`` or ``"pipe"``).
+        """The frame transport: always ``"ring"``.
 
-        Meaningful under the process executor only; after ``open()``
-        this reflects any fallback from ring to pipe.
+        The process executor moves frames through shared-memory rings
+        only; the serial and thread executors move no frames.
         """
-        return self._transport
+        return "ring"
 
     @property
     def closed(self) -> bool:
@@ -423,23 +406,14 @@ class Profiler:
         if self._state != "created":
             raise RuntimeError(f"cannot open a {self._state} Profiler")
         if self._executor == "process":
-            if self._transport == "ring":
-                self._setup_rings()  # may fall back to the pipe transport
+            self._setup_rings()
             self._spawn_processes()
         self._state = "open"
-        if self._executor == "process" and self._transport == "ring":
-            # Ring transport: the dispatching thread writes frames
-            # straight into each shard's ring — no feeder threads, no
-            # queue hop, no pickle. The queues stay constructed but
-            # idle (close() and drain() treat them uniformly).
-            return self
+        # Only the thread executor has queues; the process executor's
+        # dispatching thread writes frames straight into each ring.
         for shard in range(len(self._queues)):
             worker = threading.Thread(
-                target=(
-                    self._feeder_loop
-                    if self._executor == "process"
-                    else self._worker_loop
-                ),
+                target=self._worker_loop,
                 args=(shard,),
                 name=f"rap-shard-{shard}",
                 daemon=True,
@@ -452,9 +426,9 @@ class Profiler:
         """Allocate one shared ring region + producer per shard.
 
         Runs before the workers fork so both sides see the segments.
-        If this host has no usable POSIX shared memory the profiler
-        silently falls back to the pipe transport — the same probe the
-        workers run for their column arenas.
+        If this host has no usable POSIX shared memory, every ring
+        already created is unlinked and ``open()`` fails with an
+        ``OSError`` before any worker is spawned.
         """
         try:
             for shard in range(self._shards):
@@ -471,9 +445,13 @@ class Profiler:
                     )
                 )
                 self._ring_tables.append(arena.segment_table())
-        except OSError:
+        except OSError as error:
             self._teardown_rings(keep_stats=False)
-            self._transport = "pipe"
+            raise OSError(
+                "executor='process' needs POSIX shared memory for its "
+                "shard rings and none is usable on this host; use "
+                "executor='thread' or executor='serial' instead"
+            ) from error
 
     def _worker_alive(self, shard: int) -> Callable[[], bool]:
         def alive() -> bool:
@@ -508,14 +486,7 @@ class Profiler:
         """
         if keep_stats:
             for shard, producer in enumerate(self._rings):
-                self._ring_stats[shard] = {
-                    "transport_stalls": producer.stalls,
-                    "transport_stall_s": producer.stall_seconds,
-                    "ring_peak_bytes": producer.peak_bytes,
-                    "dropped_batches": producer.dropped_batches,
-                    "dropped_events": producer.dropped_events,
-                    "spilled_batches": producer.spilled_batches,
-                }
+                self._ring_stats[shard] = _ring_counters(producer)
         self._rings = []
         self._ring_tables = []
         for arena in self._ring_arenas:
@@ -523,11 +494,11 @@ class Profiler:
         self._ring_arenas = []
 
     def _spawn_processes(self) -> None:
-        """Fork one worker per shard, before any feeder thread exists.
+        """Fork one worker per shard.
 
         Fork context when the platform offers it (cheap, inherits the
-        loaded interpreter; safe here because no profiler threads are
-        running yet), spawn otherwise. Workers are daemonic so a
+        loaded interpreter; safe here because this executor starts no
+        profiler threads), spawn otherwise. Workers are daemonic so a
         crashed parent cannot leave orphans ingesting forever.
         """
         # Lazy import, noqa'd like the fold path: the worker module
@@ -548,11 +519,7 @@ class Profiler:
                         self._shard_config,
                         shard,
                         self._shm_prefix,
-                        (
-                            self._ring_tables[shard]
-                            if self._transport == "ring" and self._ring_tables
-                            else None
-                        ),
+                        self._ring_tables[shard],
                     ),
                     name=f"rap-shard-{shard}",
                     daemon=True,
@@ -726,14 +693,9 @@ class Profiler:
                             [count for _, count in bucket],
                             dtype=np.int64,
                         )
-                        if self._transport == "ring":
-                            self._submit_ring(
-                                shard, FRAME_CBATCH, values, counts, weight
-                            )
-                        else:
-                            self._submit(
-                                shard, ("cbatch", values, counts), weight
-                            )
+                        self._submit_ring(
+                            shard, FRAME_CBATCH, values, counts, weight
+                        )
                     else:
                         self._submit(shard, bucket, weight)
         if clock is not None:
@@ -754,22 +716,18 @@ class Profiler:
             # worker buffers frames and duplicate-combines its whole
             # buffered substream in one pass (see ``worker_main``),
             # which both shrinks the transport payload and moves the
-            # combining sort off the dispatching thread. Under the
-            # ring transport the partitioner's output arrays are
-            # encoded straight into each shard's shared ring — no
-            # queue hop, no feeder thread, no pickle.
+            # combining sort off the dispatching thread. The
+            # partitioner's output arrays are encoded straight into
+            # each shard's shared ring — no queue hop, no pickle.
             for shard, part in enumerate(self._partitioner.split(chunk)):
                 if len(part):
-                    if self._transport == "ring":
-                        self._submit_ring(
-                            shard,
-                            FRAME_BATCH,
-                            _frame_values(part),
-                            None,
-                            len(part),
-                        )
-                    else:
-                        self._submit(shard, ("batch", part), len(part))
+                    self._submit_ring(
+                        shard,
+                        FRAME_BATCH,
+                        _frame_values(part),
+                        None,
+                        len(part),
+                    )
             return
         for shard, batch in enumerate(
             self._partitioner.split_counted(chunk)
@@ -786,7 +744,7 @@ class Profiler:
         counts: Optional[np.ndarray],
         weight: int,
     ) -> None:
-        """Write one binary frame into the shard's ring (ring transport).
+        """Write one binary frame into the shard's ring.
 
         Runs on the dispatching thread under the ingest lock (which is
         what makes the producer side single-writer). A consumer that
@@ -796,14 +754,8 @@ class Profiler:
         producer = self._rings[shard]
         try:
             disposition = producer.write_frame(kind, values, counts)  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
-        except RingStalled as stall:
-            raise WorkerCrashed(
-                shard,
-                self._processes[shard].exitcode,
-                "draining its ring",
-                committed=stall.committed,
-                consumed=stall.consumed,
-            ) from None
+        except RingStalled:
+            raise self._worker_crashed(shard, "draining its ring") from None
         if disposition != "dropped":
             self._shard_events[shard] += weight
             self._shard_batches[shard] += 1
@@ -845,42 +797,6 @@ class Profiler:
                     failed = True
             queue.task_done()
 
-    def _feeder_loop(self, shard: int) -> None:
-        """Producer-side pump: shard queue → worker pipe (process mode).
-
-        Backpressure stays on the queue (identical policies and
-        counters across executors); the feeder just forwards accepted
-        frames in FIFO order. ``task_done`` fires only after the send,
-        so ``queue.join()`` implies every accepted frame is *in the
-        pipe ahead of any subsequent sync marker* — the ordering the
-        epoch-boundary protocol relies on. A dead worker breaks the
-        pipe; the feeder records the diagnosis and keeps draining so
-        joins and closes never hang on a crashed shard.
-        """
-        queue = self._queues[shard]
-        conn = self._conns[shard]
-        broken = False
-        while True:
-            frames = queue.take_all()
-            if frames is None:
-                return
-            if not broken:
-                try:
-                    # Frames are enqueued pipe-ready (("batch", values)
-                    # or ("cbatch", values, counts)) — forward as-is.
-                    for frame in frames:
-                        conn.send(frame)
-                except (BrokenPipeError, OSError):
-                    broken = True
-                    self._errors.append(
-                        WorkerCrashed(
-                            shard,
-                            self._processes[shard].exitcode,
-                            "receiving batches",
-                        )
-                    )
-            queue.task_done()
-
     def _check_ingestible(self) -> None:
         if self._state != "open":
             hint = " (call open() first)" if self._state == "created" else ""
@@ -900,11 +816,11 @@ class Profiler:
     # ------------------------------------------------------------------
 
     def _worker_crashed(self, shard: int, doing: str) -> WorkerCrashed:
-        """Build the dead-worker diagnostic, with ring counters when the
-        ring transport is live: the last-committed/last-consumed frame
+        """Build the dead-worker diagnostic, with ring counters while the
+        shard's ring is mapped: the last-committed/last-consumed frame
         sequences pinpoint how far the shard's stream got."""
         committed = consumed = None
-        if self._transport == "ring" and shard < len(self._rings):
+        if shard < len(self._rings):
             producer = self._rings[shard]
             committed = producer.committed_frames
             consumed = producer.consumed_frames
@@ -941,53 +857,35 @@ class Profiler:
     def _sync_workers(self) -> None:
         """Quiesce every worker and cache its synced state.
 
-        Callers hold the ingest lock with all queues joined (or closed
-        and feeders exited), so no frame is mid-flight and the sync
-        marker trails every accepted frame in transport order: a
-        ``synced`` reply proves the worker applied them all. Worker
-        ingest failures and sanitizer reports ride back on the reply.
+        Callers hold the ingest lock, so no frame is mid-flight. The
+        sync travels *in-band* — a sync frame written behind the
+        shard's data frames — so a ``synced`` reply proves the worker
+        applied every accepted frame. Worker ingest failures and
+        sanitizer reports ride back on the reply.
 
-        Under the ring transport the sync travels *in-band* — a sync
-        frame written behind the shard's data frames — and is broadcast
-        to every ring before any reply is collected, so the workers'
-        wakeup and flush latencies overlap instead of serializing one
-        sync round-trip per shard. Each reply echoes the sync frame's
-        sequence number, proving it answers *this* epoch boundary.
+        The sync is broadcast to every ring before any reply is
+        collected, so the workers' wakeup and flush latencies overlap
+        instead of serializing one sync round-trip per shard. Each
+        reply echoes the sync frame's sequence number, proving it
+        answers *this* epoch boundary.
         """
-        if self._transport == "ring" and self._rings:
-            expected: List[int] = []
-            for shard, producer in enumerate(self._rings):
-                try:
-                    expected.append(producer.write_sync())  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
-                except RingStalled as stall:
-                    raise WorkerCrashed(
-                        shard,
-                        self._processes[shard].exitcode,
-                        "accepting a sync frame",
-                        committed=stall.committed,
-                        consumed=stall.consumed,
-                    ) from None
-            for shard in range(self._shards):
-                payload = self._recv_reply(shard, "synced")
-                if payload.get("sync_seq") != expected[shard]:
-                    raise RuntimeError(
-                        f"shard {shard} worker protocol error: sync reply "
-                        f"for frame {payload.get('sync_seq')!r}, expected "
-                        f"{expected[shard]}"
-                    )
-                self._accept_sync_payload(shard, payload)
-            return
-        for shard, conn in enumerate(self._conns):
-            process = self._processes[shard]
+        expected: List[int] = []
+        for shard, producer in enumerate(self._rings):
             try:
-                conn.send(("sync",))
-            except (BrokenPipeError, OSError):
-                raise WorkerCrashed(
-                    shard, process.exitcode, "accepting a sync marker"
+                expected.append(producer.write_sync())  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
+            except RingStalled:
+                raise self._worker_crashed(
+                    shard, "accepting a sync frame"
                 ) from None
-            self._accept_sync_payload(
-                shard, self._recv_reply(shard, "synced")
-            )
+        for shard in range(self._shards):
+            payload = self._recv_reply(shard, "synced")
+            if payload.get("sync_seq") != expected[shard]:
+                raise RuntimeError(
+                    f"shard {shard} worker protocol error: sync reply "
+                    f"for frame {payload.get('sync_seq')!r}, expected "
+                    f"{expected[shard]}"
+                )
+            self._accept_sync_payload(shard, payload)
 
     def _accept_sync_payload(
         self, shard: int, payload: Dict[str, object]
@@ -1130,10 +1028,8 @@ class Profiler:
                     try:
                         self._conns[shard].send(("dump",))
                     except (BrokenPipeError, OSError):
-                        raise WorkerCrashed(
-                            shard,
-                            self._processes[shard].exitcode,
-                            "accepting a dump request",
+                        raise self._worker_crashed(
+                            shard, "accepting a dump request"
                         ) from None
                     trees.append(
                         load_tree(self._recv_reply(shard, "dumped"))
@@ -1199,39 +1095,28 @@ class Profiler:
                     entry.splits = int(payload["splits"])  # type: ignore[arg-type]
                     entry.merge_batches = int(payload["merge_batches"])  # type: ignore[arg-type]
                     entry.node_count = int(payload["node_count"])  # type: ignore[arg-type]
+                # Backpressure lives on the ring producer: live producers
+                # answer; after teardown the counters ``_teardown_rings``
+                # kept do.
+                counters = (
+                    _ring_counters(self._rings[index])
+                    if index < len(self._rings)
+                    else self._ring_stats[index]
+                )
+                for name, value in (counters or {}).items():
+                    setattr(entry, name, value)
             else:
                 tree = self._trees[index]
                 stats = tree.stats
                 entry.splits = stats.splits
                 entry.merge_batches = stats.merge_batches
                 entry.node_count = tree.node_count
-            if self._queues:
-                queue = self._queues[index]
-                entry.dropped_batches = queue.dropped_batches
-                entry.dropped_events = queue.dropped_events
-                entry.spilled_batches = queue.spilled_batches
-                entry.max_queue_depth = queue.max_depth
-            # Ring transport: backpressure lives on the ring producer,
-            # not the (idle) queue — its counters override the queue
-            # zeros above. Live producers win; after teardown the
-            # snapshot taken by ``_teardown_rings`` keeps answering.
-            if index < len(self._rings):
-                producer = self._rings[index]
-                entry.dropped_batches = producer.dropped_batches
-                entry.dropped_events = producer.dropped_events
-                entry.spilled_batches = producer.spilled_batches
-                entry.transport_stalls = producer.stalls
-                entry.transport_stall_s = producer.stall_seconds
-                entry.ring_peak_bytes = producer.peak_bytes
-            elif self._ring_stats[index] is not None:
-                stats = self._ring_stats[index]
-                assert stats is not None
-                entry.dropped_batches = int(stats["dropped_batches"])  # type: ignore[arg-type]
-                entry.dropped_events = int(stats["dropped_events"])  # type: ignore[arg-type]
-                entry.spilled_batches = int(stats["spilled_batches"])  # type: ignore[arg-type]
-                entry.transport_stalls = int(stats["transport_stalls"])  # type: ignore[arg-type]
-                entry.transport_stall_s = float(stats["transport_stall_s"])  # type: ignore[arg-type]
-                entry.ring_peak_bytes = int(stats["ring_peak_bytes"])  # type: ignore[arg-type]
+                if self._queues:
+                    queue = self._queues[index]
+                    entry.dropped_batches = queue.dropped_batches
+                    entry.dropped_events = queue.dropped_events
+                    entry.spilled_batches = queue.spilled_batches
+                    entry.max_queue_depth = queue.max_depth
             shards.append(entry)
         return RuntimeMetrics(
             shards=shards,

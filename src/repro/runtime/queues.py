@@ -165,33 +165,6 @@ class ShardQueue:
             self._acks.append(taken)
             return combined
 
-    def take_all(self) -> Optional[List[Batch]]:
-        """Dequeue everything available as the raw FIFO batch list.
-
-        Blocks like :meth:`take`; ``None`` once closed and empty. Main
-        queue first, then the spill backlog — acceptance order, same as
-        :meth:`take_combined` — but the constituents are returned
-        untouched instead of being sorted and concatenated. This is the
-        process executor's feeder path: each batch is already an
-        array-shaped frame that crosses the worker pipe as-is, so
-        flattening here would only force a re-split on the other side.
-        The matching :meth:`task_done` acknowledges every returned
-        batch at once.
-        """
-        with self._lock:
-            while not self._queue and not self._spill:
-                if self._closed:
-                    return None
-                self._not_empty.wait()
-            batches: List[Batch] = []
-            while self._queue:
-                batches.append(self._queue.popleft())
-            self._not_full.notify_all()
-            while self._spill:
-                batches.append(self._spill.popleft())
-            self._acks.append(len(batches))
-            return batches
-
     def task_done(self) -> None:
         """Worker acknowledgement that the last taken batch is processed.
 

@@ -8,9 +8,9 @@ intermediate copies. The parent encodes binary counted frames
 (:mod:`repro.core.serialize`) straight from the partitioner's output
 arrays into the ring with two slice assignments; the worker decodes
 them as *read-only ndarray views* over the same memory and feeds its
-combining buffer without touching a byte. The duplex pipe the process
-executor already owns stays, but carries only low-rate control
-(dump/exit/crash/wake) — the data path never pickles.
+combining buffer without touching a byte. The process executor's
+duplex pipe carries only low-rate control (ready/synced replies,
+dump/exit/wake) — the data path never pickles.
 
 Memory layout (all offsets relative to the shared region)::
 
@@ -56,8 +56,9 @@ policy vocabulary, with the same dispositions and counters:
 
 Determinism: the byte stream a consumer sees is a pure function of the
 producer's frame sequence (ring order = write order), so the worker's
-combining-buffer flush points — and therefore the shard tree — are
-bit-identical to the pipe transport's for the same ingested stream.
+combining-buffer flush points — and therefore the shard tree — are a
+pure function of the ingested stream: repeat runs build bit-identical
+trees.
 
 Timing discipline: this module never reads the wall clock. Stall
 *counts* are always recorded; stall *seconds* only accumulate when the

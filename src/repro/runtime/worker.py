@@ -4,62 +4,51 @@
 shard. The worker owns a :class:`~repro.core.columnar.ColumnarRapTree`
 whose columns live in a :class:`~repro.runtime.shm.ShmArena` (so the
 parent can attach them zero-copy at fold time), confines it to itself,
-and consumes the partitioned event stream over one of two transports:
+and consumes the partitioned event stream from a shared-memory SPSC
+ring (:class:`~repro.runtime.ring.RingConsumer`) the parent allocated.
 
-* **ring** (the default): data frames arrive as binary counted frames
-  (:mod:`repro.core.serialize`) through a shared-memory SPSC ring
-  (:class:`~repro.runtime.ring.RingConsumer`), decoded as read-only
-  ndarray *views* over ring memory — zero copies until the combining
-  flush. The pipe stays attached but carries only low-rate control
-  (``wake``/``dump``/``exit``); sync markers travel *in-band* through
-  the ring so they order behind every data frame by construction.
-* **pipe** (fallback): every frame is a pickled tuple on the duplex
-  pipe — the protocol below, unchanged.
+Data frames arrive as binary counted frames (:mod:`repro.core.serialize`),
+decoded as read-only ndarray *views* over ring memory — zero copies
+until the combining flush. Frames are *buffered*, not ingested one by
+one: the worker accumulates them in a combining buffer and
+duplicate-combines the whole buffered substream in a single
+``np.unique`` pass right before feeding one sorted counted frame to
+``add_counted_arrays`` — the paper's event-combining buffer (Section
+3.3, stage 0) stretched across frames. Raw value frames weight each
+occurrence 1; pre-counted frames (the ``ingest_counted`` path) carry
+their counts as weights. The buffer flushes when it holds
+``_COMBINE_WINDOW`` events and at every sync, so its memory is bounded
+and its flush points are a pure function of the frame sequence (ring
+order = producer dispatch order): repeat runs build bit-identical
+trees. An ingest failure is remembered and surfaced on the next sync.
 
-Pipe command protocol:
+Sync frames travel *in-band* through the ring, so they order behind
+every data frame by construction: a sync flushes the combining buffer,
+then the worker replies ``("synced", payload)`` on the control pipe.
+The payload carries the shared-memory segment table, the tree's scalar
+state (:meth:`~repro.core.columnar.ColumnarRapTree.column_state`),
+ingest statistics, the recorded failure (if any), the worker
+sanitizer's report and the sync frame's sequence number.
 
-``("batch", values)``
-    Raw partitioned value frame, as produced by ``Partitioner.split``
-    (one occurrence per element, producer chunk order). Frames are
-    *buffered*, not ingested one by one: the worker accumulates them
-    in a combining buffer and duplicate-combines the whole buffered
-    substream in a single ``np.unique`` pass right before feeding one
-    sorted counted frame to ``add_counted_arrays`` — the paper's
-    event-combining buffer (Section 3.3, stage 0) stretched across
-    frames, which is where the process executor's ingest advantage
-    over the per-chunk-combining threaded path comes from. The buffer
-    flushes when it holds ``_COMBINE_WINDOW`` events and at every
-    sync, so its memory is bounded and its flush points are a pure
-    function of the frame sequence (pipe FIFO = producer dispatch
-    order): repeat runs build bit-identical trees. No reply; an
-    ingest failure is remembered and surfaced on the next sync.
-``("cbatch", values, counts)``
-    Pre-counted frame (the ``ingest_counted`` path): sorted unique
-    values with positive counts. Enters the same combining buffer
-    with its counts as weights.
-``("sync",)``
-    Quiesce point: flushes the combining buffer, then replies
-    ``("synced", payload)`` where the payload carries the
-    shared-memory segment table, the tree's scalar state
-    (:meth:`~repro.core.columnar.ColumnarRapTree.column_state`),
-    ingest statistics, the recorded failure (if any) and the worker
-    sanitizer's report. Because frames are processed in pipe order,
-    a sync reply proves every earlier batch frame is applied.
+The duplex control pipe carries only low-rate messages. The worker
+sends ``("ready", None)`` once warmed up, ``("synced", payload)`` per
+sync frame and ``("bye",)`` on the way out; it accepts:
+
+``("wake",)``
+    Nudge: the producer wrote into an empty ring.
 ``("dump",)``
     Replies ``("dumped", text)`` with the serialized-v2 tree — the
-    fold fallback when shared memory is unavailable on this host.
+    fold fallback when the worker's columns are not in shared memory.
 ``("exit",)``
     Tear down: drop the tree, unlink every shared-memory segment,
     reply ``("bye",)`` and return. The reply comes *after* the unlink,
     so a parent that has seen it knows ``/dev/shm`` is clean.
 
-The worker never touches the parent's queues or locks; backpressure
-lives entirely on the parent side (under the ring transport the
-producer blocks/drops/spills against the ring itself; under the pipe
-transport a feeder thread drains a
-:class:`~repro.runtime.queues.ShardQueue` into this pipe). If the pipe
-dies (parent crash), the worker cleans up its segments and exits — the
-arena is unlinked on every path out of :func:`worker_main`.
+The worker never touches the parent's locks; backpressure lives
+entirely on the parent side, where the producer blocks/drops/spills
+against the ring itself. If the pipe dies (parent crash), the worker
+cleans up its segments and exits — the arena is unlinked on every path
+out of :func:`worker_main`.
 """
 
 from __future__ import annotations
@@ -155,7 +144,7 @@ def worker_main(
     config: RapConfig,
     shard_index: int,
     shm_prefix: Optional[str],
-    ring_table: Optional[Dict[str, Tuple[str, str, int, int]]] = None,
+    ring_table: Dict[str, Tuple[str, str, int, int]],
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
 
@@ -163,8 +152,7 @@ def worker_main(
     (epsilon-adjusted) shard tree configuration; ``shm_prefix`` names
     this worker's shared-memory namespace, or ``None`` to force
     heap-backed columns (folds then use the serialize fallback).
-    ``ring_table`` is the parent-allocated ring region's segment table
-    under the ring transport, or ``None`` for the pipe transport.
+    ``ring_table`` is the parent-allocated ring region's segment table.
     """
     label = f"shard[{shard_index}]"
     arena: Optional[ShmArena] = None
@@ -249,42 +237,12 @@ def worker_main(
             for values, counts in pending_counted
         ]
 
-    def sync_payload(sync_seq: Optional[int]) -> Dict[str, object]:
+    def sync_payload(sync_seq: int) -> Dict[str, object]:
         if arena is not None:
             arena.reap_retired()
         payload = _sync_payload(label, tree, arena, failed, sanitizer)
         payload["sync_seq"] = sync_seq
         return payload
-
-    def pipe_loop() -> None:
-        nonlocal failed, buffered
-        while True:
-            try:
-                frame = conn.recv()
-            except (EOFError, OSError):
-                # Parent went away; clean up and die quietly.
-                return
-            kind = frame[0]
-            if kind == "batch":
-                pending_raw.append(frame[1])
-                buffered += len(frame[1])
-                if buffered >= _COMBINE_WINDOW:
-                    flush()
-            elif kind == "cbatch":
-                pending_counted.append((frame[1], frame[2]))
-                buffered += int(np.sum(frame[2]))
-                if buffered >= _COMBINE_WINDOW:
-                    flush()
-            elif kind == "sync":
-                flush()
-                conn.send(("synced", sync_payload(None)))
-            elif kind == "dump":
-                flush()
-                conn.send(("dumped", dump_tree(tree)))
-            elif kind == "exit":
-                return
-            else:  # pragma: no cover - protocol bug, not a data path
-                failed = f"unknown worker frame {kind!r}"
 
     def ring_loop(consumer: RingConsumer) -> None:
         # Data and sync frames arrive in-band through the ring; the
@@ -352,11 +310,8 @@ def worker_main(
 
     ring_attachment: Optional[ShmAttachment] = None
     try:
-        if ring_table is not None:
-            ring_attachment = ShmAttachment(ring_table)
-            ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
-        else:
-            pipe_loop()
+        ring_attachment = ShmAttachment(ring_table)
+        ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
     finally:
         tree.unconfine()
         # Drop every ndarray/memoryview export over the arena's buffers

@@ -144,18 +144,6 @@ class TestExecutorSelection:
         with pytest.raises(ValueError, match="executor"):
             Profiler(RapConfig(256), executor="fork")
 
-    def test_threads_keyword_is_a_deprecation_shim(self):
-        with pytest.warns(DeprecationWarning, match="threads"):
-            profiler = Profiler(RapConfig(256), threads=3)
-        assert profiler.shards == 3 and profiler.executor == "thread"
-
-    def test_explicit_keywords_win_over_the_shim(self):
-        with pytest.warns(DeprecationWarning):
-            profiler = Profiler(
-                RapConfig(256), threads=3, shards=2, executor="serial"
-            )
-        assert profiler.shards == 2 and profiler.executor == "serial"
-
 
 class TestBlessedConstructors:
     def test_tree_from_config(self):

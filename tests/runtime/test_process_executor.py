@@ -85,6 +85,37 @@ class TestLifecycle:
                 raise RuntimeError("boom")
         assert_no_leaks()
 
+    def test_open_without_shared_memory_fails_typed(self, monkeypatch):
+        # The first shard's ring arena is created for real, the second
+        # fails: open() must unlink the first, spawn no worker and
+        # surface the OSError instead of downgrading to another path.
+        from repro.runtime import profiler as profiler_module
+
+        real_arena = profiler_module.ShmArena
+        created = []
+
+        def flaky_arena(prefix):
+            if created:
+                raise OSError("shared memory disabled for this test")
+            created.append(real_arena(prefix))
+            return created[-1]
+
+        monkeypatch.setattr(profiler_module, "ShmArena", flaky_arena)
+        profiler = Profiler.from_config(process_config())
+        with pytest.raises(OSError, match="executor='thread'") as excinfo:
+            profiler.open()
+        assert "shared memory disabled" in str(excinfo.value.__cause__)
+        assert len(created) == 1
+        assert profiler._processes == []  # noqa: SLF001
+        assert_no_leaks()
+
+    def test_unknown_backpressure_rejected_before_open(self):
+        # No queue validates the policy under this executor, so the
+        # constructor must, before open() maps any ring.
+        with pytest.raises(ValueError, match="backpressure"):
+            Profiler.from_config(process_config(), backpressure="explode")
+        assert_no_leaks()
+
     def test_snapshot_epoch_cache_spans_syncs(self):
         with Profiler.from_config(process_config()) as profiler:
             profiler.ingest(np.arange(8_000) % 999)
@@ -173,7 +204,7 @@ class TestCrashedWorker:
         from repro.runtime import MIN_RING_BYTES
 
         profiler = Profiler.from_config(
-            process_config(transport="ring"),
+            process_config(),
             ring_bytes=MIN_RING_BYTES,
             batch_size=256,
         ).open()
@@ -206,9 +237,7 @@ class TestCrashedWorker:
     def test_ring_sync_death_carries_frame_counters(self):
         """Death detected at the sync reply (ring not full) still
         reports how far the frame stream got before the crash."""
-        profiler = Profiler.from_config(
-            process_config(transport="ring")
-        ).open()
+        profiler = Profiler.from_config(process_config()).open()
         try:
             profiler.ingest(np.arange(4_000) % 999)
             profiler.drain()
