@@ -1,9 +1,9 @@
 """Multi-shard runtime throughput against the single-shard baseline.
 
 The tentpole claim for :mod:`repro.runtime`: partitioning a stream
-across shard workers — duplicate-combining per shard on the producer,
-batched ``add_batch`` on each confined tree — beats the single-shard
-per-event ingest path by >= 2x events/sec at the default 50k scale.
+across shard trees — duplicate-combining per shard, batched
+``add_batch`` on each tree — beats the single-shard per-event ingest
+path by >= 2x events/sec at the default 50k scale.
 The multi-shard configuration uses ``shard_epsilon = N * epsilon``
 (equal total node budget, documented ``shard_epsilon * n`` snapshot
 bound) so the comparison holds memory constant; see ``docs/runtime.md``.
@@ -55,11 +55,12 @@ def _single_shard(values, universe):
 
 
 def _multi_shard(values, universe, backend="object"):
-    """The tentpole path: hash partition, 4 workers, equal node budget."""
+    """The tentpole path: hash partition, 4 serial shards, equal node
+    budget."""
     return Profiler(
         RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
         shards=SHARDS,
-        executor="thread",
+        executor="serial",
         shard_epsilon=SHARDS * EPSILON,
         batch_size=BATCH,
     )
@@ -80,13 +81,14 @@ def _process_shard(values, universe, backend="columnar"):
 
 
 def _timed_ingest(profiler, values):
-    """The measured section: producer dispatch plus, for threaded
+    """The measured section: producer dispatch plus, for multi-shard
     profilers, ``drain()`` so every accepted batch is applied before
-    the clock stops — the same methodology as the 2x speedup floor
-    below. Open/close (thread-pool spin-up and teardown) and the
-    snapshot fold happen outside the timer: the fold has its own row
-    (``test_runtime_snapshot_fold``) and lifecycle churn is round-to-
-    round scheduling noise, not ingest throughput."""
+    the clock stops (worker processes apply theirs asynchronously) —
+    the same methodology as the 2x speedup floor below. Open/close
+    (worker spawn and teardown) and the snapshot fold happen outside
+    the timer: the fold has its own row (``test_runtime_snapshot_fold``)
+    and lifecycle churn is round-to-round scheduling noise, not ingest
+    throughput."""
     profiler.ingest(values)
     if profiler.shards > 1:
         profiler.drain()
@@ -122,8 +124,8 @@ def test_runtime_multi_shard_ingest(benchmark, backend, value_stream):
     _bench_ingest(benchmark, make, *value_stream)
 
 
-# Parametrized like the threaded row so the two lineages pair by
-# backend; only "columnar" exists — the process executor keeps shard
+# Parametrized like the serial multi-shard row so the two lineages pair
+# by backend; only "columnar" exists — the process executor keeps shard
 # trees in shared-memory column arrays by construction.
 @pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_process_shard_ingest(benchmark, backend, value_stream):
@@ -154,7 +156,7 @@ def test_runtime_snapshot_fold(benchmark, backend, value_stream):
 @pytest.mark.parametrize("backend", ["object", "columnar"])
 def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
     """The reference per-counter descent fold, on shards built exactly
-    like the row above (threaded block-policy ingest is deterministic).
+    like the row above (serial ingest is deterministic).
 
     The live denominator of ``check_regression.py``'s fold gate: the
     array fold above must stay >= 3x faster than this row at 50k."""
@@ -171,12 +173,10 @@ def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
 def test_multi_shard_speedup_is_at_least_2x(value_stream):
     """The ISSUE acceptance gate, asserted only at the full 50k scale.
 
-    Times pure ingest — producer dispatch plus, for the threaded path,
-    ``drain()`` so every accepted batch is actually applied before the
-    clock stops. The snapshot fold is measured separately above.
+    Times pure ingest — producer dispatch plus ``drain()`` for the
+    multi-shard path. The snapshot fold is measured separately above.
     Scaled-down smoke runs (e.g. CI at 10k) still execute both paths —
-    exercising the runtime end to end — but their ratio is dominated by
-    thread start-up and queue handshakes, so the 2x floor applies only
+    exercising the runtime end to end — but the 2x floor applies only
     at the scale the claim is documented for.
     """
     values, universe = value_stream
@@ -213,10 +213,11 @@ def test_process_speedup_is_at_least_1_5x(value_stream):
 
     Same methodology as the 2x floor above — pure ingest plus
     ``drain()``, best of three — comparing the multiprocess executor
-    against the threaded executor on the *same* columnar backend, so
-    the ratio isolates what the process executor adds: no GIL over the
-    shard kernels, raw-frame dispatch, and each worker's cross-frame
-    combining buffer feeding the cold-start bulk build. Mirrored in CI
+    against the serial executor's 4 in-process shards on the *same*
+    columnar backend, so the ratio isolates what the process executor
+    adds: shard kernels running in parallel outside this interpreter,
+    raw-frame dispatch, and each worker's cross-frame combining buffer
+    feeding the cold-start bulk build. Mirrored in CI
     by ``check_regression.py``'s process-executor gate over the same
     two rows of ``BENCH_core_throughput.json``. Smoke scales run both
     paths but skip the floor: process spawn and pipe handshakes
@@ -235,17 +236,17 @@ def test_process_speedup_is_at_least_1_5x(value_stream):
                 assert profiler.snapshot().events == EVENTS
         return best
 
-    threaded = timed_ingest(
+    serial = timed_ingest(
         lambda v, u: _multi_shard(v, u, backend="columnar")
     )
     process = timed_ingest(_process_shard)
-    speedup = threaded / process
+    speedup = serial / process
     print(
-        f"\nthreaded {EVENTS / threaded:,.0f} ev/s, "
+        f"\nserial {SHARDS}-shard {EVENTS / serial:,.0f} ev/s, "
         f"process {EVENTS / process:,.0f} ev/s ({speedup:.2f}x)"
     )
     if EVENTS >= 50_000:
         assert speedup >= 1.5, (
-            f"process-executor ingest only {speedup:.2f}x the threaded "
-            f"executor at {EVENTS} events (required >= 1.5x)"
+            f"process-executor ingest only {speedup:.2f}x the serial "
+            f"{SHARDS}-shard executor at {EVENTS} events (required >= 1.5x)"
         )

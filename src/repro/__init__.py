@@ -28,7 +28,8 @@ Sub-packages:
 * :mod:`repro.core` — the RAP algorithm (trees, thresholds, merges,
   hot ranges, bounds, combination, multi-dim extension).
 * :mod:`repro.runtime` — sharded concurrent ingestion service
-  (:class:`Profiler`, partitioners, bounded queues, runtime metrics).
+  (:class:`Profiler`, partitioners, shared-memory rings, runtime
+  metrics).
 * :mod:`repro.hardware` — cycle-level model of the pipelined RAP engine
   (TCAM, arbiter, SRAM, event buffer) plus an area/energy/delay model.
 * :mod:`repro.workloads` — synthetic SPEC-like benchmark programs that

@@ -30,10 +30,10 @@ This package makes the invariants mechanical:
   lock balance, lock-order inversion, blocking-under-lock, and shared
   numpy buffer discipline.
 * :mod:`repro.checks.sanitizer` — the dynamic counterpart: a
-  :class:`RapSanitizer` that instruments live shard trees, queues and
-  locks with owner-thread assertions and a happens-before log. Enable
-  with ``RapConfig(debug_sanitize=True)`` or replay a workload under
-  instrumentation with ``rap sanitize``.
+  :class:`RapSanitizer` that instruments live shard trees and locks
+  with lock-held and owner-thread assertions and a happens-before log.
+  Enable with ``RapConfig(debug_sanitize=True)`` or replay a workload
+  under instrumentation with ``rap sanitize``.
 """
 
 from .audit import (

@@ -431,8 +431,8 @@ class BlockingUnderLockRule(Rule):
     catches = "a blocking call while holding a lock"
     rationale = (
         "a thread that blocks (.join(), queue put/get, sleeps, IO, "
-        "waiting on an unrelated condition) while holding a "
-        "ShardQueue/ingest lock stalls every producer behind that "
+        "waiting on an unrelated condition) while holding the "
+        "ingest lock stalls every producer behind that "
         "lock, and deadlocks outright if the thing waited on needs the "
         "same lock; Condition.wait on the lock's own condition is the "
         "sanctioned exception because the wait releases it"

@@ -1550,7 +1550,7 @@ class HotLoopAllocationRule(NumericRule):
     rationale = (
         "the hotspec (repro.checks.hotspec) names the per-event/batch "
         "critical path — columnar vector rounds, descent cache, TCAM "
-        "batch match, ShardQueue drain; an np.zeros/array/concatenate "
+        "batch match; an np.zeros/array/concatenate "
         "per loop iteration there is a measured throughput regression, "
         "not a style nit"
     )

@@ -30,8 +30,7 @@ The production hot set mirrors the per-backend benchmark rows:
 * the object backend's descent-cache fast paths (``_locate`` plus the
   inline loops of ``extend``/``add_counted``/``add_batch``),
 * the TCAM batch match (``search_batch``) the hardware pipeline leans
-  on,
-* the ShardQueue drain (``take_combined``) every shard worker spins in.
+  on.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         }
     ),
     "hardware/tcam.py": frozenset({"TernaryCam.search_batch"}),
-    "runtime/queues.py": frozenset({"ShardQueue.take_combined"}),
 }
 
 

@@ -719,9 +719,9 @@ class HotPathPickleRule(Rule):
         "import or a dumps/loads call in the producer (profiler.py), "
         "the consumer (worker.py) or the ring itself quietly "
         "reintroduces the per-frame encode/copy the transport was "
-        "built to delete — quietly, because the pipe fallback keeps "
-        "everything functionally correct while the throughput claim "
-        "rots"
+        "built to delete — quietly, because pickled frames decode to "
+        "the same values, so every result stays correct while the "
+        "throughput claim rots"
     )
     example = (
         "payload = pickle.dumps(frame)   # in repro/runtime/worker.py"

@@ -5,24 +5,26 @@ prove lock discipline and thread confinement over the code the analysis
 can see; this module checks the same contracts on a *live* run. A
 :class:`RapSanitizer` instruments a profiler's moving parts:
 
-* shard trees get owner-thread assertions on every mutating call, keyed
-  off the ``confine_to_current_thread()`` / ``unconfine()`` protocol —
-  a mutation from any other thread is a confinement violation, caught
-  even on backends whose own ``_assert_owner`` checks are compiled out
-  or bypassed;
+* shard trees get an assertion on every mutating call. A tree attached
+  with a *guard* lock (the profiler's in-process shard trees, guarded
+  by ``Profiler._ingest_lock``) may only be mutated by the thread
+  holding that lock. Every tree is also checked against the
+  ``confine_to_current_thread()`` / ``unconfine()`` protocol — a
+  worker process's confined tree mutated from any other thread is a
+  confinement violation, caught even on backends whose own
+  ``_assert_owner`` checks are compiled out or bypassed;
 * locks become tracked proxies that remember their holder, so a release
   from a non-holder (or a fold entered without the ingest lock) is
   flagged immediately;
-* shard queues log every ``put``/``take``/``task_done`` into a bounded
-  happens-before log with a logical sequence counter, and enforce the
-  single-consumer discipline each queue is designed around.
+* lock traffic, tree mutations and folds go into a bounded
+  happens-before log with a logical sequence counter.
 
 Violations raise :class:`RapSanitizerError` at the offending call, with
 the tail of the happens-before log attached so the interleaving that
 led there is visible. Enable via ``RapConfig(debug_sanitize=True)`` (the
 :class:`~repro.runtime.profiler.Profiler` attaches a sanitizer to its
-own trees, queues and ingest lock) or replay a workload under
-instrumentation with ``rap sanitize``.
+own trees and ingest lock) or replay a workload under instrumentation
+with ``rap sanitize``.
 
 Everything here uses a logical clock (a monotonically increasing
 sequence number), never the wall clock: sanitized runs stay exactly as
@@ -48,16 +50,6 @@ TREE_MUTATORS: Tuple[str, ...] = (
     "add_batch",
     "merge_now",
 )
-
-#: ShardQueue methods logged into the happens-before log.
-QUEUE_METHODS: Tuple[str, ...] = (
-    "put",
-    "take",
-    "take_combined",
-    "task_done",
-    "close",
-)
-
 
 @dataclass(frozen=True)
 class SanitizerEvent:
@@ -159,14 +151,11 @@ class RapSanitizer:
         self._events: Deque[SanitizerEvent] = deque(maxlen=log_capacity)
         self._violations: List[str] = []
         # id(tree) -> (label, owning (pid, thread ident) or None when
-        # unconfined). The pid half generalizes confinement from the
-        # threaded executor to the process executor: a worker-confined
-        # tree rejects mutation from any other process too.
+        # unconfined). The pid half makes a worker-confined tree reject
+        # mutation from any other process too.
         self._tree_owner: Dict[
             int, Tuple[str, Optional[Tuple[int, int]]]
         ] = {}
-        # id(queue) -> (label, consumer thread ident or None before first take)
-        self._queue_consumer: Dict[int, Tuple[str, Optional[int]]] = {}
         self._locks: List[_TrackedLock] = []
         # label -> latest report() dict received from a remote (worker
         # process) sanitizer; folded into this sanitizer's report.
@@ -204,7 +193,6 @@ class RapSanitizer:
                 "events_logged": self._logged,
                 "violations": violations,
                 "trees_tracked": len(self._tree_owner),
-                "queues_tracked": len(self._queue_consumer),
                 "locks_tracked": [lock.name for lock in self._locks],
                 "workers": {
                     label: dict(summary)
@@ -279,12 +267,17 @@ class RapSanitizer:
     # Tree confinement
     # ------------------------------------------------------------------
 
-    def attach_tree(self, tree: Any, label: str) -> None:
+    def attach_tree(
+        self, tree: Any, label: str, guard: Optional[str] = None
+    ) -> None:
         """Instrument a tree backend's mutating and confinement methods.
 
-        Wrapping is by instance-attribute shadowing, so only this one
-        object is affected — the class and every other instance keep
-        their unwrapped methods.
+        ``guard`` names a tracked lock (see :meth:`track_lock`) that
+        owns the tree: every mutation must then hold it, checked with
+        :meth:`assert_lock_held`. Without a guard only the confinement
+        protocol is checked. Wrapping is by instance-attribute
+        shadowing, so only this one object is affected — the class and
+        every other instance keep their unwrapped methods.
         """
         with self._state_lock:
             self._tree_owner[id(tree)] = (label, None)
@@ -326,6 +319,10 @@ class RapSanitizer:
                         f"pid {here[0]}); it is owned by (pid, thread) "
                         f"{owner}"
                     )
+                if guard is not None:
+                    self.assert_lock_held(
+                        guard, f"confined tree {label}: .{method_name}()"
+                    )
                 self._record("tree.mutate", f"{label}.{method_name}()")
                 return inner(*args, **kwargs)
 
@@ -340,44 +337,6 @@ class RapSanitizer:
             if inner is None:
                 continue
             tree.__dict__[method_name] = wrap_mutator(method_name, inner)
-
-    # ------------------------------------------------------------------
-    # Queue tracking
-    # ------------------------------------------------------------------
-
-    def attach_queue(self, queue: Any, label: str) -> None:
-        """Log a queue's operations and enforce single-consumer use."""
-        with self._state_lock:
-            self._queue_consumer[id(queue)] = (label, None)
-
-        def wrap(method_name: str, inner: Callable[..., Any]) -> Callable[..., Any]:
-            consuming = method_name in ("take", "take_combined")
-
-            def call(*args: Any, **kwargs: Any) -> Any:
-                if consuming:
-                    ident = threading.get_ident()
-                    with self._state_lock:
-                        _, consumer = self._queue_consumer[id(queue)]
-                        if consumer is None:
-                            self._queue_consumer[id(queue)] = (label, ident)
-                    if consumer is not None and consumer != ident:
-                        self._violation(
-                            f"queue {label} consumed via .{method_name}() "
-                            f"from thread "
-                            f"{threading.current_thread().name}, but its "
-                            f"consumer is thread ident {consumer}; "
-                            "ShardQueues are single-consumer"
-                        )
-                self._record("queue." + method_name, label)
-                return inner(*args, **kwargs)
-
-            return call
-
-        for method_name in QUEUE_METHODS:
-            inner = getattr(queue, method_name, None)
-            if inner is None:
-                continue
-            queue.__dict__[method_name] = wrap(method_name, inner)
 
     # ------------------------------------------------------------------
     # Fold protocol

@@ -30,10 +30,10 @@ Commands:
   rationale, example violation, and suggested fix.
 * ``rap sanitize <benchmark> <kind> [--shards N]`` — replay a workload
   through a sharded profiler under the runtime race sanitizer
-  (``RapConfig(debug_sanitize=True)``): owner-thread assertions on
-  every shard-tree mutation, lock-holder tracking, a happens-before
-  log. ``--inject-race`` deliberately mutates a confined shard tree
-  from a foreign thread to prove the instrumentation trips.
+  (``RapConfig(debug_sanitize=True)``): every shard-tree mutation
+  must hold the ingest lock, lock-holder tracking, a happens-before
+  log. ``--inject-race`` deliberately mutates a shard tree from a
+  foreign thread without the lock to prove the instrumentation trips.
 
 Operational errors — an unknown experiment id, an unreadable or corrupt
 trace file — print a one-line diagnostic and exit with status 1 rather
@@ -128,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument(
         "--executor",
-        choices=["thread", "serial", "process"],
-        default="thread",
+        choices=["serial", "process"],
+        default="serial",
     )
     serve.add_argument(
         "--partition", choices=["hash", "range"], default="hash"
@@ -175,8 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inject-race",
         action="store_true",
         help=(
-            "deliberately mutate a confined shard tree from a foreign "
-            "thread; the run must then report at least one violation"
+            "deliberately mutate a shard tree from a foreign thread "
+            "without the ingest lock; the run must then report at "
+            "least one violation"
         ),
     )
 
@@ -389,7 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"  shard {shard.shard}: {shard.events:,} events in "
                 f"{shard.batches} batches, {shard.node_count} nodes, "
                 f"{shard.splits} splits, {shard.merge_batches} merges, "
-                f"queue depth<={shard.max_queue_depth}, "
                 f"dropped={shard.dropped_events}, "
                 f"spilled={shard.spilled_batches}"
             )
@@ -442,10 +442,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 profiler.ingest(batch)
             profiler.drain()
             if args.inject_race:
-                # Deliberate fault injection: mutate a confined shard
-                # tree from a thread that does not own it. The wrapped
-                # mutator must record the violation and raise before
-                # the tree is touched, so the run stays deterministic.
+                # Deliberate fault injection: mutate a shard tree from
+                # a thread that does not hold the ingest lock guarding
+                # it. The wrapped mutator must record the violation and
+                # raise before the tree is touched, so the run stays
+                # deterministic.
                 def _race() -> None:
                     try:
                         profiler._trees[0].add(0)  # noqa: SLF001 - deliberate fault injection
@@ -467,7 +468,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"  happens-before log: {summary['events_logged']} events "
             f"({summary['trees_tracked']} trees, "
-            f"{summary['queues_tracked']} queues, "
             f"{len(summary['locks_tracked'])} locks tracked)"
         )
         violations = sanitizer.violations

@@ -71,22 +71,23 @@ class RapConfig:
         knob; it is construction-time only and never serialized.
     executor:
         Which runtime a :class:`~repro.runtime.profiler.Profiler` built
-        from this config uses to drive its shards: ``"serial"``
-        (inline on the calling thread), ``"thread"`` (one worker thread
-        per shard behind bounded queues, the default) or ``"process"``
-        (one worker process per shard, each owning a columnar tree in
-        shared memory and fed through a shared-memory ring — requires
-        ``backend="columnar"``). Like ``backend`` it selects an
-        observably-equivalent engine, is construction-time only, and
-        is never serialized.
+        from this config uses to drive its shards: ``"serial"`` (the
+        default: every batch applied inline on the calling thread — the
+        oracle, and the only executor for ``backend="object"``) or
+        ``"process"`` (one worker process per shard, each owning a
+        columnar tree in shared memory and fed through a shared-memory
+        ring — requires ``backend="columnar"``). Like ``backend`` it
+        selects an observably-equivalent engine, is construction-time
+        only, and is never serialized.
     shards:
         How many shard trees that profiler partitions the stream
         across (``>= 1``). Construction-time only, never serialized.
     debug_sanitize:
         If true, a :class:`~repro.checks.sanitizer.RapSanitizer` is
         attached to every :class:`~repro.runtime.profiler.Profiler`
-        built from this config: shard trees get owner-thread
-        assertions on every mutating call, shard queues get a
+        built from this config: in-process shard trees assert on every
+        mutating call that the ingest lock is held (worker-process
+        trees assert their owner thread), lock traffic goes into a
         happens-before log, and any confinement or lock-discipline
         violation raises immediately with the recorded event trail. A
         debug hook — it adds a per-call bookkeeping cost, so keep it
@@ -104,7 +105,7 @@ class RapConfig:
     timeline_sample_every: int = 0
     audit_every: int = 0
     backend: str = "object"
-    executor: str = "thread"
+    executor: str = "serial"
     shards: int = 1
     debug_sanitize: bool = False
 
@@ -143,9 +144,9 @@ class RapConfig:
                 "backend must be 'object' or 'columnar', got "
                 f"{self.backend!r}"
             )
-        if self.executor not in ("serial", "thread", "process"):
+        if self.executor not in ("serial", "process"):
             raise ValueError(
-                "executor must be 'serial', 'thread' or 'process', got "
+                "executor must be 'serial' or 'process', got "
                 f"{self.executor!r}"
             )
         if self.shards < 1:
@@ -157,7 +158,7 @@ class RapConfig:
                 "arrays, which the object backend's linked RapNode graph "
                 "cannot provide. Use RapConfig(..., backend='columnar', "
                 "executor='process'), or keep backend='object' with the "
-                "'thread' or 'serial' executor."
+                "'serial' executor."
             )
 
     @property

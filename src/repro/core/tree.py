@@ -174,13 +174,12 @@ class RapTree:
     def confine_to_current_thread(self) -> None:
         """Restrict mutations to the calling thread *and process*.
 
-        The sharded runtime gives each worker a private tree;
+        The process executor gives each worker a private tree;
         confinement turns an accidental cross-owner mutation (a data
         race that would silently corrupt counters) into an immediate
-        ``RuntimeError``. The owner key is ``(pid, thread ident)`` so
-        the check generalizes from the threaded executor to the
-        process executor: thread idents can collide across processes,
-        and a fork inherits the parent's marker verbatim. Reads are not
+        ``RuntimeError``. The owner key is ``(pid, thread ident)``
+        because thread idents can collide across processes and a fork
+        inherits the parent's marker verbatim. Reads are not
         restricted — snapshot folds walk shard trees from the
         coordinating side while workers are quiesced.
         """
@@ -496,10 +495,9 @@ class RapTree:
         fast path as :meth:`add_batch` minus the sort, so it is
         observably identical to calling :meth:`add` per pair — which
         also makes ``add_batch(pairs)`` and ``add_counted(sorted(pairs))``
-        interchangeable (the spill-drain path in
-        :class:`repro.runtime.queues.ShardQueue` relies on exactly
-        that). For value-sorted batches prefer :meth:`add_batch`, which
-        shares descents between neighbouring values.
+        interchangeable. For value-sorted batches prefer
+        :meth:`add_batch`, which shares descents between neighbouring
+        values.
         """
         if self._confined_ident is not None:
             self._assert_owner()

@@ -4,17 +4,17 @@ The paper's RAP engine is a one-pass streaming summarizer whose trees
 are mergeable by construction (``combine_many`` folds shard profiles
 with the undercount bound ``sum_i(epsilon_i * n_i)``). This package
 turns that mergeability into a service: an event stream is partitioned
-across ``N`` worker shards — each owning a private, confined
-:class:`~repro.core.tree.RapTree` — fed through bounded batch queues
-with explicit backpressure, and periodically folded into a consistent
-global snapshot on an epoch boundary.
+across ``N`` shard trees, each fed its own substream, and periodically
+folded into a consistent global snapshot on an epoch boundary.
 
 Entry point is :class:`Profiler` — ``open() / ingest(batch) /
 snapshot() / query(range) / close()`` — the blessed v2 ingestion
 surface for workloads, experiments and the CLI. The executor is chosen
 uniformly through ``RapConfig(executor=..., shards=...)``: ``"serial"``
-(inline), ``"thread"`` (one worker thread per shard) or ``"process"``
-(one worker process per shard over shared-memory columnar trees — see
+(the default: shard trees in this process, every batch applied inline)
+or ``"process"`` (one worker process per shard over shared-memory
+columnar trees, fed through bounded shared-memory rings with explicit
+backpressure — see :mod:`repro.runtime.ring` and
 :mod:`repro.runtime.shm`; a dead worker surfaces as
 :class:`WorkerCrashed` instead of a hang). See ``docs/runtime.md`` for
 the architecture, executor selection, partitioning schemes,
@@ -29,7 +29,6 @@ from .partition import (
     make_partitioner,
 )
 from .profiler import Profiler, WorkerCrashed
-from .queues import QueueClosed, ShardQueue
 from .ring import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
@@ -45,14 +44,12 @@ __all__ = [
     "MIN_RING_BYTES",
     "Partitioner",
     "Profiler",
-    "QueueClosed",
     "RangePartitioner",
     "RingConsumer",
     "RingProducer",
     "RingStalled",
     "RuntimeMetrics",
     "ShardMetrics",
-    "ShardQueue",
     "ShmArena",
     "ShmAttachment",
     "WorkerCrashed",

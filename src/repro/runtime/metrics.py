@@ -20,15 +20,14 @@ from typing import Dict, List
 class ShardMetrics:
     """Ingestion counters for one worker shard.
 
-    ``transport_stalls`` / ``transport_stall_s`` count how often (and,
-    with a clock, for how long) the producer blocked waiting for the
-    shard's transport to make room — ring-space waits under the
-    process executor. They read zero under the serial and thread
-    executors, whose blocking waits are already visible as queue
-    backpressure. ``ring_peak_bytes`` is
-    the high-water occupancy of the shard's ring (zero off-ring);
-    ``transport_stall_s`` is time-shaped and stays ``0.0`` without a
-    clock, like every other duration here.
+    The backpressure fields (drops, spills, ``transport_stalls`` /
+    ``transport_stall_s``, ``ring_peak_bytes``) describe the shard's
+    shared-memory ring under the process executor: how often (and,
+    with a clock, for how long) the producer waited for ring space,
+    and the ring's high-water occupancy. The serial executor has no
+    transport, so they read zero there. ``transport_stall_s`` is
+    time-shaped and stays ``0.0`` without a clock, like every other
+    duration here.
     """
 
     shard: int
@@ -37,7 +36,6 @@ class ShardMetrics:
     dropped_batches: int = 0
     dropped_events: int = 0
     spilled_batches: int = 0
-    max_queue_depth: int = 0
     transport_stalls: int = 0
     transport_stall_s: float = 0.0
     ring_peak_bytes: int = 0
@@ -53,7 +51,6 @@ class ShardMetrics:
             "dropped_batches": self.dropped_batches,
             "dropped_events": self.dropped_events,
             "spilled_batches": self.spilled_batches,
-            "max_queue_depth": self.max_queue_depth,
             "transport_stalls": self.transport_stalls,
             "transport_stall_s": self.transport_stall_s,
             "ring_peak_bytes": self.ring_peak_bytes,

@@ -2,7 +2,7 @@
 
 Two schemes, both deterministic functions of the event value alone (so
 any replay of a stream lands every event on the same shard, regardless
-of batch boundaries or thread scheduling):
+of batch boundaries or executor):
 
 * **hash** — Fibonacci multiplicative hashing spreads values uniformly
   across shards regardless of the input distribution. The default: RAP

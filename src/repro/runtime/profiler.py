@@ -1,55 +1,53 @@
 """The ``Profiler`` service object: sharded ingestion over RAP trees.
 
 ``Profiler`` is the API v2 top-level entry point for profiling a
-stream. It owns ``N`` shard trees, a deterministic partitioner mapping
-each event value to its shard, and — depending on the executor — a
-worker thread per shard fed through a bounded :class:`ShardQueue`, or
-a worker *process* per shard fed through a shared-memory ring:
+stream. It owns ``N`` shard trees and a deterministic partitioner
+mapping each event value to its shard. Depending on the executor the
+shard trees live in this process and take every batch inline, or each
+lives in a worker *process* fed through a shared-memory ring:
 
 .. code-block:: text
 
-    ingest(values)                       coordinating thread
-        └─ partition + duplicate-combine (numpy, one pass)
-             ├─ queue/ring[0] ── worker 0 ── RapTree shard 0   (confined)
-             ├─ queue/ring[1] ── worker 1 ── RapTree shard 1   (confined)
-             └─ ...
+    ingest(values)                  calling thread, ingest lock held
+        └─ chunk (batch_size) → partition
+             ├─ serial:  np.unique combine → RapTree shard i     (inline)
+             └─ process: ring[i] ── worker process i ── shard i  (shm)
     snapshot()  =  quiesce every shard, then fold the shards' counter
                    rows with ``combine_many`` (array kernels) into one
                    consistent tree
 
 The executor is selected uniformly through the config —
-``RapConfig(executor="serial"|"thread"|"process", shards=N)`` — with
-the constructor keywords as call-site overrides:
+``RapConfig(executor="serial"|"process", shards=N)`` — with the
+constructor keywords as call-site overrides:
 
-* ``"serial"`` applies every batch inline on the calling thread.
-* ``"thread"`` (default) runs one worker thread per shard; shard trees
-  live in this process, thread-confined.
+* ``"serial"`` (default) applies every batch inline on the calling
+  thread. It is the oracle the process executor is tested against and
+  the only executor for ``backend="object"``.
 * ``"process"`` runs one worker *process* per shard (requires
   ``backend="columnar"``): each worker owns a columnar tree whose
   columns live in shared memory (:mod:`repro.runtime.shm`). The
   dispatching thread writes binary counted frames straight into a
-  per-shard shared-memory ring (:mod:`repro.runtime.ring`), which
-  applies the :class:`ShardQueue` block/drop/spill backpressure
-  vocabulary with the same dispositions and metrics. Snapshots attach
-  the quiesced workers' columns zero-copy and fold them in the parent (serialized
-  exchange as fallback when shared memory is unavailable).
+  per-shard shared-memory ring (:mod:`repro.runtime.ring`) under the
+  block/drop/spill backpressure policy. Snapshots attach the quiesced
+  workers' columns zero-copy and fold them in the parent (serialized
+  exchange as fallback for a worker whose columns could not be placed
+  in shared memory).
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
 ``snapshot().estimate(lo, hi)`` (snapshots are cached per epoch, so
 repeated queries between ingests fold only once). ``close()`` reaps
-every worker — threads joined, processes exited and their
-shared-memory segments unlinked — on all paths, including after a
-worker failure.
+every worker process — exited and its shared-memory segments unlinked
+— on all paths, including after a worker failure.
 
 Consistency model: a snapshot is taken on an *epoch boundary* — new
-ingests are locked out, every accepted batch is drained (and, under
-the process executor, every worker acknowledges a sync frame that
-trails its batches in ring order), and only then are the shard trees
-folded. The snapshot therefore reflects exactly the events accepted
-before the call, no torn batches. Under the ``block`` and ``spill``
-backpressure policies the shard trees (and hence every snapshot) are a
-deterministic function of the ingested stream; ``drop`` trades that
+ingests are locked out and, under the process executor, every worker
+acknowledges a sync frame that trails its batches in ring order — and
+only then are the shard trees folded. The snapshot therefore reflects
+exactly the events accepted before the call, no torn batches. Serial
+ingestion, and process ingestion under the ``block`` and ``spill``
+backpressure policies, make the shard trees (and hence every snapshot)
+a deterministic function of the ingested stream; ``drop`` trades that
 determinism for bounded memory and latency.
 
 Accuracy: each shard undercounts by at most ``eps_shard * n_shard``, so
@@ -88,7 +86,6 @@ from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
 from .partition import Partitioner, make_partitioner
-from .queues import Batch, ShardQueue
 from .ring import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
@@ -100,7 +97,6 @@ from .shm import ShmArena, ShmAttachment, sweep_prefix
 Clock = Callable[[], float]
 Values = Union[np.ndarray, Iterable[int]]
 
-_EXECUTORS = ("serial", "thread", "process")
 _BACKPRESSURE = ("block", "drop", "spill")
 
 #: How long (seconds) to poll a live worker for a protocol reply before
@@ -110,8 +106,39 @@ _BACKPRESSURE = ("block", "drop", "spill")
 _POLL_INTERVAL = 0.1
 _EXIT_GRACE = 5.0
 
-#: Value dtypes the binary frame format carries natively.
-_FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"), np.dtype("<f8"))
+#: Integer value dtypes the binary frame format carries natively.
+_FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"))
+
+
+def _below_universe(value: int, range_max: int) -> ValueError:
+    """The error for a negative event value, worded like the trees'."""
+    return ValueError(f"value {value} outside universe [0, {range_max - 1}]")
+
+
+def _event_array(values: Values, range_max: int) -> np.ndarray:
+    """The ``ingest`` boundary: ``values`` as an array of event values.
+
+    Rejects non-integer input (float, complex, bool, string arrays)
+    with one O(1) dtype-kind check, and negative values in signed
+    arrays with one ``min()``; unsigned arrays — every workload stream
+    — pass through untouched. Values past the top of the universe are
+    left to the shard trees, which reject them.
+    """
+    array = np.asarray(
+        values if isinstance(values, np.ndarray) else list(values)
+    )
+    if len(array) == 0:
+        return array
+    kind = array.dtype.kind
+    if kind not in "iuO":
+        raise ValueError(
+            f"event values must be integers, got dtype {array.dtype}"
+        )
+    if kind == "i":
+        low = int(array.min())
+        if low < 0:
+            raise _below_universe(low, range_max)
+    return array
 
 
 def _frame_values(part: np.ndarray) -> np.ndarray:
@@ -119,11 +146,12 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
 
     Workload arrays are already ``uint64`` and pass through untouched;
     plain Python lists arrive as ``int64`` (also native). Anything else
-    — ``int32``, object arrays of Python ints — is widened once here.
-    Values the tree would reject (negatives, non-integers) still flow
-    through and fail inside the worker, where ``add_counted_arrays``
-    validates them; out-of-``int64``-range object arrays are re-tried
-    as ``uint64``.
+    — ``int32``, object arrays of Python ints — is widened once here;
+    out-of-``int64``-range object arrays are re-tried as ``uint64``.
+    Non-integer and negative values never get here (``_event_array``
+    rejects them at the ``ingest`` boundary); values past the top of
+    the universe fail inside the worker, where ``add_counted_arrays``
+    validates them.
     """
     if part.dtype in _FRAME_DTYPES:
         return part
@@ -202,13 +230,11 @@ class Profiler:
         Number of shard trees (``>= 1``). ``None`` (default) inherits
         ``config.shards``.
     executor:
-        ``None`` (default) inherits ``config.executor``. ``"thread"``
-        runs one worker thread per shard behind bounded queues;
-        ``"serial"`` processes every batch inline on the calling thread
-        — deterministic scheduling, no queues, the mode the deprecation
-        shim and oracle tests use; ``"process"`` runs one worker
-        process per shard over shared-memory columnar trees (requires
-        ``backend="columnar"``).
+        ``None`` (default) inherits ``config.executor``. ``"serial"``
+        processes every batch inline on the calling thread — no
+        workers, deterministic, the oracle; ``"process"`` runs one
+        worker process per shard over shared-memory columnar trees
+        (requires ``backend="columnar"``).
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.
@@ -218,18 +244,15 @@ class Profiler:
         ``N * config.epsilon`` keeps the single-tree node budget with an
         ``shard_epsilon * n`` snapshot bound (the equal-memory config
         the multi-shard benchmark uses).
-    queue_capacity / backpressure:
-        Bounds and overflow policy of the per-shard transport —
-        ``"block"`` / ``"drop"`` / ``"spill"``. Under the thread
-        executor the policy lives on each :class:`ShardQueue` of
-        ``queue_capacity`` batches; under the process executor the same
-        policy vocabulary, dispositions and counters apply to the
-        shared-memory ring directly, bounded by ``ring_bytes``
-        (``queue_capacity`` is thread-executor only). See
-        :mod:`repro.runtime.queues` and :mod:`repro.runtime.ring`.
+    backpressure:
+        Overflow policy of each shard's shared-memory ring under the
+        process executor — ``"block"`` / ``"drop"`` / ``"spill"``,
+        bounded by ``ring_bytes`` (see :mod:`repro.runtime.ring`). The
+        serial executor has no transport to overflow: it validates the
+        name and applies every batch.
     batch_size:
         Ingest calls chop their input into chunks of this many events
-        before partitioning, bounding queue memory per slot.
+        before partitioning, bounding the size of each frame.
     ring_bytes:
         Size of each shard's shared ring region under the process
         executor (counter header included). The default (4 MiB)
@@ -250,7 +273,6 @@ class Profiler:
         executor: Optional[str] = None,
         partition: str = "hash",
         shard_epsilon: Optional[float] = None,
-        queue_capacity: int = 8,
         backpressure: str = "block",
         batch_size: int = 4096,
         ring_bytes: int = DEFAULT_RING_BYTES,
@@ -260,12 +282,10 @@ class Profiler:
             shards = config.shards
         if executor is None:
             executor = config.executor
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-            )
+        # Route the resolved knobs through the config's own validation
+        # so every executor/shards/backend combination fails with one
+        # message (notably executor='process' + backend='object').
+        config.with_updates(executor=executor, shards=shards)
         if backpressure not in _BACKPRESSURE:
             raise ValueError(
                 f"unknown backpressure policy {backpressure!r}; "
@@ -277,10 +297,6 @@ class Profiler:
             raise ValueError(
                 f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
             )
-        # Route the resolved knobs through the config's own validation
-        # so every executor/backend combination fails with one message
-        # (notably executor='process' + backend='object').
-        config.with_updates(executor=executor, shards=shards)
         self._config = config
         self._shards = shards
         self._executor = executor
@@ -295,21 +311,14 @@ class Profiler:
         self._shard_config = shard_config
         self._batch_size = batch_size
         self._clock = clock
-        # In-process shard trees (serial and thread executors). Under
-        # the process executor the trees live in the workers; the
-        # parent holds per-shard sync state instead.
+        # In-process shard trees (serial executor). Under the process
+        # executor the trees live in the workers; the parent holds
+        # per-shard sync state instead.
         self._trees: List[RapTree] = []
-        if executor != "process":
+        if executor == "serial":
             self._trees = [
                 RapTree.from_config(shard_config) for _ in range(shards)
             ]
-        self._queues: List[ShardQueue] = []
-        if executor == "thread":
-            self._queues = [
-                ShardQueue(queue_capacity, backpressure)
-                for _ in range(shards)
-            ]
-        self._workers: List[threading.Thread] = []
         # Process-executor plumbing: one worker process, duplex control
         # pipe, ring arena and ring producer per shard, plus the latest
         # synced payload. The final producer counters survive teardown
@@ -332,11 +341,12 @@ class Profiler:
         self._state = "created"
         # Serializes producers against snapshot epochs.
         self._ingest_lock = threading.Lock()
-        # Optional race sanitizer: wraps the trees, queues and the
-        # ingest lock with confinement/lock-discipline assertions. The
-        # process executor runs one more sanitizer *inside* each worker
-        # (trees in another address space cannot be wrapped from here)
-        # and merges their reports on every sync.
+        # Optional race sanitizer: tracks the ingest lock and guards
+        # every in-process shard tree with it (a mutation without the
+        # lock is a violation). The process executor runs one more
+        # sanitizer *inside* each worker (trees in another address
+        # space cannot be wrapped from here) and merges their reports
+        # on every sync.
         self._sanitizer = None
         if config.debug_sanitize:
             # Lazy import: checks.sanitizer is a debug facility and the
@@ -348,9 +358,9 @@ class Profiler:
                 self._ingest_lock, "Profiler._ingest_lock"
             )
             for index, tree in enumerate(self._trees):
-                self._sanitizer.attach_tree(tree, f"shard[{index}]")
-            for index, queue in enumerate(self._queues):
-                self._sanitizer.attach_queue(queue, f"queue[{index}]")
+                self._sanitizer.attach_tree(
+                    tree, f"shard[{index}]", guard="Profiler._ingest_lock"
+                )
         self._errors: List[BaseException] = []
         # Per-shard accepted-event / batch counters (producer side).
         self._shard_events = [0] * shards
@@ -388,7 +398,7 @@ class Profiler:
         """The frame transport: always ``"ring"``.
 
         The process executor moves frames through shared-memory rings
-        only; the serial and thread executors move no frames.
+        only; the serial executor moves no frames.
         """
         return "ring"
 
@@ -402,24 +412,13 @@ class Profiler:
         return self._sanitizer
 
     def open(self) -> "Profiler":
-        """Start the runtime (spawns workers under thread/process executors)."""
+        """Start the runtime (spawns the process executor's workers)."""
         if self._state != "created":
             raise RuntimeError(f"cannot open a {self._state} Profiler")
         if self._executor == "process":
             self._setup_rings()
             self._spawn_processes()
         self._state = "open"
-        # Only the thread executor has queues; the process executor's
-        # dispatching thread writes frames straight into each ring.
-        for shard in range(len(self._queues)):
-            worker = threading.Thread(
-                target=self._worker_loop,
-                args=(shard,),
-                name=f"rap-shard-{shard}",
-                daemon=True,
-            )
-            self._workers.append(worker)
-            worker.start()
         return self
 
     def _setup_rings(self) -> None:
@@ -450,7 +449,8 @@ class Profiler:
             raise OSError(
                 "executor='process' needs POSIX shared memory for its "
                 "shard rings and none is usable on this host; use "
-                "executor='thread' or executor='serial' instead"
+                "executor='serial' instead, which needs none "
+                "(executor='thread' no longer exists)"
             ) from error
 
     def _worker_alive(self, shard: int) -> Callable[[], bool]:
@@ -553,9 +553,9 @@ class Profiler:
         After ``close()`` the profiler accepts no more events;
         ``snapshot()`` and ``query()`` keep answering from the final
         fold. Worker teardown is unconditional: even when a shard
-        failed mid-ingest and this raises, every worker thread is
-        joined, every worker process is exited (terminated if it will
-        not go), and every shared-memory segment is unlinked.
+        failed mid-ingest and this raises, every worker process is
+        exited (terminated if it will not go) and every shared-memory
+        segment is unlinked.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -568,15 +568,9 @@ class Profiler:
             raise RuntimeError("cannot close a Profiler that was never opened")
         with self._ingest_lock:
             try:
-                for queue in self._queues:
-                    queue.close()
-                for worker in self._workers:
-                    worker.join()  # noqa: RAP-LINT016 - workers never take this lock
                 if self._executor == "process":
                     self._sync_workers()
                 self._raise_worker_errors()
-                for tree in self._trees:
-                    tree.unconfine()
                 return self._fold_locked()
             finally:
                 self._state = "closed"
@@ -642,16 +636,16 @@ class Profiler:
     def ingest(self, values: Values) -> None:
         """Feed raw event values (any iterable of ints or numpy array).
 
-        Values are chopped into chunks of ``batch_size``, partitioned to
-        shards, duplicate-combined per shard (``np.unique``), and either
-        enqueued to the shard workers (thread/process) or applied inline
-        (serial). Returns once every chunk is accepted — which, under
-        ``block`` backpressure, may wait for queue space.
+        Values are chopped into chunks of ``batch_size`` and partitioned
+        to shards; the serial executor duplicate-combines each shard's
+        part (``np.unique``) and applies it inline, the process executor
+        writes it to the shard's ring. Returns once every chunk is
+        accepted — which, under ``block`` backpressure, may wait for
+        ring space. Non-integer dtypes and negative values raise
+        ``ValueError`` before any event is accepted.
         """
         self._check_ingestible()
-        array = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values)
-        )
+        array = _event_array(values, self._config.range_max)
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
@@ -663,9 +657,16 @@ class Profiler:
             self._ingest_seconds += clock() - start
 
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Feed pre-combined ``(value, count)`` pairs."""
+        """Feed pre-combined ``(value, count)`` pairs.
+
+        A negative value raises ``ValueError`` before any pair is
+        accepted, under every executor.
+        """
         self._check_ingestible()
-        items = list(pairs)
+        items = [(int(value), int(count)) for value, count in pairs]
+        for value, _ in items:
+            if value < 0:
+                raise _below_universe(value, self._config.range_max)
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
@@ -675,7 +676,7 @@ class Profiler:
                 [] for _ in range(self._shards)
             ]
             for value, count in items:
-                buckets[shard_of(int(value))].append((int(value), int(count)))
+                buckets[shard_of(value)].append((value, count))
             for shard, bucket in enumerate(buckets):
                 if bucket:
                     weight = sum(count for _, count in bucket)
@@ -683,7 +684,7 @@ class Profiler:
                         # Array-shaped counted frame; the worker's
                         # combining buffer treats its counts as
                         # weights, so this is observably one
-                        # pre-combined batch like the threaded path's.
+                        # pre-combined batch like the serial path's.
                         bucket.sort()
                         values = np.asarray(
                             [value for value, _ in bucket],
@@ -718,7 +719,7 @@ class Profiler:
             # which both shrinks the transport payload and moves the
             # combining sort off the dispatching thread. The
             # partitioner's output arrays are encoded straight into
-            # each shard's shared ring — no queue hop, no pickle.
+            # each shard's shared ring — no pickle.
             for shard, part in enumerate(self._partitioner.split(chunk)):
                 if len(part):
                     self._submit_ring(
@@ -762,40 +763,10 @@ class Profiler:
         self._raise_worker_errors()
 
     def _submit(self, shard: int, batch, weight: int) -> None:
-        if self._executor == "serial":
-            self._trees[shard].add_batch(batch)
-            self._shard_events[shard] += weight
-            self._shard_batches[shard] += 1
-            return
-        disposition = self._queues[shard].put(  # noqa: RAP-LINT016 - consumers never take this lock
-            batch, weight
-        )
-        if disposition != "dropped":
-            self._shard_events[shard] += weight
-            self._shard_batches[shard] += 1
-        self._raise_worker_errors()
-
-    def _worker_loop(self, shard: int) -> None:
-        queue = self._queues[shard]
-        tree = self._trees[shard]
-        tree.confine_to_current_thread()
-        failed = False
-        while True:
-            # One take drains the main queue plus any spill backlog as a
-            # single FIFO-ordered, per-constituent-sorted batch, so the
-            # whole backlog rides one add_counted fast-path run instead
-            # of a take/ingest/ack round-trip per batch. Observably
-            # identical to add_batch per constituent (see take_combined).
-            batch = queue.take_combined()
-            if batch is None:
-                return
-            if not failed:
-                try:
-                    tree.add_counted(batch)
-                except BaseException as error:  # surfaced to producers
-                    self._errors.append(error)
-                    failed = True
-            queue.task_done()
+        """Apply one combined batch to a serial shard tree, inline."""
+        self._trees[shard].add_batch(batch)
+        self._shard_events[shard] += weight
+        self._shard_batches[shard] += 1
 
     def _check_ingestible(self) -> None:
         if self._state != "open":
@@ -913,16 +884,15 @@ class Profiler:
 
         A quiesce without the fold: after ``drain()`` returns, the shard
         trees reflect every event accepted so far, but no snapshot is
-        built. Useful to bound ingest latency measurements and to make
-        backpressure deterministic before reading :attr:`metrics` (under
-        the process executor this also refreshes the per-shard synced
-        state those metrics are served from).
+        built. Serial shard trees are always current, so there it only
+        checks the profiler is open; under the process executor it
+        syncs every worker, which bounds ingest latency measurements
+        and refreshes the per-shard synced state :attr:`metrics` is
+        served from.
         """
         if self._state != "open":
             raise RuntimeError("cannot drain a Profiler that is not open")
         with self._ingest_lock:
-            for queue in self._queues:
-                queue.join()  # noqa: RAP-LINT016 - drain locks out producers; workers never take this lock
             if self._executor == "process":
                 self._sync_workers()
             self._raise_worker_errors()
@@ -930,8 +900,8 @@ class Profiler:
     def snapshot(self) -> RapTree:
         """Fold every shard into one consistent tree (epoch boundary).
 
-        Locks out new ingests, drains every accepted batch, then folds
-        the shard trees with :func:`~repro.core.combine.combine_many`,
+        Locks out new ingests, syncs every worker under the process
+        executor, then folds the shard trees with :func:`~repro.core.combine.combine_many`,
         which builds the combined tree from the shards' counter rows
         with array kernels.
         The result is independent of the live shards (single-shard
@@ -950,8 +920,6 @@ class Profiler:
         if self._state != "open":
             raise RuntimeError("cannot snapshot a Profiler that is not open")
         with self._ingest_lock:
-            for queue in self._queues:
-                queue.join()  # noqa: RAP-LINT016 - epoch boundary locks out producers; workers never take this lock
             if self._executor == "process":
                 self._sync_workers()
             self._raise_worker_errors()
@@ -1055,9 +1023,17 @@ class Profiler:
         Returns ``(lo, hi, estimate)`` for every snapshot leaf whose
         estimated weight is at least ``hot_fraction`` of the total,
         heaviest first — the report ``rap_finalize`` historically
-        printed, now answered from the folded snapshot.
+        printed, now answered from the folded snapshot. Like
+        :func:`repro.core.hot_ranges.find_hot_ranges`, ``hot_fraction``
+        must lie in ``(0, 1]`` and an empty profile has no hot ranges.
         """
+        if not 0.0 < hot_fraction <= 1.0:
+            raise ValueError(
+                f"hot_fraction must be in (0, 1], got {hot_fraction}"
+            )
         tree = self.snapshot()
+        if tree.events == 0:
+            return []
         threshold = hot_fraction * tree.events
         ranges = [
             (node.lo, node.hi, node.subtree_weight())
@@ -1077,7 +1053,7 @@ class Profiler:
 
         Producer-side counters (events, batches, backpressure) are
         always live. Tree-side fields (splits, merges, node counts)
-        read the live trees under the serial/thread executors; under
+        read the live trees under the serial executor; under
         the process executor they come from each shard's latest synced
         state — call :meth:`drain` (or take a snapshot) first for
         exact, deterministic values.
@@ -1111,12 +1087,6 @@ class Profiler:
                 entry.splits = stats.splits
                 entry.merge_batches = stats.merge_batches
                 entry.node_count = tree.node_count
-                if self._queues:
-                    queue = self._queues[index]
-                    entry.dropped_batches = queue.dropped_batches
-                    entry.dropped_events = queue.dropped_events
-                    entry.spilled_batches = queue.spilled_batches
-                    entry.max_queue_depth = queue.max_depth
             shards.append(entry)
         return RuntimeMetrics(
             shards=shards,
@@ -1128,7 +1098,7 @@ class Profiler:
     def shard_trees(self) -> Sequence[RapTree]:
         """The live shard trees (read-only view; do not mutate).
 
-        Serial and thread executors only: process-executor shard trees
+        Serial executor only: process-executor shard trees
         live in worker address spaces — take a :meth:`snapshot` (or use
         :attr:`metrics`) instead of reaching for the live objects.
         """

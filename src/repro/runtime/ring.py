@@ -41,8 +41,8 @@ the producer stamps a one-word ``PAD`` record (length
 ``0xFFFF_FFFF_FFFF_FFFF``) that tells the consumer to skip to the ring
 start, keeping every frame contiguous so decoded views stay zero-copy.
 
-Backpressure reuses the :class:`~repro.runtime.queues.ShardQueue`
-policy vocabulary, with the same dispositions and counters:
+Backpressure is the profiler's ``backpressure`` policy, reported as
+per-frame dispositions and counters:
 
 * ``block`` — wait for the consumer to release space, periodically
   invoking the ``liveness`` callback so a dead consumer raises
@@ -50,9 +50,8 @@ policy vocabulary, with the same dispositions and counters:
 * ``drop`` — a frame that does not fit is discarded and counted
   (``dropped_batches``/``dropped_events``).
 * ``spill`` — overflow goes to an unbounded producer-side FIFO and is
-  re-offered ahead of new frames, preserving stream order exactly like
-  the queue's spill deque; a sync flushes the backlog first (blocking),
-  so the no-loss guarantee carries over.
+  re-offered ahead of new frames, preserving stream order; a sync
+  flushes the backlog first (blocking), so nothing spilled is lost.
 
 Determinism: the byte stream a consumer sees is a pure function of the
 producer's frame sequence (ring order = write order), so the worker's
@@ -437,11 +436,11 @@ class RingProducer(_RingEnd):
         """Submit one data frame under this ring's backpressure policy.
 
         Returns the disposition — ``"queued"``, ``"dropped"`` or
-        ``"spilled"`` — with exactly the :class:`ShardQueue` semantics:
-        ``block`` waits for space (raising :class:`RingStalled` if the
-        consumer dies meanwhile), ``drop`` discards-and-counts a frame
-        that does not fit, ``spill`` sends overflow to an unbounded
-        FIFO that is re-offered ahead of new frames.
+        ``"spilled"``: ``block`` waits for space (raising
+        :class:`RingStalled` if the consumer dies meanwhile), ``drop``
+        discards-and-counts a frame that does not fit, ``spill`` sends
+        overflow to an unbounded FIFO that is re-offered ahead of new
+        frames.
         """
         if self.policy == "spill" and not self._drain_spill(block=False):
             # FIFO: once a backlog exists, new frames queue behind it.

@@ -292,7 +292,7 @@ class TestHotspec:
         entries = dict(HOT_FUNCTIONS)
         assert "ColumnarRapTree._vector_round" in entries["core/columnar.py"]
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
-        assert "ShardQueue.take_combined" in entries["runtime/queues.py"]
+        assert "RapTree.add_batch" in entries["core/tree.py"]
         assert catalog() == tuple(
             (relpath, qualname)
             for relpath in sorted(HOT_FUNCTIONS)

@@ -144,10 +144,10 @@ class TestGrowthBoundaryAndMassFree:
 
 class TestCloneUnderConfinement:
     def test_clone_of_confined_tree_from_another_thread(self):
-        """The runtime folds snapshots by cloning shard trees that are
-        confined to their worker threads. Cloning the flat arrays from
-        a foreign thread is a read and must succeed; the clone must be
-        unconfined, independent, and state-identical."""
+        """A shard tree confined to its owner (as a process-executor
+        worker confines its own) must still clone from a foreign
+        thread: cloning the flat arrays is a read and must succeed; the
+        clone must be unconfined, independent, and state-identical."""
         tree = columnar()
         errors = []
 
@@ -174,7 +174,7 @@ class TestCloneUnderConfinement:
         snapshot.check_invariants()
 
     def test_sanitized_profiler_snapshot_over_columnar_shards(self):
-        """End-to-end: confined columnar shard trees under the race
+        """End-to-end: lock-guarded columnar shard trees under the race
         sanitizer, snapshot folds (clone path) included, no violations."""
         rng = random.Random(0x5A71)
         values = [rng.randrange(UNIVERSE) for _ in range(4_000)]

@@ -45,14 +45,12 @@ RUNTIME_SURFACE = [
     "MIN_RING_BYTES",
     "Partitioner",
     "Profiler",
-    "QueueClosed",
     "RangePartitioner",
     "RingConsumer",
     "RingProducer",
     "RingStalled",
     "RuntimeMetrics",
     "ShardMetrics",
-    "ShardQueue",
     "ShmArena",
     "ShmAttachment",
     "WorkerCrashed",
@@ -115,9 +113,32 @@ class TestExecutorSelection:
         assert profiler.executor == "serial" and profiler.shards == 2
 
     def test_constructor_keywords_override_config(self):
-        config = RapConfig(256, executor="serial", shards=2)
-        profiler = Profiler(config, shards=4, executor="thread")
-        assert profiler.executor == "thread" and profiler.shards == 4
+        config = RapConfig(
+            256, backend="columnar", executor="serial", shards=2
+        )
+        profiler = Profiler(config, shards=4, executor="process")
+        assert profiler.executor == "process" and profiler.shards == 4
+
+    def test_serial_is_the_default_and_thread_is_retired(self):
+        assert RapConfig(256).executor == "serial"
+        assert Profiler(RapConfig(256)).executor == "serial"
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            RapConfig(256, executor="thread")
+        with pytest.raises(ValueError, match="'serial' or 'process'"):
+            Profiler(RapConfig(256), executor="thread")
+
+    def test_profiler_has_eight_keyword_options(self):
+        parameters = inspect.signature(Profiler).parameters
+        assert list(parameters)[1:] == [
+            "shards",
+            "executor",
+            "partition",
+            "shard_epsilon",
+            "backpressure",
+            "batch_size",
+            "ring_bytes",
+            "clock",
+        ]
 
     def test_process_executor_is_blessed(self):
         config = RapConfig(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RapConfig, RapTree
-from repro.runtime import Profiler
+from repro.runtime import MIN_RING_BYTES, Profiler
 
 UNIVERSE = 2**16
 
@@ -15,6 +15,16 @@ def config(**overrides) -> RapConfig:
     base = dict(epsilon=0.05)
     base.update(overrides)
     return RapConfig(UNIVERSE, **base)
+
+
+def tiny_ring_profiler(backpressure: str) -> Profiler:
+    """Two process shards behind minimum-size rings, so small frames
+    overflow them and the backpressure policy decides every time."""
+    return Profiler(
+        config(backend="columnar"), shards=2, executor="process",
+        backpressure=backpressure, ring_bytes=MIN_RING_BYTES,
+        batch_size=128,
+    )
 
 
 def zipf_values(seed: int, n: int) -> np.ndarray:
@@ -89,6 +99,8 @@ class TestSingleShardPassthrough:
 
 
 class TestThreadedIngestion:
+    """Multi-shard ingestion on the default (serial) executor."""
+
     def test_all_events_accounted_for(self):
         values = zipf_values(5, 50_000)
         with Profiler(config(), shards=4) as profiler:
@@ -124,24 +136,17 @@ class TestThreadedIngestion:
             profiler.ingest([100] * 500)
             assert profiler.query(0, UNIVERSE - 1) == 500
 
-    def test_shard_trees_are_thread_confined_while_open(self):
-        with Profiler(config(), shards=2) as profiler:
-            profiler.ingest(zipf_values(7, 5000))
-            profiler.snapshot()
-            shard = profiler.shard_trees()[0]
-            with pytest.raises(RuntimeError, match="confined"):
-                shard.add(1)
-        # close() lifts confinement (workers are gone).
-        profiler.shard_trees()[0].unconfine()
-
     def test_worker_error_propagates_to_producer(self):
-        with Profiler(config(), shards=2, batch_size=16) as profiler:
-            with pytest.raises(RuntimeError, match="shard worker failed"):
-                # Out-of-universe values make the shard's add_batch raise;
-                # keep feeding until the failure surfaces.
-                for _ in range(100):
-                    profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
-            profiler._errors.clear()  # allow clean close
+        profiler = tiny_ring_profiler("block").open()
+        with pytest.raises(RuntimeError, match="shard worker failed"):
+            # Out-of-universe values make the worker's tree ingest
+            # raise; the failure rides back on the next sync.
+            profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
+            profiler.drain()
+        # close() reports the failed shard again, and still reaps.
+        with pytest.raises(RuntimeError, match="shard worker failed"):
+            profiler.close()
+        assert profiler.closed
 
     def test_ingest_counted_routes_by_value(self):
         with Profiler(config(), shards=4, executor="serial") as profiler:
@@ -150,54 +155,27 @@ class TestThreadedIngestion:
 
 
 class TestBackpressurePolicies:
+    """The ring policies, on rings too small for the stream."""
+
     def test_block_loses_nothing(self):
         values = zipf_values(11, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="block",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with tiny_ring_profiler("block") as profiler:
             profiler.ingest(values)
             assert profiler.snapshot().events == len(values)
             assert profiler.metrics.dropped_events == 0
 
     def test_spill_loses_nothing_and_counts_spills(self):
         values = zipf_values(13, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="spill",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with tiny_ring_profiler("spill") as profiler:
             profiler.ingest(values)
             metrics = profiler.metrics
             assert profiler.snapshot().events == len(values)
             assert metrics.dropped_events == 0
-
-    def test_spill_drain_matches_serial_profile(self):
-        """Combined spill drains must leave the shard trees exactly where
-        per-batch processing would — the worker's take_combined path is
-        observably identical to one add_batch per accepted batch."""
-        values = zipf_values(23, 20_000)
-        with Profiler(
-            config(), shards=2, backpressure="spill",
-            queue_capacity=1, batch_size=64,
-        ) as threaded:
-            threaded.ingest(values)
-            spilled = threaded.metrics.spilled_batches
-            threaded_snapshot = threaded.snapshot()
-        with Profiler(
-            config(), shards=2, executor="serial", batch_size=64,
-        ) as serial:
-            serial.ingest(values)
-            serial_snapshot = serial.snapshot()
-        assert spilled > 0  # the workload must actually exercise spill
-        from repro.core import dump_tree
-        assert dump_tree(threaded_snapshot) == dump_tree(serial_snapshot)
+            assert metrics.spilled_batches > 0
 
     def test_drop_accounts_for_every_lost_event(self):
         values = zipf_values(17, 30_000)
-        with Profiler(
-            config(), shards=2, backpressure="drop",
-            queue_capacity=1, batch_size=128,
-        ) as profiler:
+        with tiny_ring_profiler("drop") as profiler:
             profiler.ingest(values)
             snapshot = profiler.snapshot()
             metrics = profiler.metrics
@@ -274,7 +252,6 @@ class TestMetrics:
             "dropped_batches",
             "dropped_events",
             "spilled_batches",
-            "max_queue_depth",
             "transport_stalls",
             "transport_stall_s",
             "ring_peak_bytes",
@@ -285,18 +262,17 @@ class TestMetrics:
 
     def test_transport_fields_read_zero_off_ring(self):
         # Ring-space stalls are a process/ring phenomenon; the serial
-        # and thread executors never touch a ring, so every transport
-        # field stays exactly zero and metric dumps stay reproducible.
-        for executor in ("serial", "thread"):
-            with Profiler(config(), shards=2, executor=executor) as profiler:
-                profiler.ingest(zipf_values(31, 4000))
-                metrics = profiler.metrics
-            assert metrics.transport_stalls == 0
-            assert metrics.transport_stall_s == 0.0
-            for shard in metrics.shards:
-                assert shard.transport_stalls == 0
-                assert shard.transport_stall_s == 0.0
-                assert shard.ring_peak_bytes == 0
+        # executor never touches a ring, so every transport field stays
+        # exactly zero and metric dumps stay reproducible.
+        with Profiler(config(), shards=2, executor="serial") as profiler:
+            profiler.ingest(zipf_values(31, 4000))
+            metrics = profiler.metrics
+        assert metrics.transport_stalls == 0
+        assert metrics.transport_stall_s == 0.0
+        for shard in metrics.shards:
+            assert shard.transport_stalls == 0
+            assert shard.transport_stall_s == 0.0
+            assert shard.ring_peak_bytes == 0
 
 
 class TestHotRanges:
@@ -312,3 +288,41 @@ class TestHotRanges:
         lo, hi, weight = report[0]
         assert lo <= 42 <= hi
         assert weight >= 5000 * 0.8
+
+    def test_empty_profile_has_no_hot_ranges(self):
+        with Profiler(config(), shards=2) as profiler:
+            assert profiler.hot_ranges() == []
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with Profiler(config(), shards=2) as profiler:
+            profiler.ingest([1, 2, 3])
+            with pytest.raises(ValueError, match="hot_fraction"):
+                profiler.hot_ranges(hot_fraction=fraction)
+
+
+class TestIngestBoundary:
+    """Non-integer and negative input fails at ``ingest``, on every
+    executor, with nothing accepted."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_rejects_non_integer_and_negative_values(self, executor):
+        with Profiler(
+            config(backend="columnar"), shards=2, executor=executor
+        ) as profiler:
+            for bad in (
+                np.array([1.5, 1.9, 7.99]),
+                np.array([1 + 2j]),
+                np.array([True, False]),
+            ):
+                with pytest.raises(ValueError, match="integers"):
+                    profiler.ingest(bad)
+            with pytest.raises(ValueError, match=r"value -1 outside universe"):
+                profiler.ingest([-1, 3])
+            with pytest.raises(ValueError, match=r"value -1 outside universe"):
+                profiler.ingest_counted([(-1, 1)])
+            profiler.ingest(np.array([1, 3], dtype=np.int32))
+            assert profiler.metrics.events == 2
+            snapshot = profiler.snapshot()
+        assert snapshot.events == 2
+        assert snapshot.estimate(0, UNIVERSE - 1) == 2
