@@ -29,9 +29,9 @@ constructor keywords as call-site overrides:
   dispatching thread writes binary counted frames straight into a
   per-shard shared-memory ring (:mod:`repro.runtime.ring`) under the
   block/drop/spill backpressure policy. Snapshots attach the quiesced
-  workers' columns zero-copy and fold them in the parent (serialized
-  exchange as fallback for a worker whose columns could not be placed
-  in shared memory).
+  workers' columns zero-copy and fold them in the parent. A host
+  without usable shared memory for the rings or a worker's columns
+  fails ``open()`` with an ``OSError``; nothing falls back.
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
@@ -82,6 +82,7 @@ import numpy as np
 
 from ..core.config import RapConfig
 from ..core.combine import combine_many
+from ..core.hot_ranges import DEFAULT_HOT_FRACTION, HotRange, find_hot_ranges
 from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
@@ -110,8 +111,9 @@ _EXIT_GRACE = 5.0
 _FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"))
 
 
-def _below_universe(value: int, range_max: int) -> ValueError:
-    """The error for a negative event value, worded like the trees'."""
+def _outside_universe(value: int, range_max: int) -> ValueError:
+    """The error for an event value outside the universe, worded like
+    the trees'."""
     return ValueError(f"value {value} outside universe [0, {range_max - 1}]")
 
 
@@ -119,10 +121,10 @@ def _event_array(values: Values, range_max: int) -> np.ndarray:
     """The ``ingest`` boundary: ``values`` as an array of event values.
 
     Rejects non-integer input (float, complex, bool, string arrays)
-    with one O(1) dtype-kind check, and negative values in signed
-    arrays with one ``min()``; unsigned arrays — every workload stream
-    — pass through untouched. Values past the top of the universe are
-    left to the shard trees, which reject them.
+    with one O(1) dtype-kind check, negative values in signed arrays
+    with one ``min()``, and values past the top of the universe with
+    one ``max()`` — skipped when the dtype cannot exceed it, as
+    ``uint64`` cannot under a 2^64 universe (every workload stream).
     """
     array = np.asarray(
         values if isinstance(values, np.ndarray) else list(values)
@@ -134,10 +136,14 @@ def _event_array(values: Values, range_max: int) -> np.ndarray:
         raise ValueError(
             f"event values must be integers, got dtype {array.dtype}"
         )
-    if kind == "i":
+    if kind in "iO":
         low = int(array.min())
         if low < 0:
-            raise _below_universe(low, range_max)
+            raise _outside_universe(low, range_max)
+    if kind == "O" or int(np.iinfo(array.dtype).max) >= range_max:
+        high = int(array.max())
+        if high >= range_max:
+            raise _outside_universe(high, range_max)
     return array
 
 
@@ -148,10 +154,8 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
     plain Python lists arrive as ``int64`` (also native). Anything else
     — ``int32``, object arrays of Python ints — is widened once here;
     out-of-``int64``-range object arrays are re-tried as ``uint64``.
-    Non-integer and negative values never get here (``_event_array``
-    rejects them at the ``ingest`` boundary); values past the top of
-    the universe fail inside the worker, where ``add_counted_arrays``
-    validates them.
+    Non-integer and out-of-universe values never get here
+    (``_event_array`` rejects them at the ``ingest`` boundary).
     """
     if part.dtype in _FRAME_DTYPES:
         return part
@@ -449,8 +453,7 @@ class Profiler:
             raise OSError(
                 "executor='process' needs POSIX shared memory for its "
                 "shard rings and none is usable on this host; use "
-                "executor='serial' instead, which needs none "
-                "(executor='thread' no longer exists)"
+                "executor='serial' instead, which needs none"
             ) from error
 
     def _worker_alive(self, shard: int) -> Callable[[], bool]:
@@ -529,13 +532,21 @@ class Profiler:
                 self._processes.append(process)
                 self._conns.append(parent_conn)
             # Wait for every worker's ready handshake (sent after it
-            # has built its tree and warmed its ingest path), so
+            # has built its tree and warmed its ingest path, or with
+            # the reason it could not build one), so
             # open() returns a runtime that is actually ready to
             # ingest — start-up cost lands here, not inside the first
             # ingest/drain. Waiting after starting them all lets the
             # warm-ups overlap across workers.
             for shard in range(self._shards):
-                self._recv_reply(shard, "ready")
+                refused = self._recv_reply(shard, "ready")
+                if refused is not None:
+                    raise OSError(
+                        f"executor='process' could not place shard "
+                        f"{shard}'s tree columns in POSIX shared memory "
+                        f"({refused}); use executor='serial' instead, "
+                        "which needs none"
+                    )
         except BaseException:
             self._reap_processes()
             raise
@@ -641,8 +652,8 @@ class Profiler:
         part (``np.unique``) and applies it inline, the process executor
         writes it to the shard's ring. Returns once every chunk is
         accepted — which, under ``block`` backpressure, may wait for
-        ring space. Non-integer dtypes and negative values raise
-        ``ValueError`` before any event is accepted.
+        ring space. Non-integer dtypes and values outside the universe
+        raise ``ValueError`` before any event is accepted.
         """
         self._check_ingestible()
         array = _event_array(values, self._config.range_max)
@@ -659,14 +670,18 @@ class Profiler:
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs.
 
-        A negative value raises ``ValueError`` before any pair is
-        accepted, under every executor.
+        A value outside the universe or a count below 1 raises
+        ``ValueError`` before any pair is accepted, under every
+        executor.
         """
         self._check_ingestible()
+        range_max = self._config.range_max
         items = [(int(value), int(count)) for value, count in pairs]
-        for value, _ in items:
-            if value < 0:
-                raise _below_universe(value, self._config.range_max)
+        for value, count in items:
+            if not 0 <= value < range_max:
+                raise _outside_universe(value, range_max)
+            if count < 1:
+                raise ValueError(f"count must be positive, got {count}")
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
@@ -754,7 +769,7 @@ class Profiler:
         """
         producer = self._rings[shard]
         try:
-            disposition = producer.write_frame(kind, values, counts)  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
+            disposition = producer.write_frame(kind, values, counts)
         except RingStalled:
             raise self._worker_crashed(shard, "draining its ring") from None
         if disposition != "dropped":
@@ -843,7 +858,7 @@ class Profiler:
         expected: List[int] = []
         for shard, producer in enumerate(self._rings):
             try:
-                expected.append(producer.write_sync())  # noqa: RAP-LINT016 - ring waits block on the worker *process*, which never takes this lock; liveness-checked so a dead peer raises instead of deadlocking
+                expected.append(producer.write_sync())
             except RingStalled:
                 raise self._worker_crashed(
                     shard, "accepting a sync frame"
@@ -906,7 +921,7 @@ class Profiler:
         with array kernels.
         The result is independent of the live shards (single-shard
         profiles are cloned; process-executor shards are folded from
-        attached or serialized copies) and cached: repeated snapshots
+        their attached shared-memory columns) and cached: repeated snapshots
         with no intervening ingest return the same tree without
         re-folding.
         """
@@ -962,46 +977,33 @@ class Profiler:
                 self._sanitizer.end_fold()
 
     def _fold_process_locked(self) -> RapTree:
-        """Fold synced worker shards: zero-copy attach, dump fallback.
+        """Fold synced worker shards from their attached columns.
 
         Every worker is quiesced (``_sync_workers`` ran under this
-        lock). Shards whose columns live in shared memory are attached
+        lock), so each shard's shared-memory columns are attached
         read-only and wrapped via ``ColumnarRapTree.attach_columns`` —
-        the fold walks them without copying a column; shards without
-        shared memory are fetched as serialized-v2 text. The result is
+        the fold walks them without copying a column. The result is
         always independent of worker state: a single shard is cloned,
         multiple shards fold through ``combine_many``, which copies each
         attached shard's nonzero counter rows out of its columns (no
         node view, no cover index) and builds a fresh tree from them.
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
-        from ..core.serialize import load_tree
 
         trees: List[RapTree] = []
         attachments: List[ShmAttachment] = []
         try:
-            for shard, payload in enumerate(self._shard_states):
+            for payload in self._shard_states:
                 assert payload is not None, "fold before first sync"
-                if payload["shm"]:
-                    attachment = ShmAttachment(payload["table"])  # type: ignore[arg-type]
-                    attachments.append(attachment)
-                    trees.append(
-                        ColumnarRapTree.attach_columns(
-                            self._shard_config,
-                            attachment.arrays,
-                            payload["state"],  # type: ignore[arg-type]
-                        )
+                attachment = ShmAttachment(payload["table"])  # type: ignore[arg-type]
+                attachments.append(attachment)
+                trees.append(
+                    ColumnarRapTree.attach_columns(
+                        self._shard_config,
+                        attachment.arrays,
+                        payload["state"],  # type: ignore[arg-type]
                     )
-                else:
-                    try:
-                        self._conns[shard].send(("dump",))
-                    except (BrokenPipeError, OSError):
-                        raise self._worker_crashed(
-                            shard, "accepting a dump request"
-                        ) from None
-                    trees.append(
-                        load_tree(self._recv_reply(shard, "dumped"))
-                    )
+                )
             if len(trees) == 1:
                 return trees[0].clone()
             return combine_many(trees)
@@ -1017,31 +1019,17 @@ class Profiler:
         """Lower-bound estimate of events in ``[lo, hi]`` (snapshot sugar)."""
         return self.snapshot().estimate(lo, hi)
 
-    def hot_ranges(self, hot_fraction: float = 0.1) -> List[Tuple[int, int, int]]:
-        """Hot-range report over the current snapshot.
+    def hot_ranges(
+        self, hot_fraction: float = DEFAULT_HOT_FRACTION
+    ) -> List[HotRange]:
+        """The paper's hot ranges (Section 4.1) over the current snapshot.
 
-        Returns ``(lo, hi, estimate)`` for every snapshot leaf whose
-        estimated weight is at least ``hot_fraction`` of the total,
-        heaviest first — the report ``rap_finalize`` historically
-        printed, now answered from the folded snapshot. Like
-        :func:`repro.core.hot_ranges.find_hot_ranges`, ``hot_fraction``
-        must lie in ``(0, 1]`` and an empty profile has no hot ranges.
+        Sugar for :func:`~repro.core.hot_ranges.find_hot_ranges` on
+        :meth:`snapshot`: heaviest exclusive weight first, interior
+        ranges and nested families included; ``hot_fraction`` must lie
+        in ``(0, 1]`` and an empty profile has none.
         """
-        if not 0.0 < hot_fraction <= 1.0:
-            raise ValueError(
-                f"hot_fraction must be in (0, 1], got {hot_fraction}"
-            )
-        tree = self.snapshot()
-        if tree.events == 0:
-            return []
-        threshold = hot_fraction * tree.events
-        ranges = [
-            (node.lo, node.hi, node.subtree_weight())
-            for node in tree.nodes()
-            if node.is_leaf and node.subtree_weight() >= threshold
-        ]
-        ranges.sort(key=lambda item: (-item[2], item[0]))
-        return ranges
+        return find_hot_ranges(self.snapshot(), hot_fraction)
 
     # ------------------------------------------------------------------
     # Metrics

@@ -9,8 +9,8 @@ intermediate copies. The parent encodes binary counted frames
 arrays into the ring with two slice assignments; the worker decodes
 them as *read-only ndarray views* over the same memory and feeds its
 combining buffer without touching a byte. The process executor's
-duplex pipe carries only low-rate control (ready/synced replies,
-dump/exit/wake) — the data path never pickles.
+duplex pipe carries only low-rate control (ready/synced/bye replies,
+exit/wake) — the data path never pickles.
 
 Memory layout (all offsets relative to the shared region)::
 

@@ -32,13 +32,13 @@ sanitizer's report and the sync frame's sequence number.
 
 The duplex control pipe carries only low-rate messages. The worker
 sends ``("ready", None)`` once warmed up, ``("synced", payload)`` per
-sync frame and ``("bye",)`` on the way out; it accepts:
+sync frame and ``("bye",)`` on the way out. A worker whose columns
+cannot be placed in shared memory sends ``("ready", reason)`` instead
+and exits at once; the parent's ``open()`` turns that into an
+``OSError``. It accepts:
 
 ``("wake",)``
     Nudge: the producer wrote into an empty ring.
-``("dump",)``
-    Replies ``("dumped", text)`` with the serialized-v2 tree — the
-    fold fallback when the worker's columns are not in shared memory.
 ``("exit",)``
     Tear down: drop the tree, unlink every shared-memory segment,
     reply ``("bye",)`` and return. The reply comes *after* the unlink,
@@ -61,7 +61,7 @@ import numpy as np
 
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
-from ..core.serialize import FRAME_CBATCH, FRAME_SYNC, dump_tree
+from ..core.serialize import FRAME_CBATCH, FRAME_SYNC
 from .ring import RingConsumer
 from .shm import ShmArena, ShmAttachment
 
@@ -143,33 +143,30 @@ def worker_main(
     conn: Any,
     config: RapConfig,
     shard_index: int,
-    shm_prefix: Optional[str],
+    shm_prefix: str,
     ring_table: Dict[str, Tuple[str, str, int, int]],
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
 
     ``conn`` is the worker end of a duplex pipe; ``config`` is the
     (epsilon-adjusted) shard tree configuration; ``shm_prefix`` names
-    this worker's shared-memory namespace, or ``None`` to force
-    heap-backed columns (folds then use the serialize fallback).
+    this worker's shared-memory namespace, where its tree columns live.
     ``ring_table`` is the parent-allocated ring region's segment table.
     """
     label = f"shard[{shard_index}]"
-    arena: Optional[ShmArena] = None
-    tree: Optional[ColumnarRapTree] = None
-    if shm_prefix is not None:
+    arena = ShmArena(f"{shm_prefix}s{shard_index}-")
+    try:
+        tree = ColumnarRapTree(config, allocator=arena.allocate)
+    except OSError as error:
+        # No usable POSIX shared memory for the columns: refuse to
+        # start rather than run a shard the parent cannot attach.
+        arena.close()
         try:
-            arena = ShmArena(f"{shm_prefix}s{shard_index}-")
-            tree = ColumnarRapTree(config, allocator=arena.allocate)
-        except OSError:
-            # No usable POSIX shared memory on this host: fall through
-            # to heap columns; the parent folds via serialized dumps.
-            if arena is not None:
-                arena.close()
-            arena = None
-            tree = None
-    if tree is None:
-        tree = ColumnarRapTree(config)
+            conn.send(("ready", f"{type(error).__name__}: {error}"))
+        except (BrokenPipeError, OSError):
+            pass
+        conn.close()
+        return
 
     sanitizer = None
     if config.debug_sanitize:
@@ -238,8 +235,7 @@ def worker_main(
         ]
 
     def sync_payload(sync_seq: int) -> Dict[str, object]:
-        if arena is not None:
-            arena.reap_retired()
+        arena.reap_retired()
         payload = _sync_payload(label, tree, arena, failed, sanitizer)
         payload["sync_seq"] = sync_seq
         return payload
@@ -299,11 +295,7 @@ def worker_main(
             kind = message[0]
             if kind == "wake":
                 continue  # nudge: data is (or was) in the ring
-            if kind == "dump":
-                flush()
-                consumer.release()
-                conn.send(("dumped", dump_tree(tree)))
-            elif kind == "exit":
+            if kind == "exit":
                 return
             else:  # pragma: no cover - protocol bug, not a data path
                 failed = f"unknown worker control {kind!r}"
@@ -322,8 +314,7 @@ def worker_main(
         pending_raw.clear()
         pending_counted.clear()
         gc.collect()
-        if arena is not None:
-            arena.close()
+        arena.close()
         if ring_attachment is not None:
             ring_attachment.close()
         try:
@@ -336,15 +327,14 @@ def worker_main(
 def _sync_payload(
     label: str,
     tree: ColumnarRapTree,
-    arena: Optional[ShmArena],
+    arena: ShmArena,
     failed: Optional[str],
     sanitizer: Any,
 ) -> Dict[str, object]:
     stats = tree.stats
     return {
         "label": label,
-        "shm": arena is not None,
-        "table": arena.segment_table() if arena is not None else None,
+        "table": arena.segment_table(),
         "state": tree.column_state(),
         "events": tree.events,
         "node_count": tree.node_count,

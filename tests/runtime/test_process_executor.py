@@ -102,10 +102,32 @@ class TestLifecycle:
 
         monkeypatch.setattr(profiler_module, "ShmArena", flaky_arena)
         profiler = Profiler.from_config(process_config())
-        with pytest.raises(OSError, match="executor='thread'") as excinfo:
+        with pytest.raises(OSError, match="executor='serial'") as excinfo:
             profiler.open()
         assert "shared memory disabled" in str(excinfo.value.__cause__)
         assert len(created) == 1
+        assert profiler._processes == []  # noqa: SLF001
+        assert_no_leaks()
+
+    def test_worker_arena_failure_fails_open_typed(self, monkeypatch):
+        # A worker that cannot place its tree columns in shared memory
+        # refuses to start: open() raises, reaps every worker and
+        # unlinks every ring.
+        from repro.runtime import worker
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit the patched arena only under fork")
+
+        class NoSharedMemory(worker.ShmArena):
+            def allocate(self, *args, **kwargs):
+                raise OSError("shared memory disabled for this test")
+
+        monkeypatch.setattr(worker, "ShmArena", NoSharedMemory)
+        profiler = Profiler.from_config(process_config())
+        with pytest.raises(OSError, match="executor='serial'") as excinfo:
+            profiler.open()
+        message = str(excinfo.value)
+        assert "shard 0" in message and "shared memory disabled" in message
         assert profiler._processes == []  # noqa: SLF001
         assert_no_leaks()
 

@@ -5,10 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree
+from repro.core import RapConfig, RapTree, find_hot_ranges
 from repro.runtime import MIN_RING_BYTES, Profiler
+from repro.workloads.spec import benchmark
 
 UNIVERSE = 2**16
+
+#: Every backend/executor pair the runtime ships.
+SHIPPED_CONFIGS = [
+    ("object", "serial"),
+    ("columnar", "serial"),
+    ("columnar", "process"),
+]
 
 
 def config(**overrides) -> RapConfig:
@@ -136,12 +144,24 @@ class TestThreadedIngestion:
             profiler.ingest([100] * 500)
             assert profiler.query(0, UNIVERSE - 1) == 500
 
-    def test_worker_error_propagates_to_producer(self):
+    def test_worker_error_propagates_to_producer(self, monkeypatch):
+        import multiprocessing
+
+        from repro.runtime import worker
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit the patched flush only under fork")
+
+        def poisoned_flush(raw, counted):
+            raise RuntimeError("injected flush failure")
+
+        # The ingest boundary rejects every input the shard trees would,
+        # so the worker-side failure is injected into its flush.
+        monkeypatch.setattr(worker, "_combine_frames", poisoned_flush)
         profiler = tiny_ring_profiler("block").open()
         with pytest.raises(RuntimeError, match="shard worker failed"):
-            # Out-of-universe values make the worker's tree ingest
-            # raise; the failure rides back on the next sync.
-            profiler.ingest_counted([(UNIVERSE + 5, 1)] * 8)
+            # The failure rides back on the next sync.
+            profiler.ingest_counted([(5, 1)] * 8)
             profiler.drain()
         # close() reports the failed shard again, and still reaps.
         with pytest.raises(RuntimeError, match="shard worker failed"):
@@ -285,9 +305,33 @@ class TestHotRanges:
             profiler.ingest(values)
             report = profiler.hot_ranges(hot_fraction=0.2)
         assert report, "expected at least one hot range"
-        lo, hi, weight = report[0]
-        assert lo <= 42 <= hi
-        assert weight >= 5000 * 0.8
+        top = report[0]
+        assert top.lo <= 42 <= top.hi
+        # The range estimate is a lower bound within eps * n of the truth.
+        exact = int(np.count_nonzero((values >= top.lo) & (values <= top.hi)))
+        assert top.inclusive_weight <= exact
+        assert exact - top.inclusive_weight <= 0.05 * len(values)
+
+    @pytest.mark.parametrize("backend,executor", SHIPPED_CONFIGS)
+    def test_gzip_values_give_the_figure_5_family(self, backend, executor):
+        # Section 4.1's definition, through the public query: the
+        # nested small-value family and a pointer band are hot on
+        # gzip's load values, exactly as find_hot_ranges reports them.
+        stream = benchmark("gzip").value_stream(60_000, seed=1)
+        gzip_config = RapConfig(
+            stream.universe, epsilon=0.01, backend=backend
+        )
+        with Profiler(gzip_config, shards=2, executor=executor) as profiler:
+            profiler.ingest(np.asarray(stream.values, dtype=np.uint64))
+            report = profiler.hot_ranges(0.10)
+            assert report == find_hot_ranges(profiler.snapshot(), 0.10)
+        assert 5 <= len(report) <= 9  # paper: 7
+        assert sorted(
+            (item.lo, item.hi) for item in report if item.hi < 2**20
+        ) == [(0, 0xF), (0, 0xFF), (0, 0x3FFF), (0, 0x3FFFF)]
+        assert any(
+            0x1_0000_0000 <= item.lo < 0x2_0000_0000 for item in report
+        )
 
     def test_empty_profile_has_no_hot_ranges(self):
         with Profiler(config(), shards=2) as profiler:
@@ -326,3 +370,28 @@ class TestIngestBoundary:
             snapshot = profiler.snapshot()
         assert snapshot.events == 2
         assert snapshot.estimate(0, UNIVERSE - 1) == 2
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_rejects_out_of_universe_values_and_bad_counts(self, executor):
+        with Profiler(
+            config(backend="columnar"), shards=2, executor=executor
+        ) as profiler:
+            profiler.ingest([7, 8])
+            for call, args, message in (
+                (profiler.ingest, np.array([70000], dtype=np.uint64),
+                 "value 70000 outside universe"),
+                (profiler.ingest, [1 << 16], "value 65536 outside universe"),
+                # Earlier shards' parts of the chunk are not applied.
+                (profiler.ingest,
+                 np.array([1, 2, 3, 4, 70000], dtype=np.uint64),
+                 "value 70000 outside universe"),
+                (profiler.ingest_counted, [(5, 0), (6, -3)],
+                 "count must be positive, got 0"),
+                (profiler.ingest_counted, [(5, 1), (UNIVERSE, 1)],
+                 "value 65536 outside universe"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call(args)
+                assert profiler.snapshot().events == 2
+            profiler.ingest([9])
+            assert profiler.close().events == 3

@@ -147,34 +147,6 @@ class TestProcessExecutorOracle:
         second = profiled_snapshot(values, 4, executor="process")
         assert dump_tree(first) == dump_tree(second)
 
-    def test_dump_fallback_folds_like_shared_memory(self, monkeypatch):
-        # Without shared memory each worker ships its shard as serialized
-        # text and the parent folds object trees from load_tree; with it
-        # the parent folds attached columns. Same shards, same tree.
-        import multiprocessing
-
-        from repro.core import dump_tree
-        from repro.runtime import worker
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("workers inherit the patched arena only under fork")
-        rng = random.Random(2026)
-        values = zipf_stream(rng, UNIVERSE, 30_000)
-        attached = profiled_snapshot(values, 4, executor="process")
-
-        class NoSharedMemory:
-            def __init__(self, *args, **kwargs):
-                raise OSError("shared memory disabled for this test")
-
-        monkeypatch.setattr(worker, "ShmArena", NoSharedMemory)
-        config = RapConfig(UNIVERSE, epsilon=EPS, backend="columnar")
-        with Profiler(config, shards=4, executor="process") as profiler:
-            profiler.ingest(np.asarray(values, dtype=np.uint64))
-            dumped = profiler.snapshot()
-            states = profiler._shard_states  # noqa: SLF001
-            assert not any(state["shm"] for state in states)
-        assert dump_tree(dumped) == dump_tree(attached)
-
     def test_process_within_envelope_of_threaded(self):
         # The serial executor is the in-process oracle (it replaced the
         # retired thread executor, whose shards it matched bit for bit).
@@ -247,13 +219,14 @@ class TestAcceptanceScenario:
 
         assert folded.events == oracle.events == len(values)
         assert report, "200k zipf stream must surface hot ranges"
-        for lo, hi, weight in report:
-            exact = exact_in(sorted_values, lo, hi)
-            # Reported weight is a lower bound within the documented
+        for item in report:
+            exact = exact_in(sorted_values, item.lo, item.hi)
+            estimate = item.inclusive_weight
+            # The range estimate is a lower bound within the documented
             # eps * n budget of both the truth and the oracle's answer.
-            assert weight <= exact
-            assert exact - weight <= budget, (lo, hi)
-            assert abs(weight - oracle.estimate(lo, hi)) <= budget, (lo, hi)
+            assert estimate <= exact
+            assert exact - estimate <= budget, item
+            assert abs(estimate - oracle.estimate(item.lo, item.hi)) <= budget, item
 
     def test_hot_report_covers_the_true_heavy_hitters(self, stream, snapshot):
         values, sorted_values = stream
@@ -267,7 +240,7 @@ class TestAcceptanceScenario:
         ]
         assert heavy, "zipf stream should have >=5% heavy hitters"
         for value in heavy:
-            assert any(lo <= value <= hi for lo, hi, _ in report), value
+            assert any(item.lo <= value <= item.hi for item in report), value
 
     def test_snapshot_satisfies_tree_invariants(self, snapshot):
         folded, _ = snapshot
