@@ -36,19 +36,21 @@ constructor keywords as call-site overrides:
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
 ``snapshot().estimate(lo, hi)`` (snapshots are cached per epoch, so
-repeated queries between ingests fold only once). ``close()`` reaps
-every worker process — exited and its shared-memory segments unlinked
-— on all paths, including after a worker failure.
+repeated queries between ingests sync and fold only once).
+``close()`` reaps every worker process — exited and its shared-memory
+segments unlinked — on all paths, including after a worker failure.
 
 Consistency model: a snapshot is taken on an *epoch boundary* — new
 ingests are locked out and, under the process executor, every worker
-acknowledges a sync frame that trails its batches in ring order — and
-only then are the shard trees folded. The snapshot therefore reflects
-exactly the events accepted before the call, no torn batches. Serial
-ingestion, and process ingestion under the ``block`` and ``spill``
-backpressure policies, make the shard trees (and hence every snapshot)
-a deterministic function of the ingested stream; ``drop`` trades that
-determinism for bounded memory and latency.
+whose ring took a frame since its last sync acknowledges a sync frame
+that trails its batches in ring order — and only then are the shard
+trees folded (a worker with no news is already in sync). The snapshot
+therefore reflects exactly the events accepted before the call, no
+torn batches. Serial ingestion, and process ingestion under the
+``block`` and ``spill`` backpressure policies, make the shard trees
+(and hence every snapshot) a deterministic function of the ingested
+stream; ``drop`` trades that determinism for bounded memory and
+latency.
 
 Accuracy: each shard undercounts by at most ``eps_shard * n_shard``, so
 the folded snapshot undercounts any range by at most
@@ -65,6 +67,7 @@ bound relaxing to ``shard_epsilon * n_total``.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 import threading
 from typing import (
@@ -115,6 +118,25 @@ def _outside_universe(value: int, range_max: int) -> ValueError:
     """The error for an event value outside the universe, worded like
     the trees'."""
     return ValueError(f"value {value} outside universe [0, {range_max - 1}]")
+
+
+def _integer(item: object, what: str) -> int:
+    """One ``ingest_counted`` field as an ``int``, or ``ValueError``.
+
+    ``operator.index`` accepts exactly the integer types (Python and
+    numpy ints) and refuses floats and strings instead of truncating
+    them; ``bool`` is an ``int`` subclass, so it is refused by name,
+    as ``ingest`` refuses bool arrays.
+    """
+    if not isinstance(item, bool):
+        try:
+            return operator.index(item)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise ValueError(
+        f"event {what} must be integers, got {type(item).__name__} "
+        f"{item!r}"
+    )
 
 
 def _event_array(values: Values, range_max: int) -> np.ndarray:
@@ -563,10 +585,12 @@ class Profiler:
 
         After ``close()`` the profiler accepts no more events;
         ``snapshot()`` and ``query()`` keep answering from the final
-        fold. Worker teardown is unconditional: even when a shard
-        failed mid-ingest and this raises, every worker process is
-        exited (terminated if it will not go) and every shared-memory
-        segment is unlinked.
+        fold. Unlike the reads, ``close()`` syncs every worker, news or
+        not, so a worker that died at any point since open surfaces
+        here as :class:`WorkerCrashed`. Worker teardown is
+        unconditional: even when a shard failed mid-ingest and this
+        raises, every worker process is exited (terminated if it will
+        not go) and every shared-memory segment is unlinked.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -580,7 +604,7 @@ class Profiler:
         with self._ingest_lock:
             try:
                 if self._executor == "process":
-                    self._sync_workers()
+                    self._sync_workers(every=True)
                 self._raise_worker_errors()
                 return self._fold_locked()
             finally:
@@ -670,13 +694,17 @@ class Profiler:
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs.
 
-        A value outside the universe or a count below 1 raises
-        ``ValueError`` before any pair is accepted, under every
+        A value or count that is not an integer (floats, bools,
+        strings), a value outside the universe or a count below 1
+        raises ``ValueError`` before any pair is accepted, under every
         executor.
         """
         self._check_ingestible()
         range_max = self._config.range_max
-        items = [(int(value), int(count)) for value, count in pairs]
+        items = [
+            (_integer(value, "values"), _integer(count, "counts"))
+            for value, count in pairs
+        ]
         for value, count in items:
             if not 0 <= value < range_max:
                 raise _outside_universe(value, range_max)
@@ -840,8 +868,8 @@ class Profiler:
             )
         return reply[1]
 
-    def _sync_workers(self) -> None:
-        """Quiesce every worker and cache its synced state.
+    def _sync_workers(self, every: bool = False) -> None:
+        """Quiesce the workers with news and cache their synced state.
 
         Callers hold the ingest lock, so no frame is mid-flight. The
         sync travels *in-band* — a sync frame written behind the
@@ -849,27 +877,43 @@ class Profiler:
         applied every accepted frame. Worker ingest failures and
         sanitizer reports ride back on the reply.
 
-        The sync is broadcast to every ring before any reply is
-        collected, so the workers' wakeup and flush latencies overlap
-        instead of serializing one sync round-trip per shard. Each
+        Only a shard with news gets a sync frame: one whose ring
+        committed a frame since its last acknowledged sync, or which
+        holds a spill backlog. A worker's state changes only on
+        frames, so a clean shard's cached payload is exactly what a
+        round trip would return. ``every=True`` (``close()``) syncs
+        every shard regardless, so a worker that died after its last
+        sync still surfaces as :class:`WorkerCrashed`.
+
+        The sync is broadcast to every ring that needs one before any
+        reply is collected, so the workers' wakeup and flush latencies
+        overlap instead of serializing one round trip per shard. Each
         reply echoes the sync frame's sequence number, proving it
         answers *this* epoch boundary.
         """
-        expected: List[int] = []
+        expected: Dict[int, int] = {}
         for shard, producer in enumerate(self._rings):
+            state = self._shard_states[shard]
+            if not (
+                every
+                or state is None
+                or producer.sequence != state["sync_seq"]
+                or producer.spill_backlog
+            ):
+                continue
             try:
-                expected.append(producer.write_sync())
+                expected[shard] = producer.write_sync()
             except RingStalled:
                 raise self._worker_crashed(
                     shard, "accepting a sync frame"
                 ) from None
-        for shard in range(self._shards):
+        for shard, sequence in expected.items():
             payload = self._recv_reply(shard, "synced")
-            if payload.get("sync_seq") != expected[shard]:
+            if payload.get("sync_seq") != sequence:
                 raise RuntimeError(
                     f"shard {shard} worker protocol error: sync reply "
                     f"for frame {payload.get('sync_seq')!r}, expected "
-                    f"{expected[shard]}"
+                    f"{sequence}"
                 )
             self._accept_sync_payload(shard, payload)
 
@@ -901,9 +945,11 @@ class Profiler:
         trees reflect every event accepted so far, but no snapshot is
         built. Serial shard trees are always current, so there it only
         checks the profiler is open; under the process executor it
-        syncs every worker, which bounds ingest latency measurements
-        and refreshes the per-shard synced state :attr:`metrics` is
-        served from.
+        syncs every worker whose ring committed a frame since its last
+        sync (or holds a spill backlog), which bounds ingest latency
+        measurements and refreshes the per-shard synced state
+        :attr:`metrics` is served from. With nothing new since the
+        last sync it returns without a round trip.
         """
         if self._state != "open":
             raise RuntimeError("cannot drain a Profiler that is not open")
@@ -915,15 +961,19 @@ class Profiler:
     def snapshot(self) -> RapTree:
         """Fold every shard into one consistent tree (epoch boundary).
 
-        Locks out new ingests, syncs every worker under the process
-        executor, then folds the shard trees with :func:`~repro.core.combine.combine_many`,
-        which builds the combined tree from the shards' counter rows
-        with array kernels.
+        Locks out new ingests, syncs every worker with news under the
+        process executor (see :meth:`drain`), then folds the shard
+        trees with :func:`~repro.core.combine.combine_many`, which
+        builds the combined tree from the shards' counter rows with
+        array kernels.
         The result is independent of the live shards (single-shard
         profiles are cloned; process-executor shards are folded from
-        their attached shared-memory columns) and cached: repeated snapshots
-        with no intervening ingest return the same tree without
-        re-folding.
+        their attached shared-memory columns) and cached: repeated
+        snapshots with no intervening ingest return the same tree
+        without a sync round trip or a re-fold. A worker that died
+        after the last sync is reported by the next ``drain()`` or
+        ``snapshot()`` after an ingest into its shard, or by
+        ``close()``; the cached answer is exact until then.
         """
         if self._state == "closed":
             if self._snapshot_cache is None:
@@ -1016,7 +1066,11 @@ class Profiler:
                 attachment.close()
 
     def query(self, lo: int, hi: int) -> int:
-        """Lower-bound estimate of events in ``[lo, hi]`` (snapshot sugar)."""
+        """Lower-bound estimate of events in ``[lo, hi]`` (snapshot sugar).
+
+        A query with no ingest since the last snapshot answers from
+        the cached fold: no sync round trip, no re-fold.
+        """
         return self.snapshot().estimate(lo, hi)
 
     def hot_ranges(

@@ -44,6 +44,14 @@ and exits at once; the parent's ``open()`` turns that into an
     reply ``("bye",)`` and return. The reply comes *after* the unlink,
     so a parent that has seen it knows ``/dev/shm`` is clean.
 
+The exit path collects garbage once, to break the sanitizer's cycle
+with the tree before the arena closes. ``worker_main`` calls
+``gc.freeze()`` on entry, so that collection (like any other in the
+worker) walks only the objects the worker itself allocated, never the
+heap it inherited from the parent under fork: walking that heap costs
+a forked child ~10 ms at exit and copy-on-write faults every page it
+touches.
+
 The worker never touches the parent's locks; backpressure lives
 entirely on the parent side, where the producer blocks/drops/spills
 against the ring itself. If the pipe dies (parent crash), the worker
@@ -153,6 +161,12 @@ def worker_main(
     this worker's shared-memory namespace, where its tree columns live.
     ``ring_table`` is the parent-allocated ring region's segment table.
     """
+    # Everything alive now was inherited from the parent (under fork)
+    # or built by the import (under spawn), and none of it is this
+    # worker's garbage. Freezing it moves it out of the collector's
+    # generations, so no collection here — the exit path's included —
+    # walks the inherited heap and copy-on-write faults its pages.
+    gc.freeze()
     label = f"shard[{shard_index}]"
     arena = ShmArena(f"{shm_prefix}s{shard_index}-")
     try:
@@ -309,7 +323,8 @@ def worker_main(
         # Drop every ndarray/memoryview export over the arena's buffers
         # before unlinking, so the segments can actually close. The
         # sanitizer's method wrappers form a reference cycle with the
-        # tree, so a collect is needed to actually release the views.
+        # tree, so a collect is needed to actually release the views;
+        # it walks only what this worker allocated since ``gc.freeze``.
         del tree
         pending_raw.clear()
         pending_counted.clear()

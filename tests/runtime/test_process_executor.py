@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import RapConfig
+from repro.core import RapConfig, find_hot_ranges
 from repro.runtime import Profiler, WorkerCrashed
 
 from tests.core.test_tree_fastpath import zipf_stream
@@ -187,6 +187,83 @@ class TestLifecycle:
         assert_no_leaks()
 
 
+def committed(profiler: Profiler) -> list:
+    """Frames each shard's ring has committed (data and sync alike)."""
+    return [ring.committed_frames for ring in profiler._rings]  # noqa: SLF001 - the sync rule is observable only on the rings
+
+
+def values_on_shard(profiler: Profiler, shard: int, count: int) -> list:
+    shard_of = profiler._partitioner.shard_of  # noqa: SLF001 - route a stream to one shard
+    return [v for v in range(UNIVERSE) if shard_of(v) == shard][:count]
+
+
+class TestSyncRule:
+    """A read syncs only the shards with news since their last sync.
+
+    A worker's state changes only on frames, so a shard whose ring
+    committed nothing since its acknowledged sync (and holds no spill
+    backlog) is answered from its cached payload, with no round trip.
+    """
+
+    def test_read_with_nothing_new_skips_the_round_trip(self):
+        with Profiler.from_config(process_config()) as profiler:
+            profiler.ingest(np.arange(6_000) % 4_999)
+            first = profiler.snapshot()
+            frames = committed(profiler)
+            assert profiler.query(0, UNIVERSE - 1) == first.estimate(
+                0, UNIVERSE - 1
+            )
+            assert profiler.snapshot() is first
+            profiler.drain()
+            assert profiler.hot_ranges(0.1) == find_hot_ranges(first, 0.1)
+            assert committed(profiler) == frames
+            assert profiler.snapshot() is first
+            assert profiler.metrics.events == 6_000
+            assert profiler.close() is first
+        assert_no_leaks()
+
+    def test_counted_ingest_to_one_shard_syncs_only_that_shard(self):
+        with Profiler.from_config(process_config()) as profiler:
+            profiler.ingest(np.arange(6_000) % 4_999)
+            first = profiler.snapshot()
+            frames = committed(profiler)
+            value = values_on_shard(profiler, 0, 1)[0]
+            profiler.ingest_counted([(value, 5)])
+            second = profiler.snapshot()
+            # Shard 0: the counted frame plus its sync frame; shard 1
+            # took no frame at all.
+            assert committed(profiler) == [frames[0] + 2, frames[1]]
+            assert second is not first
+            assert second.events == first.events + 5
+            assert second.estimate(value, value) >= first.estimate(
+                value, value
+            )
+        assert_no_leaks()
+
+    def test_spill_backlog_forces_a_sync(self):
+        from repro.runtime import MIN_RING_BYTES
+
+        with Profiler.from_config(
+            process_config(), ring_bytes=MIN_RING_BYTES, backpressure="spill"
+        ) as profiler:
+            profiler.ingest([1, 2, 3])
+            first = profiler.snapshot()
+            frames = committed(profiler)
+            # One counted frame far larger than the minimum ring: it
+            # cannot be placed whole, so it is spilled and nothing is
+            # committed — the backlog alone marks shard 0 as news.
+            pairs = [(v, 2) for v in values_on_shard(profiler, 0, 400)]
+            profiler.ingest_counted(pairs)
+            rings = profiler._rings  # noqa: SLF001 - backlog probe
+            assert rings[0].spill_backlog > 0
+            assert committed(profiler) == frames
+            snapshot = profiler.snapshot()
+            assert rings[0].spill_backlog == 0
+            assert snapshot.events == first.events + 800
+            assert profiler.metrics.spilled_batches > 0
+        assert_no_leaks()
+
+
 class TestCrashedWorker:
     """A killed worker is a diagnosable error, never a hang."""
 
@@ -197,6 +274,26 @@ class TestCrashedWorker:
             if time.monotonic() > deadline:  # pragma: no cover
                 pytest.fail("killed worker still alive")
             time.sleep(0.01)
+
+    def test_worker_killed_after_a_snapshot(self):
+        profiler = Profiler.from_config(process_config()).open()
+        try:
+            profiler.ingest(np.arange(6_000) % 4_999)
+            first = profiler.snapshot()
+            self._kill_shard(profiler, 0)
+            # A read with nothing new makes no round trip, and the fold
+            # is still exactly the accepted stream: it answers from it.
+            assert profiler.query(0, UNIVERSE - 1) == first.estimate(
+                0, UNIVERSE - 1
+            )
+            assert profiler.snapshot() is first
+        finally:
+            # close() syncs every shard, news or not.
+            with pytest.raises(WorkerCrashed) as excinfo:
+                profiler.close()
+        assert excinfo.value.shard == 0
+        assert profiler.closed
+        assert_no_leaks()
 
     def test_drain_surfaces_worker_death(self):
         profiler = Profiler.from_config(process_config()).open()

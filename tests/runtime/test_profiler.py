@@ -395,3 +395,35 @@ class TestIngestBoundary:
                 assert profiler.snapshot().events == 2
             profiler.ingest([9])
             assert profiler.close().events == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_ingest_counted_rejects_non_integer_pairs(self, executor):
+        with Profiler(
+            config(backend="columnar"), shards=2, executor=executor
+        ) as profiler:
+            profiler.ingest_counted([(7, 2)])
+            for pairs in (
+                # Truncating these would accept 3 events that never
+                # happened; ``ingest(np.array([7.9]))`` refuses them.
+                [(7.9, 2.6), (True, 1)],
+                [(5, 1), (True, 1)],
+                [(5, 1), (np.bool_(True), 1)],
+                [(5, 1), (np.float64(6.0), 1)],
+                [(5, 1), ("6", 1)],
+            ):
+                with pytest.raises(
+                    ValueError, match="event values must be integers"
+                ):
+                    profiler.ingest_counted(pairs)
+                assert profiler.snapshot().events == 2
+            for pairs in ([(5, 1), (6, 2.6)], [(5, 1), (6, True)]):
+                with pytest.raises(
+                    ValueError, match="event counts must be integers"
+                ):
+                    profiler.ingest_counted(pairs)
+                assert profiler.snapshot().events == 2
+            # Python and numpy integers of every width still pass.
+            profiler.ingest_counted(
+                [(np.uint64(9), np.int32(3)), (np.int16(11), 1)]
+            )
+            assert profiler.close().events == 6
