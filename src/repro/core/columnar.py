@@ -39,29 +39,41 @@ trees wrapped by ``attach_columns``, run on the first cover read).
 
 Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
 *window* per round. The round routes the window through the cover
-index, cuts it before the next merge trigger and before any malformed
-item, and partitions the cut into *safe* positions — provably inline at
-their arrival moment — and *holdout* positions. Safe positions are
-applied with one exact ``bincount`` scatter; holdouts (the tail of each
-owner that crosses the split threshold) replay through the exact scalar
-cascade in arrival order, each with ``events`` rewound to its arrival
-value, so split cascades land exactly where the object backend puts
-them. Unlike a prefix mask, a blocked owner never stalls the rest of
-the window: every other owner's items still vectorize. The scalar
-cascade is arithmetic-identical to :class:`repro.core.tree.RapTree`
-(same closed-form split crossing points, same mid-count merges), so the
-two backends produce identical trees for identical operation sequences.
+index and cuts it before the next merge trigger and before any
+malformed item. An owner whose whole-cut deposit fits the cut's first
+arrival threshold is *safe*: its items are applied with one exact
+``bincount`` scatter. Every other owner's items are *holdouts*, settled
+in array passes. A pass routes the remaining holdouts through the
+cover, takes each owner's running deposit against each item's own
+arrival threshold, scatters every item before the owner's first
+crossing, and sends only that crossing item through the exact scalar
+cascade, with ``events`` rewound to its arrival value, so split
+cascades land exactly where the object backend puts them. The next
+pass routes what is left through the cover those cascades deepened. A
+blocked owner never stalls the rest of the window, and a pass runs once
+per cascade generation, not once per item. The scalar cascade is
+arithmetic-identical to :class:`repro.core.tree.RapTree` (same
+closed-form split crossing points, same mid-count merges), so the two
+backends produce identical trees for identical operation sequences.
 
-Why the safe/holdout partition is exact: within one cut window no merge
-can fire (the cut ends before the trigger) and thresholds only grow, so
-a deposit that keeps its owner's counter at or below the *first* item's
-threshold fits at its own (later) arrival too. An owner's safe
-positions all precede its first crossing, so scattering them before
-replaying the holdouts reproduces the object backend's per-item
-counter states: a holdout cascade reads its owner's counter after
-exactly the deposits that preceded it in arrival order, and splits it
-performs only re-route items of that same owner (owner regions are
-disjoint, so other owners' routing is unaffected).
+Why the passes are exact: within one cut window no merge can fire (the
+cut ends before the trigger) and thresholds only grow, so a deposit
+that keeps its owner's counter at or below the *first* item's threshold
+fits at its own (later) arrival too, and a per-item check against each
+arrival threshold is exactly the scalar path's check. Owner regions are
+disjoint, so a cascade reads its owner's counter after exactly the
+deposits that preceded it in arrival order, and the splits it performs
+only re-route later items of that same owner; every other owner's items
+route as before.
+
+Regimes: a cold tree starts in *storm* mode, where nearly every
+deposit is a true crossing and windows run straight through the scalar
+kernel. The storm ends after two scalar windows in which under 1/64 of
+the items cascaded, and a vectorized round re-enters it only when a
+quarter of its items cascaded. The window doubles (up to
+``_WINDOW_MAX``) while under an eighth of a round cascades. Both
+signals count true cascades: a held item that fits costs an array
+pass, not the scalar kernel.
 
 Exactness: the fit predicate works entirely on the integer side.
 Per-owner deposits are summed exactly in int64 (``_exact_bincount``
@@ -111,7 +123,7 @@ from .stats import TreeStats
 _NO_SLOT = -1
 _INITIAL_CAPACITY = 64
 # Vectorized window sizing: grows while rounds come back nearly
-# holdout-free, shrinks while the holdout fraction is high (cold-start
+# cascade-free, shrinks while the cascade fraction is high (cold-start
 # split storms), bounding the threshold staleness a long window causes.
 _WINDOW_MIN = 512
 _WINDOW_START = 1024
@@ -273,7 +285,7 @@ class ColumnarRapTree:
         self._view_root: Optional[RapNode] = None
         self._view_generation = -1
         # Bulk-ingest mode flag, persistent across _ingest calls: a
-        # cold tree starts in a holdout storm (every deposit crosses
+        # cold tree starts in a split storm (every deposit crosses
         # the still-tiny thresholds), and chunked feeders like
         # add_stream re-enter _ingest mid-storm. Purely a routing
         # heuristic — both modes are the exact scalar semantics.
@@ -1010,6 +1022,7 @@ class ColumnarRapTree:
         """
         self._ingest(sorted(pairs), False)
 
+    # rap: hot
     def add_counted_arrays(
         self, values: np.ndarray, counts: np.ndarray
     ) -> None:
@@ -1341,11 +1354,11 @@ class ColumnarRapTree:
         """Shared bulk kernel behind extend/add_counted/add_batch.
 
         One vectorized round per window: scatter the provably-safe
-        positions, replay the holdouts through the exact scalar cascade
-        (see the module docstring). Items a round cannot start on —
-        merge triggers and malformed items — go through :meth:`add`,
-        which fires the merge mid-count or raises exactly like the
-        object backend. ``ones`` means ``items`` is a raw value stream;
+        positions, resolve the holdouts in exact array passes (see the
+        module docstring). Items a round cannot start on — merge
+        triggers and malformed items — go through :meth:`add`, which
+        fires the merge mid-count or raises exactly like the object
+        backend. ``ones`` means ``items`` is a raw value stream;
         otherwise it is a list of ``(value, count)`` pairs, consumed
         as-is (the scalar kernel unpacks the tuples exactly like the
         object backend's loops — no column transpose unless a
@@ -1354,9 +1367,8 @@ class ColumnarRapTree:
         ``columns`` is the array-native entry
         (:meth:`add_counted_arrays`): ``items`` is passed as ``None``
         and the ``(values, counts)`` arrays — already validated to fit
-        the column dtypes — feed the vectorized rounds directly. The
-        pair list is materialized lazily, only if a scalar window or a
-        per-item error path actually needs it.
+        the column dtypes — feed the vectorized rounds directly. A
+        scalar window transposes only its own slice into pairs.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -1368,26 +1380,36 @@ class ColumnarRapTree:
             col_values = col_counts = None
             total = len(items)
 
-        def _pairs() -> Sequence:
-            # Lazy pair list for the scalar windows of an array-native
-            # ingest; cached so storms pay the transpose once.
-            nonlocal items
-            if items is None:
-                items = list(
-                    zip(col_values.tolist(), col_counts.tolist())
+        def scalar_window(at: int, length: int) -> Tuple[int, int]:
+            # _scalar_run over [at, at + length); an array-native ingest
+            # transposes just that slice into pairs.
+            if items is not None:
+                return self._scalar_run(items, ones, at, length)
+            stop = at + length
+            pairs = list(
+                zip(
+                    col_values[at:stop].tolist(),
+                    col_counts[at:stop].tolist(),
                 )
-            return items
+            )
+            end, fallbacks = self._scalar_run(pairs, ones, 0, length)
+            return at + end, fallbacks
+
+        def add_item(at: int) -> None:
+            # One item through add(): fires a merge mid-count, or raises
+            # the object backend's exact error for a malformed item.
+            if ones:
+                self.add(items[at])
+            elif items is None:
+                self.add(int(col_values[at]), int(col_counts[at]))
+            else:
+                self.add(*items[at])
 
         stats = self._stats
         if stats.sample_every > 0 or self._audit_every:
             # Sampling/audit hooks must see every event: per-event path.
-            add = self.add
-            if ones:
-                for value in _pairs():
-                    add(value)
-            else:
-                for value, count in _pairs():
-                    add(value, count)
+            for at in range(total):
+                add_item(at)
             return
         if not total:
             return
@@ -1408,9 +1430,9 @@ class ColumnarRapTree:
         index = 0
         window = _WINDOW_START
         # Storm mode: while thresholds are tiny (cold tree, small n)
-        # nearly every item is a true crossing, so a vectorized round
-        # would compute masks just to route the whole window into the
-        # replay loop. Run those windows through the scalar kernel
+        # nearly every deposit is a true crossing, so a vectorized
+        # round would compute masks just to send the window through
+        # the cascade. Run those windows through the scalar kernel
         # directly and come back to vectorized rounds once crossings
         # thin out. The flag persists across calls (chunked feeders
         # re-enter here mid-storm).
@@ -1418,51 +1440,25 @@ class ColumnarRapTree:
         calm = self._calm
         try:
             while index < total:
-                if total - index < _MIN_VECTOR_TAIL:
-                    # Short tail: the scalar kernel, storm or not (it is
-                    # the exact cascade, just without the numpy round).
-                    next_index, fallbacks = self._scalar_run(
-                        _pairs(), ones, index, total - index
+                remaining = total - index
+                if storm or remaining < _MIN_VECTOR_TAIL:
+                    # Storm window or short tail (the whole tail): the
+                    # exact scalar kernel, without the numpy round.
+                    next_index, fallbacks = scalar_window(
+                        index,
+                        remaining
+                        if remaining < _MIN_VECTOR_TAIL
+                        else min(window, remaining),
                     )
                     if next_index == index:
-                        # Malformed item at the head: add() raises the
-                        # object backend's exact error.
-                        if ones:
-                            self.add(items[index])
-                        else:
-                            self.add(*items[index])
-                        index += 1
-                        continue
-                    consumed = next_index - index
-                    index = next_index
-                    if 64 * fallbacks > consumed:
-                        storm = True
-                        calm = 0
-                    else:
-                        calm += 1
-                        if calm >= 2:
-                            storm = False
-                    continue
-                if storm:
-                    next_index, fallbacks = self._scalar_run(
-                        _pairs(), ones, index, window
-                    )
-                    if next_index == index:
-                        # Malformed item at the head: add() raises the
-                        # object backend's exact error.
-                        if ones:
-                            self.add(items[index])
-                        else:
-                            self.add(*items[index])
+                        # Malformed item at the head.
+                        add_item(index)
                         index += 1
                         continue
                     consumed = next_index - index
                     index = next_index
                     # Leave the storm only when true crossings have
-                    # been rare for two windows running: the vectorized
-                    # rounds win solely through the safe scatter, a
-                    # single crossing owner can drag its whole camp
-                    # into the (pricier) replay loop, and one quiet
+                    # been rare for two windows running: one quiet
                     # window mid-storm is usually just the gap between
                     # split bursts.
                     if 64 * fallbacks > consumed:
@@ -1494,15 +1490,9 @@ class ColumnarRapTree:
                             # per-item path, which raises the same
                             # errors at the same item the object
                             # backend would.
-                            add = self.add
-                            if ones:
-                                while index < total:
-                                    add(items[index])
-                                    index += 1
-                            else:
-                                while index < total:
-                                    add(*items[index])
-                                    index += 1
+                            while index < total:
+                                add_item(index)
+                                index += 1
                             break
                     if ones:
                         invalid_at = np.flatnonzero(
@@ -1513,38 +1503,31 @@ class ColumnarRapTree:
                             (varr > np.uint64(self._root_hi)) | (carr <= 0)
                         )
                         cum_counts = np.cumsum(carr)
-                next_index, holdouts = self._vector_round(
+                next_index, cascades = self._vector_round(
                     varr, carr, cum_counts, invalid_at, ones, index, window
                 )
                 if next_index == index:
                     # Blocked at the head: merge trigger or malformed
                     # item — the scalar port decides authoritatively.
-                    if ones:
-                        self.add(_pairs()[index])
-                    else:
-                        if items is None:
-                            # Array-native head item: no pair list yet,
-                            # and one blocked item does not justify the
-                            # full transpose.
-                            self.add(
-                                int(varr[index]), int(carr[index])
-                            )
-                        else:
-                            self.add(*items[index])
+                    add_item(index)
                     index += 1
                     continue
                 consumed = next_index - index
                 index = next_index
-                storm = 4 * holdouts >= consumed
+                # Regime signals key on true cascades, not on held
+                # items: a held item that fits costs array passes, not
+                # the scalar kernel. Storm re-entry when a quarter of
+                # the round cascaded; long windows amortize the numpy
+                # overhead but stale-threshold more items into the
+                # holdout passes, so the window tracks the cascade
+                # fraction too.
+                storm = 4 * cascades >= consumed
                 if storm:
                     calm = 0
-                # Window adaptation: long windows amortize the numpy
-                # overhead but stale-threshold more items into holdouts;
-                # track the observed holdout fraction.
-                if 8 * holdouts <= consumed:
+                if 8 * cascades <= consumed:
                     if consumed == window and window < _WINDOW_MAX:
                         window *= 2
-                elif 4 * holdouts >= consumed and window > _WINDOW_MIN:
+                elif storm and window > _WINDOW_MIN:
                     window //= 2
         finally:
             self._storm = storm
@@ -1561,16 +1544,16 @@ class ColumnarRapTree:
     ) -> Tuple[int, int]:
         """Storm-mode window: the exact scalar kernel, no vector pass.
 
-        This is the replay loop of :meth:`_vector_round` applied to the
-        whole window — finger search, inline fit check, full cascade
-        only on true threshold/merge crossings, consecutive equal
-        values run-combined — without first computing a safe mask that
-        a cold window would route to the replay anyway. Semantics are
-        the scalar port's by construction; there is no mask to prove
-        anything about. Runs on the Python list directly (no array
-        conversion, and for counted feeds no column transpose — the
-        pair tuples are unpacked in place, exactly like the object
-        backend's loops): malformed items — out-of-universe values,
+        The exact scalar kernel over the whole window — finger search,
+        inline fit check, full cascade only on true threshold/merge
+        crossings, consecutive equal raw values run-combined — without
+        the safe mask and holdout passes a cold window would spend
+        mostly on cascades anyway. Semantics are the scalar port's by
+        construction; there is no mask to prove anything about. Runs
+        on a Python sequence — the caller's list, or just this window
+        of an array-native ingest transposed to pairs — with the pair
+        tuples unpacked in place, exactly like the object backend's
+        loops: malformed items — out-of-universe values,
         non-positive counts — are detected inline and stop the window
         at their position. Returns ``(next_index, fallbacks)`` where
         ``fallbacks`` counts full-cascade deposits — the storm-exit
@@ -1875,7 +1858,7 @@ class ColumnarRapTree:
             )
         return end, fallbacks
 
-    def _vector_round(  # noqa: RAP-LINT023 - holdout replay is the exact scalar port, measured faster inline
+    def _vector_round(
         self,
         varr: np.ndarray,
         carr: Optional[np.ndarray],
@@ -1885,24 +1868,21 @@ class ColumnarRapTree:
         start: int,
         window: int,
     ) -> Tuple[int, int]:
-        """Consume one window: safe scatter plus exact holdout replay.
+        """Consume one window: safe scatter plus exact holdout resolution.
 
-        Returns ``(next_index, holdouts)`` — the index of the first
-        unconsumed item and how many items replayed through the scalar
-        cascade (the adaptive window signal). A return of ``start``
-        means the round could not start (merge trigger or malformed
-        item at the head); the caller routes that item through add().
+        Returns ``(next_index, cascades)`` — the index of the first
+        unconsumed item and how many deposits took the full scalar
+        cascade (the regime signal: true threshold crossings, not
+        merely held items). A return of ``start`` means the round could
+        not start (merge trigger or malformed item at the head); the
+        caller routes that item through add().
 
-        The fit predicate is exact per *position*: a position is safe
-        when its owner's running deposit through it stays at or below
-        the item's own arrival threshold — the same comparison the
-        scalar cascade would make at that moment (the window is cut
-        before the next merge trigger, so arrival event totals are
-        known up front). Positions at or past their owner's first
-        crossing replay through the scalar cascade with ``events``
-        rewound to each item's arrival value, which reproduces the
-        object backend's split decisions exactly — the mask routes, it
-        never decides semantics.
+        An owner whose whole-window deposit fits the round's first —
+        smallest — arrival threshold is safe outright: its items
+        scatter in one exact bincount. Every other owner's items are
+        holdouts, settled by :meth:`_resolve_holdouts` against each
+        item's own arrival threshold (the window is cut before the next
+        merge trigger, so arrival event totals are known up front).
         """
         self._sync_cover()
         total = varr.size
@@ -1966,208 +1946,167 @@ class ColumnarRapTree:
         else:
             totals = _exact_bincount(owners, weights, size)
         owner_ok = self._is_item[:size] | (counts[:size] + totals <= th_int)
-        bad_at = np.flatnonzero(~owner_ok[owners])
-        hold_pos = None
-        if bad_at.size:
-            # The window total overshoots for hot owners that are not
-            # actually about to split — their early items fit even
-            # though the whole window's worth would not. Refine exactly
-            # for just the flagged owners, against each item's *own*
-            # arrival threshold (the th0 pre-filter uses the round's
-            # first — smallest — threshold; late-window items see a
-            # larger n and a larger budget). An item fits iff the
-            # owner's running deposit through it stays at or below
-            # max(eps_h * landed, min_th) with ``landed`` the global
-            # event total after the item — exactly the scalar fast
-            # path's predicate. From the owner's first true crossing
-            # onward every later item is held regardless of threshold:
-            # the crossing splits the owner, so the scalar cascade
-            # routes those items to a fresh child (groupwise
-            # cumulative-OR via a cumsum over the crossing flags).
-            # One groupwise running sum over the flagged positions —
-            # grouped with a stable owner sort so each group keeps
-            # arrival order — replaces a per-owner scan of the window.
-            bowners = owners[bad_at]
-            group_order = np.argsort(bowners, kind="stable")
-            bpos = bad_at[group_order]
-            bowners = bowners[group_order]
-            flagged = bpos.size
-            group_start = np.empty(flagged, dtype=np.bool_)
-            group_start[0] = True
-            np.not_equal(bowners[1:], bowners[:-1], out=group_start[1:])
-            at = np.arange(flagged, dtype=np.int64)
-            heads = np.maximum.accumulate(np.where(group_start, at, 0))
-            owner_base = counts[bowners]
-            if ones:
-                running = owner_base + (at - heads) + 1
-                landed = events_before + 1 + bpos
-            else:
-                wts = weights[bpos]
-                deposited = np.cumsum(wts)
-                running = (
-                    owner_base + deposited - (deposited[heads] - wts[heads])
-                )
-                landed = n_after[bpos]
-            # Integer-side thresholds, vectorized: float64(landed)
-            # rounds exactly like the scalar port's int-to-float
-            # conversion, and integral running > th iff running >
-            # floor(th). Thresholds at or past 2**63 are clamped to
-            # _INT64_MAX (no int64 counter can exceed them) before the
-            # cast, which would otherwise overflow.
-            th_arr = self._eps_over_height * landed.astype(np.float64)
-            np.maximum(th_arr, self._min_threshold, out=th_arr)
-            big = th_arr >= _TWO_POW_63
-            big_any = bool(big.any())
-            if big_any:
-                th_arr[big] = 0.0
-            th_per = np.floor(th_arr).astype(np.int64)
-            if big_any:
-                th_per[big] = _INT64_MAX
-            crossed = running > th_per
-            crossed_csum = np.cumsum(crossed)
-            held = (
-                crossed_csum - (crossed_csum[heads] - crossed[heads])
-            ) > 0
-            hold_mask = np.zeros(limit, dtype=np.bool_)
-            hold_mask[bpos[held]] = True
-            hold_pos = np.flatnonzero(hold_mask)
-            safe_pos = np.flatnonzero(~hold_mask)
-            if ones:
-                sums = np.bincount(owners[safe_pos], minlength=size)
-            else:
-                sums = _exact_bincount(
-                    owners[safe_pos], weights[safe_pos], size
-                )
-            safe_count = int(safe_pos.size)
-        else:
-            sums = totals
-            safe_count = limit
-        touched = np.flatnonzero(sums)
+        held = np.flatnonzero(~owner_ok[owners])
+        if held.size:
+            totals[~owner_ok] = 0
+        touched = np.flatnonzero(totals)
         if touched.size:
             # Both bincount shapes produce integer sums (unweighted
             # bincount returns intp; _exact_bincount returns int64).
-            counts[touched] += sums[touched]
+            counts[touched] += totals[touched]
             self._mark_dirty_many(touched)
-            safe_weight = (
-                safe_count if ones else int(sums[touched].sum())
-            )
+            safe_count = limit - int(held.size)
             self._stats.observe_batch(
-                safe_weight, safe_count, self._node_count
+                safe_count if ones else int(totals[touched].sum()),
+                safe_count,
+                self._node_count,
             )
-        holdouts = 0
-        if hold_pos is not None and hold_pos.size:
-            holdouts = int(hold_pos.size)
-            stats = self._stats
-            hold_values = varr[start + hold_pos].tolist()
-            hold_counts = (
-                None if ones else carr[start + hold_pos].tolist()
-            )
-            # Events at each held item's arrival, computed in one
-            # vector op (the cut prefix through its predecessor).
+        cascades = 0
+        if held.size:
             if ones:
-                arrivals = (events_before + hold_pos).tolist()
+                hold_weights = np.ones(held.size, dtype=np.int64)
+                arrivals = events_before + held
             else:
-                arrivals = np.where(
-                    hold_pos == 0,
-                    np.int64(events_before),
-                    events_before
-                    + cum_counts[start + hold_pos - 1]
-                    - base,
-                ).tolist()
-            # Replay loop: the same inline fast path as the object
-            # backend's extend kernel. A held item whose whole deposit
-            # fits its deepest cover at its arrival moment (an earlier
-            # holdout's split usually deepened the cover under it) is a
-            # one-store update — only true threshold/merge crossings
-            # take the full cascade. The finger search (_deepest_slot)
-            # resolves in ~O(1) because consecutive holdouts of one
-            # owner sit near each other. Fallbacks can split (growing
-            # and rebinding the column views) or merge (moving
-            # next_at), so the loop re-hoists its locals after each.
-            #
-            # Equal-value holdouts at *consecutive* window positions
-            # collapse into one counted deposit first: the cascade
-            # advances ``events`` per sub-deposit exactly as the object
-            # backend's per-item loop would (same thresholds at every
-            # intermediate total — this is the very equivalence
-            # ``add_counted`` is built on), and consecutiveness
-            # guarantees no other item's arrival lands in between. A
-            # camped stream's holdout storm becomes a handful of
-            # cascade calls instead of thousands.
-            positions_run = hold_pos.tolist()
-            deepest = self._deepest_slot
-            absorb = self._absorb_slot
-            scheduler = self._scheduler
-            eps_h = self._eps_over_height
-            min_th = self._min_threshold
-            next_at_now = scheduler.next_at
-            vcounts = self._v_counts
-            vitem = self._v_is_item
-            vdirty = self._v_dirty
-            vparents = self._v_parents
-            no_slot = _NO_SLOT
-            cap = self._capacity
-            pending_weight = 0
-            pending_updates = 0
-            i = 0
-            n_hold = holdouts
-            while i < n_hold:
-                value = hold_values[i]
-                evt = arrivals[i]
-                item_count = 1 if ones else hold_counts[i]
-                runs = 1
-                j = i + 1
-                while (
-                    j < n_hold
-                    and hold_values[j] == value
-                    and positions_run[j] == positions_run[j - 1] + 1
-                ):
-                    item_count += 1 if ones else hold_counts[j]
-                    runs += 1
-                    j += 1
-                i = j
-                slot = deepest(value)
-                landed = evt + item_count
-                if landed < next_at_now:
-                    c0 = vcounts[slot]
-                    if vitem[slot]:
-                        fits = True
-                    else:
-                        th = eps_h * landed
-                        if th < min_th:
-                            th = min_th
-                        # Python int vs float: exact at any magnitude.
-                        fits = c0 + item_count <= th
-                    if fits:
-                        vcounts[slot] = c0 + item_count
-                        pending_weight += item_count
-                        pending_updates += runs
-                        if not vdirty[slot]:
-                            walk = slot
-                            while walk != no_slot and not vdirty[walk]:
-                                vdirty[walk] = True
-                                walk = vparents[walk]
-                        continue
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-            if pending_updates:
-                stats.observe_batch(
-                    pending_weight, pending_updates, self._node_count
-                )
+                hold_weights = weights[held]
+                arrivals = n_after[held] - hold_weights
+            cascades = self._resolve_holdouts(
+                varr[start + held], hold_weights, arrivals
+            )
         # The whole cut is absorbed; land events on the cut's end (the
-        # last holdout's cascade may have left it mid-window).
+        # last cascade may have left it mid-window).
         self._events = (
             events_before + limit if ones else int(n_after[limit - 1])
         )
-        return start + limit, holdouts
+        return start + limit, cascades
+
+    # rap: hot
+    def _resolve_holdouts(
+        self,
+        values: np.ndarray,
+        weights: np.ndarray,
+        arrivals: np.ndarray,
+    ) -> int:
+        """Deposit a round's holdouts exactly, in array passes.
+
+        ``values``/``weights`` are the held items in arrival order and
+        ``arrivals`` the event total just before each one. A pass routes
+        them through the cover, groups them by owner (stable sort, so a
+        group keeps arrival order) and runs each owner's deposit against
+        every item's own arrival threshold — the scalar fast path's
+        predicate, on the integer side. Items before their owner's
+        first crossing fit and scatter in one exact bincount. Of the
+        rest, consecutive equal values merge into one counted deposit
+        (the equivalence ``add_counted`` is built on), each owner's
+        first crossing deposit takes the exact scalar cascade at its
+        arrival ``events``, in arrival order, and the others wait for
+        the next pass, which routes them through the cover the cascades
+        just deepened. Exact for the reason the safe scatter is (see the
+        module docstring): no merge fires inside a cut window and owner
+        regions are disjoint, so a cascade only re-routes items of its
+        own owner, all of which arrive after it. Each pass settles at
+        least one deposit per owner. Returns the number of cascades.
+        """
+        stats = self._stats
+        eps_h = self._eps_over_height
+        min_th = self._min_threshold
+        absorb = self._absorb_slot
+        updates = np.ones(values.size, dtype=np.int64)
+        cascades = 0
+        # Per-pass buffers, sized for the first (largest) pass.
+        positions = np.arange(values.size)
+        heads_buf = np.empty(values.size, dtype=np.bool_)
+        fit_buf = np.empty(values.size, dtype=np.bool_)
+        first_buf = np.empty(values.size, dtype=np.bool_)
+        while values.size:
+            n = values.size
+            self._sync_cover()
+            owners = self._cov_owner[
+                np.searchsorted(self._cov_starts, values, side="right") - 1
+            ]
+            order = np.argsort(owners, kind="stable")
+            grouped = owners[order]
+            group_weights = weights[order]
+            heads_buf[0] = True
+            np.not_equal(grouped[1:], grouped[:-1], out=heads_buf[1:n])
+            heads = np.maximum.accumulate(
+                np.where(heads_buf[:n], positions[:n], 0)
+            )
+            deposited = np.cumsum(group_weights)
+            running = (
+                self._counts[grouped]
+                + deposited
+                - (deposited[heads] - group_weights[heads])
+            )
+            # float64(landed) rounds like the scalar port's int-to-float
+            # conversion, and integral running > th iff running >
+            # floor(th). Thresholds at or past 2**63 clamp to
+            # _INT64_MAX (no int64 counter exceeds them) before the
+            # cast, which would otherwise overflow.
+            th = eps_h * (arrivals[order] + group_weights).astype(np.float64)
+            np.maximum(th, min_th, out=th)
+            big = th >= _TWO_POW_63
+            big_any = bool(big.any())
+            if big_any:
+                th[big] = 0.0
+            th_int = np.floor(th).astype(np.int64)
+            if big_any:
+                th_int[big] = _INT64_MAX
+            crossed = (running > th_int) & ~self._is_item[grouped]
+            seen = np.cumsum(crossed)
+            seen -= seen[heads] - crossed[heads]
+            fit_buf[order] = seen == 0
+            first_buf[order] = crossed & (seen == 1)
+            fit = fit_buf[:n]
+            first = first_buf[:n]
+            sums = _exact_bincount(owners[fit], weights[fit], self._size)
+            touched = np.flatnonzero(sums)
+            if touched.size:
+                self._counts[touched] += sums[touched]
+                self._mark_dirty_many(touched)
+                stats.observe_batch(
+                    int(sums[touched].sum()),
+                    int(updates[fit].sum()),
+                    self._node_count,
+                )
+            keep = ~fit
+            values = values[keep]
+            weights = weights[keep]
+            arrivals = arrivals[keep]
+            updates = updates[keep]
+            owners = owners[keep]
+            first = first[keep]
+            # Runs of consecutive equal values deposit as one counted
+            # item. A crossing item heads its run: an equal value just
+            # before it has the same owner, so it fitted.
+            join = (values[1:] == values[:-1]) & (
+                arrivals[1:] == arrivals[:-1] + weights[:-1]
+            )
+            if join.any():
+                heads_buf[0] = True
+                np.logical_not(join, out=heads_buf[1 : values.size])
+                runs = np.flatnonzero(heads_buf[: values.size])
+                weights = np.add.reduceat(weights, runs)
+                updates = np.add.reduceat(updates, runs)
+                values = values[runs]
+                arrivals = arrivals[runs]
+                owners = owners[runs]
+                first = first[runs]
+            for slot, value, count, arrival in zip(
+                owners[first].tolist(),
+                values[first].tolist(),
+                weights[first].tolist(),
+                arrivals[first].tolist(),
+            ):
+                self._events = arrival
+                absorb(slot, value, count)
+                stats.observe_update()
+                cascades += 1
+            rest = ~first
+            values = values[rest]
+            weights = weights[rest]
+            arrivals = arrivals[rest]
+            updates = updates[rest]
+        return cascades
 
     # ------------------------------------------------------------------
     # Split

@@ -128,14 +128,17 @@ def _warm_ingest_path(config: RapConfig) -> None:
     combining, the offline bootstrap build, the online counted kernel —
     over a tiny synthetic stream on heap-backed columns. Purely a
     warm-up: nothing escapes, and the profiler's trees are untouched.
+    The scratch universe is capped at 2**12, which holds every warm-up
+    value: over a 2**64 universe the hot values would burst ~30 levels
+    down, several times the cost for the same functions exercised.
     """
     try:
-        span = min(4096, config.range_max)
+        span = min(1 << 12, config.range_max)
         values = (np.arange(2048, dtype=np.uint64) * 7) % span
         uniques, counts = _combine_frames(
             [values], [(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))]
         )
-        scratch = ColumnarRapTree(config)
+        scratch = ColumnarRapTree(config.with_updates(range_max=span))
         if not scratch.bootstrap_counted_arrays(uniques, counts):
             scratch.add_counted_arrays(uniques, counts)
         scratch.add_counted_arrays(

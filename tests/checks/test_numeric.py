@@ -290,7 +290,10 @@ class TestRuleFixtureMatrix:
 class TestHotspec:
     def test_catalog_covers_the_bench_hot_set(self):
         entries = dict(HOT_FUNCTIONS)
-        assert "ColumnarRapTree._vector_round" in entries["core/columnar.py"]
+        columnar = entries["core/columnar.py"]
+        assert "ColumnarRapTree._vector_round" in columnar
+        assert "ColumnarRapTree._resolve_holdouts" in columnar
+        assert "ColumnarRapTree.add_counted_arrays" in columnar
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
         assert "RapTree.add_batch" in entries["core/tree.py"]
         assert catalog() == tuple(
