@@ -32,7 +32,10 @@ The production hot set mirrors the per-backend benchmark rows:
 * the object backend's descent-cache fast paths (``_locate`` plus the
   inline loops of ``extend``/``add_counted``/``add_batch``),
 * the TCAM batch match (``search_batch``) the hardware pipeline leans
-  on.
+  on,
+* the hash partitioner's ``split``, which every event of a multi-shard
+  profiler passes through on the dispatching thread (perfbench's
+  ``partition.self_s`` layer).
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         }
     ),
     "hardware/tcam.py": frozenset({"TernaryCam.search_batch"}),
+    "runtime/partition.py": frozenset({"HashPartitioner.split"}),
 }
 
 

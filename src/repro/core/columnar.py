@@ -38,23 +38,26 @@ path (``_rebuild_cover`` survives as the oracle that
 trees wrapped by ``attach_columns``, run on the first cover read).
 
 Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
-*window* per round. The round routes the window through the cover
-index and cuts it before the next merge trigger and before any
-malformed item. An owner whose whole-cut deposit fits the cut's first
-arrival threshold is *safe*: its items are applied with one exact
-``bincount`` scatter. Every other owner's items are *holdouts*, settled
-in array passes. A pass routes the remaining holdouts through the
-cover, takes each owner's running deposit against each item's own
-arrival threshold, scatters every item before the owner's first
-crossing, and sends only that crossing item through the exact scalar
-cascade, with ``events`` rewound to its arrival value, so split
-cascades land exactly where the object backend puts them. The next
-pass routes what is left through the cover those cascades deepened. A
-blocked owner never stalls the rest of the window, and a pass runs once
-per cascade generation, not once per item. The scalar cascade is
-arithmetic-identical to :class:`repro.core.tree.RapTree` (same
-closed-form split crossing points, same mid-count merges), so the two
-backends produce identical trees for identical operation sequences.
+*window* per round. The round routes the window through the cover index
+and cuts it before the next merge trigger and before any malformed
+item. Owners that merge churn left already over threshold are split
+*dry* first: each is checked at its first arrival in the cut with the
+scalar cascade's own dry-split predicate, split if it holds, and its
+items re-routed to the fresh children. An owner whose whole-cut deposit
+then fits the cut's first arrival threshold is *safe*: its items are
+applied with one exact ``bincount`` scatter. Every other owner's items
+are *holdouts*, settled in array passes. A pass routes the remaining
+holdouts through the cover, takes each owner's running deposit against
+each item's own arrival threshold, scatters every item before the
+owner's first crossing, and sends only that crossing item through the
+exact scalar cascade, with ``events`` rewound to its arrival value, so
+split cascades land exactly where the object backend puts them. The
+next pass routes what is left through the cover those cascades
+deepened. A blocked owner never stalls the rest of the window, and a
+pass runs once per cascade generation, not once per item. The scalar
+cascade is arithmetic-identical to :class:`repro.core.tree.RapTree`
+(same closed-form split crossing points, same mid-count merges), so the
+two backends produce identical trees for identical operation sequences.
 
 Why the passes are exact: within one cut window no merge can fire (the
 cut ends before the trigger) and thresholds only grow, so a deposit
@@ -64,7 +67,12 @@ arrival threshold is exactly the scalar path's check. Owner regions are
 disjoint, so a cascade reads its owner's counter after exactly the
 deposits that preceded it in arrival order, and the splits it performs
 only re-route later items of that same owner; every other owner's items
-route as before.
+route as before. The same facts make the dry pre-split exact: a dry
+split absorbs nothing and leaves ``events`` alone, and the owner's
+counter is untouched before its first arrival, so splitting it at the
+start of the cut builds the tree splitting it at that arrival would
+(only ``TreeStats.node_seconds`` books the new children a little
+earlier).
 
 Regimes: a cold tree starts in *storm* mode, where nearly every
 deposit is a true crossing and windows run straight through the scalar
@@ -73,7 +81,8 @@ the items cascaded, and a vectorized round re-enters it only when a
 quarter of its items cascaded. The window doubles (up to
 ``_WINDOW_MAX``) while under an eighth of a round cascades. Both
 signals count true cascades: a held item that fits costs an array
-pass, not the scalar kernel.
+pass, not the scalar kernel, and a dry pre-split costs one split, so
+neither counts.
 
 Exactness: the fit predicate works entirely on the integer side.
 Per-owner deposits are summed exactly in int64 (``_exact_bincount``
@@ -112,6 +121,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -1877,12 +1887,15 @@ class ColumnarRapTree:
         not start (merge trigger or malformed item at the head); the
         caller routes that item through add().
 
-        An owner whose whole-window deposit fits the round's first —
-        smallest — arrival threshold is safe outright: its items
-        scatter in one exact bincount. Every other owner's items are
-        holdouts, settled by :meth:`_resolve_holdouts` against each
-        item's own arrival threshold (the window is cut before the next
-        merge trigger, so arrival event totals are known up front).
+        Owners left over threshold by merge churn are split dry up
+        front (:meth:`_dry_owners`) and their items re-routed; dry
+        splits do not count as cascades. An owner whose whole-window
+        deposit fits the round's first — smallest — arrival threshold
+        is safe outright: its items scatter in one exact bincount.
+        Every other owner's items are holdouts, settled by
+        :meth:`_resolve_holdouts` against each item's own arrival
+        threshold (the window is cut before the next merge trigger, so
+        arrival event totals are known up front).
         """
         self._sync_cover()
         total = varr.size
@@ -1946,6 +1959,42 @@ class ColumnarRapTree:
         else:
             totals = _exact_bincount(owners, weights, size)
         owner_ok = self._is_item[:size] | (counts[:size] + totals <= th_int)
+        # Merge churn leaves owners already over threshold: their first
+        # arrival only splits them dry. Split those up front and re-route
+        # their items, so the holdout passes never see them. Candidates
+        # are over the round's first threshold, which every later
+        # arrival's is at least; _dry_owners decides exactly. (A dry
+        # owner this misses, only possible for a counted round's first
+        # item, still splits exactly in the holdout passes.)
+        dry = self._dry_owners(
+            ~owner_ok & (counts[:size] > th_int) & (totals > 0),
+            owners,
+            weights,
+            events_before if ones else n_after,
+        )
+        if dry.size:
+            moved_from = np.zeros(size, dtype=np.bool_)
+            moved_from[dry] = True
+            for slot in dry.tolist():
+                self._split_slot(slot)
+            self._sync_cover()
+            moved = np.flatnonzero(moved_from[owners])
+            owners[moved] = self._cov_owner[
+                np.searchsorted(
+                    self._cov_starts, varr[start + moved], side="right"
+                )
+                - 1
+            ]
+            # A split may have grown (reallocated) the columns.
+            size = self._size
+            counts = self._counts
+            if ones:
+                totals = np.bincount(owners, minlength=size)
+            else:
+                totals = _exact_bincount(owners, weights, size)
+            owner_ok = self._is_item[:size] | (
+                counts[:size] + totals <= th_int
+            )
         held = np.flatnonzero(~owner_ok[owners])
         if held.size:
             totals[~owner_ok] = 0
@@ -1979,6 +2028,69 @@ class ColumnarRapTree:
         )
         return start + limit, cascades
 
+    def _floor_thresholds(self, landed: np.ndarray) -> np.ndarray:
+        """``floor`` of the split threshold once ``landed`` events are in.
+
+        ``float64(landed)`` rounds like the scalar port's int-to-float
+        conversion in ``eps_h * (events + m)``, and for an integral
+        counter ``x > th`` iff ``x > floor(th)``, so comparing int64
+        counters against the result is exactly ``_absorb_slot``'s
+        check. Thresholds at or past 2**63 clamp to ``_INT64_MAX`` (no
+        int64 counter exceeds them) before the cast, which would
+        otherwise overflow.
+        """
+        th = self._eps_over_height * landed.astype(np.float64)
+        np.maximum(th, self._min_threshold, out=th)
+        big = th >= _TWO_POW_63
+        big_any = bool(big.any())
+        if big_any:
+            th[big] = 0.0
+        th_int = np.floor(th).astype(np.int64)
+        if big_any:
+            th_int[big] = _INT64_MAX
+        return th_int
+
+    def _dry_owners(
+        self,
+        candidate: np.ndarray,
+        owners: np.ndarray,
+        weights: Optional[np.ndarray],
+        arrival_base: Union[int, np.ndarray],
+    ) -> np.ndarray:
+        """Owners of a round that ``_absorb_slot`` would split dry.
+
+        ``candidate`` is a per-slot mask of owners that may be dry.
+        Each one is checked at its first arrival in the round, with
+        ``_absorb_slot``'s own predicate: the deposit does not fit
+        (``c0 + w > threshold(events + w)``) and the counter is already
+        over the threshold of the first unit (``c0 >
+        int(threshold(events + 1))``). ``arrival_base`` is the event
+        total before the round for a raw stream (``weights`` is
+        ``None``, item ``i`` arrives at ``arrival_base + i``), else the
+        round's running totals after each item. Returns the dry slots
+        in first-arrival order; the module docstring says why splitting
+        them at round start is exact.
+        """
+        if not candidate.any():
+            return owners[:0]
+        at = np.flatnonzero(candidate[owners])
+        slots, first = np.unique(owners[at], return_index=True)
+        at = at[first]
+        order = np.argsort(at)
+        slots = slots[order]
+        at = at[order]
+        if weights is None:
+            deposit = 1
+            arrival = arrival_base + at
+        else:
+            deposit = weights[at]
+            arrival = arrival_base[at] - deposit
+        c0 = self._counts[slots]
+        dry = (c0 + deposit > self._floor_thresholds(arrival + deposit)) & (
+            c0 > self._floor_thresholds(arrival + 1)
+        )
+        return slots[dry]
+
     # rap: hot
     def _resolve_holdouts(
         self,
@@ -2007,8 +2119,6 @@ class ColumnarRapTree:
         least one deposit per owner. Returns the number of cascades.
         """
         stats = self._stats
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
         absorb = self._absorb_slot
         updates = np.ones(values.size, dtype=np.int64)
         cascades = 0
@@ -2037,20 +2147,8 @@ class ColumnarRapTree:
                 + deposited
                 - (deposited[heads] - group_weights[heads])
             )
-            # float64(landed) rounds like the scalar port's int-to-float
-            # conversion, and integral running > th iff running >
-            # floor(th). Thresholds at or past 2**63 clamp to
-            # _INT64_MAX (no int64 counter exceeds them) before the
-            # cast, which would otherwise overflow.
-            th = eps_h * (arrivals[order] + group_weights).astype(np.float64)
-            np.maximum(th, min_th, out=th)
-            big = th >= _TWO_POW_63
-            big_any = bool(big.any())
-            if big_any:
-                th[big] = 0.0
-            th_int = np.floor(th).astype(np.int64)
-            if big_any:
-                th_int[big] = _INT64_MAX
+            # Integral running > th iff running > floor(th).
+            th_int = self._floor_thresholds(arrivals[order] + group_weights)
             crossed = (running > th_int) & ~self._is_item[grouped]
             seen = np.cumsum(crossed)
             seen -= seen[heads] - crossed[heads]

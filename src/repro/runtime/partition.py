@@ -15,12 +15,20 @@ of batch boundaries or executor):
   NUMA-style locality domains) at the cost of skew sensitivity.
 
 Both offer a scalar path (``shard_of``) and a vectorized numpy path
-(``split``) that produce identical assignments.
+(``split``) that produce identical assignments. ``split`` runs on the
+dispatching thread for every event of a multi-shard profiler, so it
+stays a few array passes: the hash is reduced with a bitmask when the
+shard count is a power of two (equal to ``%`` on unsigned values), and
+each shard's slice is taken with ``np.compress``, several times cheaper
+than boolean fancy indexing on the same mask. The range scheme keeps its
+boundaries in uint64 and searches uint64 keys, so no comparison rounds
+through float64 anywhere in a 2**64 universe.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import bisect
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +55,10 @@ class Partitioner:
 
         Returns one array per shard; shard ``i``'s array preserves the
         relative order of its events in the input. The concatenation of
-        all outputs is a permutation of the input.
+        all outputs is a permutation of the input. The process executor
+        encodes each output straight into its shard's ring as a raw
+        frame (the worker duplicate-combines across frames); the serial
+        executor combines per chunk through :meth:`split_counted`.
         """
         raise NotImplementedError
 
@@ -72,31 +83,6 @@ class Partitioner:
             )
         return combined
 
-    def split_counted_arrays(
-        self, values: np.ndarray
-    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """Partition and duplicate-combine, staying array-shaped.
-
-        The array-native sibling of :meth:`split_counted`: per shard,
-        ``(uniques, counts)`` ndarrays (``None`` for an empty shard)
-        instead of a pair list. ``np.unique`` output is sorted
-        ascending, so feeding a frame to
-        ``ColumnarRapTree.add_counted_arrays`` is observably identical
-        to ``add_batch`` on the equivalent pairs. (The process executor
-        ships *raw* ``split`` frames instead and duplicate-combines
-        across frames in each worker's combining buffer — see
-        ``repro.runtime.worker`` — so this combined shape serves the
-        in-process paths and counted feeds.)
-        """
-        frames: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-        for part in self.split(values):
-            if len(part) == 0:
-                frames.append(None)
-                continue
-            uniques, counts = np.unique(part, return_counts=True)
-            frames.append((uniques, counts))
-        return frames
-
 
 class HashPartitioner(Partitioner):
     """Fibonacci-hash assignment: uniform across shards under any skew."""
@@ -105,15 +91,21 @@ class HashPartitioner(Partitioner):
         mixed = (value * _FIB_MULT) & 0xFFFFFFFFFFFFFFFF
         return (mixed >> 32) % self.shards
 
+    # rap: hot
     def split(self, values: np.ndarray) -> List[np.ndarray]:
-        if self.shards == 1:
+        shards = self.shards
+        if shards == 1:
             return [np.asarray(values)]
         values = np.asarray(values, dtype=np.uint64)
         with np.errstate(over="ignore"):
             mixed = values * np.uint64(_FIB_MULT)
-        assignment = (mixed >> np.uint64(32)) % np.uint64(self.shards)
+        mixed >>= np.uint64(32)
+        if shards & (shards - 1):
+            mixed %= np.uint64(shards)
+        else:
+            mixed &= np.uint64(shards - 1)
         return [
-            values[assignment == shard] for shard in range(self.shards)
+            np.compress(mixed == shard, values) for shard in range(shards)
         ]
 
 
@@ -125,25 +117,29 @@ class RangePartitioner(Partitioner):
         if range_max < 2:
             raise ValueError(f"range_max must be >= 2, got {range_max}")
         self.range_max = range_max
-        # boundaries[i] is the first value owned by shard i+1; shard i
-        # owns [boundaries[i-1], boundaries[i]).
-        self._boundaries = np.array(
-            [(i * range_max) // shards for i in range(1, shards)],
-            dtype=np.int64,
-        )
+        # bounds[i] is the first value owned by shard i+1; shard i owns
+        # [bounds[i-1], bounds[i]). Python ints for shard_of, uint64 for
+        # split: both search exactly across the whole 2**64 universe.
+        self._bounds = [(i * range_max) // shards for i in range(1, shards)]
+        self._boundaries = np.array(self._bounds, dtype=np.uint64)
 
     def shard_of(self, value: int) -> int:
-        return int(np.searchsorted(self._boundaries, value, side="right"))
+        return bisect.bisect_right(self._bounds, value)
 
     def split(self, values: np.ndarray) -> List[np.ndarray]:
         if self.shards == 1:
             return [np.asarray(values)]
         values = np.asarray(values)
+        # Same-dtype search: uint64 keys against uint64 boundaries
+        # (mixed int64/uint64 operands would compare through float64).
         assignment = np.searchsorted(
-            self._boundaries, values, side="right"
+            self._boundaries,
+            values.astype(np.uint64, copy=False),
+            side="right",
         )
         return [
-            values[assignment == shard] for shard in range(self.shards)
+            np.compress(assignment == shard, values)
+            for shard in range(self.shards)
         ]
 
 

@@ -295,6 +295,7 @@ class TestHotspec:
         assert "ColumnarRapTree._resolve_holdouts" in columnar
         assert "ColumnarRapTree.add_counted_arrays" in columnar
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
+        assert "HashPartitioner.split" in entries["runtime/partition.py"]
         assert "RapTree.add_batch" in entries["core/tree.py"]
         assert catalog() == tuple(
             (relpath, qualname)

@@ -12,9 +12,17 @@ backend, plus the columnar structure's own invariants. A spy counts
 the resolver's passes and cascades, so each case is known to reach the
 path it names.
 
-The routing test pins where the time goes on a process worker's flush
+Merge churn leaves owners already over threshold: their first arrival
+only splits them dry. A round splits those owners up front
+(``_dry_owners``) and re-routes their items before it picks holdouts;
+the pre-split cases check that the split happens exactly when the
+scalar cascade would split dry at the owner's first arrival, and never
+on the round's first threshold alone.
+
+The routing tests pin where the time goes on a process worker's flush
 sequence: after the bootstrap, nearly every item must take the
-vectorized rounds, not the scalar storm windows.
+vectorized rounds, not the scalar storm windows, and few must need the
+holdout passes.
 """
 
 from __future__ import annotations
@@ -94,6 +102,18 @@ def interleave(items: list, hot: list, gap: int = 150) -> list:
     out = list(items)
     for k, entry in enumerate(hot):
         out.insert(100 + gap * k, entry)
+    return out
+
+
+def outside(seed: int, n: int, count: int = 1) -> list:
+    """Items spread over the universe away from the hot region, so they
+    never touch the owners a case sets up around ``HOT``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        value = rng.randrange(UNIVERSE)
+        if not HOT - 512 <= value < HOT + 512:
+            out.append((value, count))
     return out
 
 
@@ -213,33 +233,148 @@ class TestResolver:
         assert max(passes for _, passes, _ in resolver_calls) >= 3
 
 
+@pytest.fixture
+def dry_calls(monkeypatch):
+    """Record ``(candidate slots, dry slots)`` per ``_dry_owners`` call
+    (tests clear it once their warm-up is done)."""
+    from repro.core.columnar import ColumnarRapTree
+
+    calls = []
+    dry_owners = ColumnarRapTree._dry_owners
+
+    def spy(tree, candidate, owners, weights, arrival_base):
+        dry = dry_owners(tree, candidate, owners, weights, arrival_base)
+        calls.append((np.flatnonzero(candidate).tolist(), dry.tolist()))
+        return dry
+
+    monkeypatch.setattr(ColumnarRapTree, "_dry_owners", spy)
+    return calls
+
+
+def feed_both(obj, col, pairs: list, ones: bool) -> None:
+    """``pairs`` through ``add_counted``, or expanded through ``extend``."""
+    if ones:
+        values = [v for v, count in pairs for _ in range(count)]
+        obj.extend(values)
+        col.extend(values)
+    else:
+        obj.add_counted(pairs)
+        col.add_counted(pairs)
+
+
+def churned_trees(ones: bool):
+    """Warmed trees whose leaf over ``[HOT, HOT + 63]`` a merge has left
+    above the split threshold.
+
+    The leaf splits on a hot deposit, two of its fresh children take
+    small deposits, and the merge at 2**16 events folds all three back
+    into it: each child fits the merge threshold, their sum does not.
+    A calm tail after the merge leaves the storm regime.
+    """
+    obj, col = warmed_trees(merge_initial_interval=1 << 16, ones=ones)
+    churn = [(HOT, 300), (HOT + 16, 60), (HOT + 32, 60)]
+    feed = [interleave(outside(3, 600), churn)]
+    to_trigger = int(col.merge_scheduler.next_at) - (
+        col.events + sum(count for _, count in feed[0])
+    )
+    feed.append(outside(4, to_trigger) + outside(6, 3000))
+    for pairs in feed:
+        feed_both(obj, col, pairs, ones)
+    assert col.stats.merge_batches == 1
+    leaf = col.smallest_covering(HOT)
+    assert (leaf.lo, leaf.hi) == (HOT, HOT + 63) and not leaf.children
+    assert leaf.count > col.split_threshold
+    assert not col._storm
+    return obj, col
+
+
+class TestDryPresplit:
+    @pytest.mark.parametrize("ones", [False, True], ids=["counted", "extend"])
+    def test_merge_churned_leaf_splits_up_front(self, dry_calls, ones):
+        """The churned leaf takes two small hot deposits inside a window
+        of safe owners: the round splits it before scattering, and the
+        hot items land in its fresh children exactly as the scalar
+        cascade's dry split sends them."""
+        obj, col = churned_trees(ones)
+        dry_calls.clear()
+        pairs = interleave(
+            outside(5, 1000), [(HOT + 5, 3), (HOT + 40, 2)], gap=400
+        )
+        feed_both(obj, col, pairs, ones)
+        assert_same_tree(obj, col)
+        assert any(dry for _, dry in dry_calls)
+        assert col.find_node(HOT, HOT + 15) is not None
+
+    def test_owner_under_its_first_arrival_threshold_is_not_split(
+        self, dry_calls
+    ):
+        """The churned leaf's counter is above the round's first
+        threshold but not above the threshold at its own first arrival,
+        late in a window of heavy background items; there its deposit
+        fits, so nothing may split it."""
+        obj, col = churned_trees(ones=False)
+        leaf = col.smallest_covering(HOT)
+        th = col.config.split_threshold
+        # The round opens below the leaf's counter ...
+        assert th(col.events + 8) < leaf.count
+        dry_calls.clear()
+        background = outside(7, 1000, count=8)
+        arrival = col.events + 8 * 850
+        # ... and reaches it before the hot item arrives, with room.
+        assert leaf.count + 3 <= th(arrival + 1)
+        pairs = background[:850] + [(HOT + 5, 3)] + background[850:]
+        feed_both(obj, col, pairs, ones=False)
+        assert_same_tree(obj, col)
+        assert dry_calls and all(not dry for _, dry in dry_calls)
+        assert any(candidates for candidates, _ in dry_calls)
+        node = col.smallest_covering(HOT + 5)
+        assert (node.lo, node.hi) == (HOT, HOT + 63)
+
+
+def value_ingest_flushes(events: int = 1 << 21) -> list:
+    """A reduced value-ingest shard: parser load values over 2**64 (a
+    2**20-event base, replayed), hash-partitioned to shard 0 of 2 and
+    combined per 2**17 events, as the process worker flushes them."""
+    from repro.runtime.partition import HashPartitioner
+    from repro.workloads.spec import benchmark
+
+    base = np.asarray(
+        benchmark("parser").value_stream(1 << 20, seed=3).values,
+        dtype=np.uint64,
+    )
+    partitioner = HashPartitioner(2)
+    flushes, pending, buffered = [], [], 0
+    for at in range(0, events, 16384):
+        shard = partitioner.split(base[at % base.size :][:16384])[0]
+        pending.append(shard)
+        buffered += shard.size
+        if buffered >= 1 << 17:
+            flushes.append(
+                np.unique(np.concatenate(pending), return_counts=True)
+            )
+            pending, buffered = [], 0
+    assert len(flushes) >= 8
+    return flushes
+
+
+def replay(flushes: list):
+    tree = RapTree.from_config(
+        RapConfig(1 << 64, epsilon=0.02, backend="columnar")
+    )
+    assert tree.bootstrap_counted_arrays(*flushes[0])
+    for values, counts in flushes[1:]:
+        tree.add_counted_arrays(values, counts)
+    tree.check_invariants()
+    return sum(values.size for values, _ in flushes[1:])
+
+
 class TestRouting:
     def test_value_ingest_flushes_stay_vectorized(self, monkeypatch):
-        """A reduced value-ingest shard: parser load values over 2**64,
-        hash-partitioned to shard 0 of 2 and combined per 2**17 events,
-        as the process worker flushes them. After the bootstrap build,
-        the scalar storm windows must see under 2% of the items; true
-        split cascades are rare on a warmed tree, so held items must
-        not push it back into scalar windows."""
+        """After the bootstrap build, the scalar storm windows must see
+        under 2% of the items; true split cascades are rare on a warmed
+        tree, so held items must not push it back into scalar
+        windows."""
         from repro.core.columnar import ColumnarRapTree
-        from repro.runtime.partition import HashPartitioner
-        from repro.workloads.spec import benchmark
-
-        base = np.asarray(
-            benchmark("parser").value_stream(1 << 20, seed=3).values,
-            dtype=np.uint64,
-        )
-        partitioner = HashPartitioner(2)
-        flushes, pending, buffered = [], [], 0
-        for at in range(0, 1 << 21, 16384):
-            shard = partitioner.split(base[at % base.size :][:16384])[0]
-            pending.append(shard)
-            buffered += shard.size
-            if buffered >= 1 << 17:
-                flushes.append(
-                    np.unique(np.concatenate(pending), return_counts=True)
-                )
-                pending, buffered = [], 0
 
         scalar_items = 0
         scalar_run = ColumnarRapTree._scalar_run
@@ -251,13 +386,17 @@ class TestRouting:
             return end, fallbacks
 
         monkeypatch.setattr(ColumnarRapTree, "_scalar_run", spy)
-        tree = RapTree.from_config(
-            RapConfig(1 << 64, epsilon=0.02, backend="columnar")
-        )
-        assert tree.bootstrap_counted_arrays(*flushes[0])
-        for values, counts in flushes[1:]:
-            tree.add_counted_arrays(values, counts)
-        online = sum(values.size for values, _ in flushes[1:])
-        assert len(flushes) >= 8
+        online = replay(value_ingest_flushes())
         assert scalar_items < 0.02 * online
-        tree.check_invariants()
+
+    def test_merge_churn_skips_the_holdout_passes(self, resolver_calls):
+        """A whole value-ingest session's flushes (2**23 events, the
+        parser base replayed 8 times): merge churn leaves many owners
+        over threshold, and splitting them up front means the holdout
+        passes see under 3% of the items after the bootstrap build
+        (about 17% when each went through the passes to split dry)."""
+        flushes = value_ingest_flushes(1 << 23)
+        resolver_calls.clear()
+        online = replay(flushes)
+        held = sum(items for items, _, _ in resolver_calls)
+        assert held < 0.03 * online
