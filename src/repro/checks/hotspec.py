@@ -35,7 +35,10 @@ The production hot set mirrors the per-backend benchmark rows:
   on,
 * the hash partitioner's ``split``, which every event of a multi-shard
   profiler passes through on the dispatching thread (perfbench's
-  ``partition.self_s`` layer).
+  ``partition.self_s`` layer),
+* the snapshot fold: ``combine.py``'s array fold ``_fold_columns`` and
+  the columnar ``check_invariants`` it runs on every fold (perfbench's
+  ``fold.self_s`` layer).
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
             "ColumnarRapTree.add_counted",
             "ColumnarRapTree.add_counted_arrays",
             "ColumnarRapTree.add_batch",
+            "ColumnarRapTree.check_invariants",
         }
     ),
+    "core/combine.py": frozenset({"_fold_columns"}),
     "core/tree.py": frozenset(
         {
             "RapTree._locate",

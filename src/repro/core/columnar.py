@@ -199,8 +199,10 @@ class ColumnarRapTree:
     Implements the :class:`repro.core.backend.TreeBackend` protocol.
     ``root``/``nodes()``/``leaves()`` materialize a read-only
     :class:`~repro.core.node.RapNode` view of the columns (cached per
-    mutation generation) so serialization, auditing and folds treat both
+    mutation generation) so serialization and auditing treat both
     backends identically. Mutating the view does not affect the tree.
+    Folds, estimates, hot ranges and ``check_invariants`` read the
+    columns directly and never build the view.
     """
 
     #: dtype of every slot column plus the free stack, in
@@ -840,6 +842,39 @@ class ColumnarRapTree:
         tree._cov_owner = leaves[np.argsort(tree._los[leaves])]
         tree._cov_starts = tree._los[tree._cov_owner]
         return tree
+
+    def compact(self) -> None:
+        """Drop freed slots: renumber the live slots densely, in order.
+
+        Every column shrinks to ``node_count`` slots (the root stays
+        slot 0), pointers and cover owners are remapped, and the free
+        stack empties. The profile is unchanged (same ``dump_tree``,
+        estimates and merge state); slot-space scans (``estimate``,
+        hot ranges, ``check_invariants``) then cost ``node_count``,
+        not the high-water slot count. The array fold compacts its
+        result: pruning a complete partition frees most of its slots.
+        Heap-backed trees only; a tree on a column allocator keeps its
+        slots where the allocator put them.
+        """
+        if self._allocator is not None:
+            raise ValueError("compact() needs heap-backed columns")
+        self._sync_cover()
+        size = self._size
+        live_idx = np.flatnonzero(self._live[:size])
+        # One spare entry maps _NO_SLOT (index -1) to itself.
+        renumber = np.full(size + 1, _NO_SLOT, dtype=np.int64)
+        renumber[live_idx] = np.arange(live_idx.size)
+        for name in _ARRAY_COLUMNS:
+            column = getattr(self, name)[live_idx]
+            if name in ("_parents", "_first_child", "_next_sibling"):
+                column = renumber[column].astype(column.dtype)
+            setattr(self, name, column)
+        self._free_slots = np.zeros(live_idx.size, dtype=np.int32)
+        self._free_top = 0
+        self._size = self._capacity = int(live_idx.size)
+        self._cov_owner = renumber[self._cov_owner]
+        self._cached_slot = 0
+        self._rebind_views()
 
     def counter_rows(
         self,
@@ -2724,61 +2759,198 @@ class ColumnarRapTree:
 
         TreeAuditor().audit(self).raise_if_failed()
 
+    # rap: hot
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on any broken structural invariant.
 
-        Runs the object backend's full check against the materialized
-        view (geometry, conservation, parent pointers, merge-cache
-        coherence), then audits the columnar bookkeeping itself: the
-        free stack, the live/depth columns, the recycled-slot resets
-        and the incrementally-spliced cover index (compared against a
-        from-scratch rebuild).
+        Checks every property :meth:`repro.core.tree.RapTree.check_invariants`
+        checks of a linked tree, in array passes over the live slots
+        (no node view, no per-slot loop; ``combine_many`` runs this on
+        every fold):
+
+        * geometry: every child is a ``partition_range`` cell of its
+          parent (the ``(base, extra)`` cell formula; the root's cells
+          in Python ints, since its width can be ``2**64``), and
+          siblings are sorted and disjoint;
+        * counts: counters are non-negative and sum exactly to
+          ``events``, and the live slots number ``node_count``;
+        * pointers: parent pointers and depths agree, and
+          ``first_child``/``next_sibling``/``n_children`` are exactly
+          the ``(parent, lo)`` ordering of the live slots;
+        * merge caches: no clean node has a dirty child, and every
+          clean node's ``cached_weight``/``cached_min`` equal the
+          bottom-up subtree sums and minima.
+
+        Then the columnar bookkeeping: the free stack against the live
+        column, the allocation defaults of freed slots, and the
+        incrementally spliced cover index against a from-scratch
+        :meth:`_rebuild_cover`.
         """
-        from .tree import RapTree
-
-        probe = RapTree(self._config)
-        probe._events = self._events  # noqa: SLF001 - borrowed checker
-        probe._node_count = self._node_count  # noqa: SLF001 - borrowed checker
-        probe._root = self._materialize()  # noqa: SLF001 - borrowed checker
-        probe.check_invariants()
-
         size = self._size
-        live_slots = [slot for slot in range(size) if self._live[slot]]
-        assert len(live_slots) == self._node_count, (
-            f"live column counts {len(live_slots)} slots, "
+        live = self._live[:size]
+        live_idx = np.flatnonzero(live)
+        assert live_idx.size == self._node_count, (
+            f"live column counts {live_idx.size} slots, "
             f"node_count says {self._node_count}"
         )
-        free_list = self._free_slots[: self._free_top].tolist()
-        free_set = set(free_list)
-        assert len(free_set) == len(free_list), "free stack has duplicates"
-        assert len(free_set) + len(live_slots) == size, (
+        assert size and live[0], "the root slot must be live"
+        counts = self._counts[:size]
+        los = self._los[:size]
+        his = self._his[:size]
+        parents = self._parents[:size]
+        depth = self._depth[:size]
+        dirty = self._dirty[:size]
+
+        # Slot accounting: the free stack holds exactly the dead slots,
+        # each restored to the allocation defaults _alloc relies on.
+        free = self._free_slots[: self._free_top]
+        assert np.all((free >= 0) & (free < size)), (
+            "free stack holds a slot outside the allocated prefix"
+        )
+        on_stack = np.zeros(size, dtype=np.bool_)
+        on_stack[free] = True
+        assert np.count_nonzero(on_stack) == free.size, (
+            "free stack has duplicates"
+        )
+        assert not np.any(on_stack & live), "a free slot is still live"
+        assert free.size + live_idx.size == size, (
             "free stack and live column disagree on slot accounting"
         )
-        for slot in free_list:
-            assert not self._live[slot], f"free slot {slot} is still live"
-            assert self._counts[slot] == 0, (
-                f"free slot {slot} holds a nonzero count"
+        assert not (
+            np.any(counts[free])
+            or np.any(self._is_item[free])
+            or np.any(self._first_child[free] != _NO_SLOT)
+            or np.any(self._n_children[free])
+            or not np.all(dirty[free])
+        ), "a free slot was not reset to the allocation defaults"
+
+        # Counts: non-negative, summed exactly (32-bit halves keep every
+        # int64 partial sum in range) to the event total.
+        live_counts = counts[live_idx]
+        negative = live_idx[live_counts < 0]
+        assert not negative.size, f"negative counter at slot {negative[0]}"
+        weight = (int(np.sum(live_counts >> 32)) << 32) + int(
+            np.sum(live_counts & _LOW32)
+        )
+        assert weight == self._events, (
+            f"tree weight {weight} != events {self._events}"
+        )
+        live_los = los[live_idx]
+        live_his = his[live_idx]
+        assert np.all(live_los <= live_his), "a live slot has an empty range"
+        assert np.array_equal(
+            self._is_item[live_idx], live_los == live_his
+        ), "an item flag disagrees with its bounds"
+
+        # Pointers: every non-root live slot hangs one level below a
+        # live parent (so the parent graph is a tree rooted at slot 0),
+        # and the chains are the (parent, lo) ordering of those slots.
+        assert (
+            los[0] == 0
+            and int(his[0]) == self._root_hi
+            and depth[0] == 0
+            and parents[0] == _NO_SLOT
+        ), "slot 0 is not the root of the universe"
+        kids = live_idx[1:]
+        up = parents[kids].astype(np.int64)
+        assert np.all((up >= 0) & (up < size)) and np.all(live[up]), (
+            "a live slot's parent pointer misses a live slot"
+        )
+        assert np.array_equal(depth[kids], depth[up] + 1), (
+            "a child's depth disagrees with its parent's"
+        )
+        order = np.lexsort((los[kids], up))
+        kids = kids[order]
+        up = up[order]
+        same = up[1:] == up[:-1]
+        heads = np.ones(kids.size, dtype=np.bool_)
+        heads[1:] = ~same
+        heads = np.flatnonzero(heads)
+        first_child = np.full(size, _NO_SLOT, dtype=np.int64)
+        first_child[up[heads]] = kids[heads]
+        next_sibling = np.full(size, _NO_SLOT, dtype=np.int64)
+        next_sibling[kids[:-1][same]] = kids[1:][same]
+        n_children = np.bincount(up, minlength=size)
+        assert np.array_equal(
+            self._first_child[live_idx], first_child[live_idx]
+        ) and np.array_equal(
+            self._next_sibling[live_idx], next_sibling[live_idx]
+        ), "a sibling chain disagrees with the (parent, lo) order"
+        assert np.array_equal(
+            self._n_children[live_idx], n_children[live_idx]
+        ), "an n_children count disagrees with its chain"
+
+        # Geometry: siblings sorted and disjoint; each child one of its
+        # parent's partition cells.
+        assert np.all(his[kids[:-1][same]] < los[kids[1:][same]]), (
+            "children overlap/unsorted"
+        )
+        at_root = up == 0
+        cells = set(partition_range(0, self._root_hi, self._config.branching))
+        for lo, hi in zip(
+            los[kids[at_root]].tolist(), his[kids[at_root]].tolist()
+        ):
+            assert (lo, hi) in cells, (
+                f"child [{lo}, {hi}] is not a partition cell of the root"
             )
-            assert not self._is_item[slot], (
-                f"free slot {slot} still flagged as an item"
+        child = kids[~at_root]
+        parent = up[~at_root]
+        parent_lo = los[parent]
+        width = his[parent] - parent_lo + np.uint64(1)
+        splittable = width >= np.uint64(2)  # 0 after a 2**64 wrap too
+        width[~splittable] = 2
+        cells_n = np.minimum(width, np.uint64(self._config.branching))
+        base = width // cells_n
+        extra = width % cells_n
+        # Invert the cell formula, then re-apply it: the first ``extra``
+        # cells are ``base + 1`` wide, the rest ``base``.
+        offset = los[child] - parent_lo
+        wide = extra * (base + np.uint64(1))
+        cell = np.where(
+            offset < wide,
+            offset // (base + np.uint64(1)),
+            extra + (offset - wide) // base,
+        )
+        start = parent_lo + cell * base + np.minimum(cell, extra)
+        end = start + base - (cell >= extra).astype(np.uint64)
+        misfit = child[
+            ~(
+                splittable
+                & (cell < cells_n)
+                & (start == los[child])
+                & (end == his[child])
             )
-        assert int(self._depth[0]) == 0, "root depth must be 0"
-        for slot in live_slots:
-            kids = self._children_slots(slot)
-            assert self._n_children[slot] == len(kids), (
-                f"slot {slot} chain length != n_children"
-            )
-            assert bool(self._is_item[slot]) == (
-                self._los[slot] == self._his[slot]
-            ), f"slot {slot} item flag disagrees with its bounds"
-            for kid in kids:
-                assert self._live[kid], f"dead child {kid} in chain of {slot}"
-                assert self._parents[kid] == slot, (
-                    f"child {kid} has wrong parent pointer"
-                )
-                assert self._depth[kid] == self._depth[slot] + 1, (
-                    f"child {kid} depth disagrees with parent {slot}"
-                )
+        ]
+        assert not misfit.size, (
+            f"child [{los[misfit[0]]}, {his[misfit[0]]}] is not a "
+            f"partition cell of its parent slot {parents[misfit[0]]}"
+        )
+
+        # Merge caches: subtree sums and minima bottom-up by level.
+        assert not np.any(~dirty[up] & dirty[kids]), (
+            "a clean node has a dirty child"
+        )
+        by_depth = live_idx[np.argsort(depth[live_idx], kind="stable")]
+        bounds = np.searchsorted(
+            depth[by_depth], np.arange(int(depth[by_depth[-1]]) + 2)
+        )
+        up_by_depth = parents[by_depth]
+        subtree = counts.copy()
+        for level in range(bounds.size - 2, 0, -1):
+            rows = slice(bounds[level], bounds[level + 1])
+            np.add.at(subtree, up_by_depth[rows], subtree[by_depth[rows]])
+        minima = subtree.copy()
+        for level in range(bounds.size - 2, 0, -1):
+            rows = slice(bounds[level], bounds[level + 1])
+            np.minimum.at(minima, up_by_depth[rows], minima[by_depth[rows]])
+        clean = live_idx[~dirty[live_idx]]
+        assert np.array_equal(self._cached_weight[clean], subtree[clean]), (
+            "a clean node caches a stale subtree weight"
+        )
+        assert np.array_equal(self._cached_min[clean], minima[clean]), (
+            "a clean node caches a stale subtree minimum"
+        )
+
         self._sync_cover()
         expected_starts = self._cov_starts
         expected_owner = self._cov_owner

@@ -30,7 +30,13 @@ expands that partition top-down one level per pass with a vectorized
 ``np.add.at``, lays the result out as columns and prunes it with the
 columnar kernel's vectorized merge pass. All shards go into one
 accumulator and each shard is read once (a pairwise fold re-copies the
-accumulated tree per shard, quadratic in the number of shards).
+accumulated tree per shard, quadratic in the number of shards). The
+pruned columns pass the columnar ``check_invariants`` (array passes)
+and are the result when the shards' config says
+``backend="columnar"``, so reads of a columnar profile stay on array
+paths; object-config shards get the same tree as a linked
+:class:`~repro.core.tree.RapTree`. The result's backend follows the
+config, as ``RapTree.from_config`` does.
 
 Columns hold 64-bit bounds and counters, so universes above ``2**64``
 (or totals above ``2**63 - 1``) take the reference fold instead:
@@ -87,8 +93,11 @@ def combine_many(
     re-copy the accumulated tree per shard. A single tree is returned
     as-is (callers that must not alias the input — e.g. runtime
     snapshots — should :meth:`~repro.core.tree.RapTree.clone` it).
-    Otherwise the result is a new object-backend :class:`RapTree` that
-    passed ``check_invariants``.
+    Otherwise the result is a new tree of the backend the combined
+    config names (a :class:`~repro.core.columnar.ColumnarRapTree` for
+    ``backend="columnar"``, a linked :class:`RapTree` for ``"object"``
+    and for every fold above ``2**64``), and it passed
+    ``check_invariants``.
 
     Error bound: each shard ``i`` undercounts any range by at most
     ``epsilon_i * n_i``, and the fold deposits every shard counter at
@@ -104,7 +113,7 @@ def combine_many(
     total_events = sum(tree.events for tree in trees)
     if config.range_max > 2**64 or total_events > _INT64_MAX:
         return _fold_by_descent(trees, config)
-    return _fold_columns(trees, config, total_events)
+    return _fold_columns(trees, config)
 
 
 def combine_by_descent(
@@ -158,16 +167,14 @@ def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
     return combined
 
 
-def _fold_columns(
-    trees: Sequence[RapTree], config: RapConfig, total_events: int
-) -> RapTree:
+# rap: hot
+def _fold_columns(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
     """The array fold: gather, expand, deposit, merge (module docstring)."""
     row_lo, row_hi, row_count, row_depth = (
         np.concatenate(column) for column in zip(*map(_counter_rows, trees))
     )
-    combined = RapTree(config)
     if not row_count.size:
-        return combined
+        return RapTree.from_config(config)
     by_depth = np.argsort(row_depth, kind="stable")
     row_lo, row_hi, row_count, row_depth = (
         column[by_depth] for column in (row_lo, row_hi, row_count, row_depth)
@@ -176,73 +183,82 @@ def _fold_columns(
     bounds = np.searchsorted(row_depth, np.arange(max_depth + 2))
     branching = config.branching
 
+    # Row starts in lo order; each level drops the rows at its depth,
+    # which leaves the starts of the deeper rows, still sorted.
+    by_lo = np.argsort(row_lo, kind="stable")
+    deeper_lo = row_lo[by_lo]
+    deeper_depth = row_depth[by_lo]
     level_lo = np.zeros(1, dtype=np.uint64)
     level_hi = np.full(1, config.range_max - 1, dtype=np.uint64)
     level_parent = np.full(1, -1, dtype=np.int64)
     lo_parts: List[np.ndarray] = []
     hi_parts: List[np.ndarray] = []
     parent_parts: List[np.ndarray] = []
-    count_parts: List[np.ndarray] = []
-    depth_parts: List[np.ndarray] = []
+    slot_parts: List[np.ndarray] = []
     base_slot = 0
     for depth in range(max_depth + 1):
-        # Deposit this level's rows onto their nodes; the level is
-        # sorted by lo and its ranges are disjoint, so one binary
-        # search per row finds its node.
-        rows = slice(bounds[depth], bounds[depth + 1])
-        level_count = np.zeros(level_lo.size, dtype=np.int64)
-        at = np.searchsorted(level_lo, row_lo[rows])
-        if at.size:
-            at_ok = np.minimum(at, level_lo.size - 1)
-            if not level_lo.size or not (
-                np.array_equal(level_lo[at_ok], row_lo[rows])
-                and np.array_equal(level_hi[at_ok], row_hi[rows])
-            ):
-                raise ValueError(
-                    "a shard counter is not a partition range of this "
-                    "universe at its depth"
-                )
-            np.add.at(level_count, at, row_count[rows])
+        # Find each of this level's rows a node: the level is sorted by
+        # lo and its ranges are disjoint, so one binary search per row
+        # does it (checked against the row's bounds after the loop).
+        at = np.searchsorted(
+            level_lo, row_lo[bounds[depth] : bounds[depth + 1]]
+        )
+        slot_parts.append(base_slot + np.minimum(at, level_lo.size - 1))
         lo_parts.append(level_lo)
         hi_parts.append(level_hi)
         parent_parts.append(level_parent)
-        count_parts.append(level_count)
-        depth_parts.append(np.full(level_lo.size, depth, dtype=np.int64))
         if depth == max_depth:
             break
         # Expand a node iff some deeper row starts inside it.
-        deeper_lo = np.sort(row_lo[bounds[depth + 1] :])
+        deeper = deeper_depth > depth
+        deeper_lo = deeper_lo[deeper]
+        deeper_depth = deeper_depth[deeper]
         inside = np.searchsorted(
             deeper_lo, level_hi, side="right"
         ) - np.searchsorted(deeper_lo, level_lo, side="left")
         expand = np.flatnonzero(inside)
-        if np.any(level_lo[expand] == level_hi[expand]):
-            raise ValueError("a shard counter lies below an item range")
         level_lo, level_hi, rows_of = _partition_cells(
             level_lo[expand], level_hi[expand], branching, root=depth == 0
         )
         level_parent = base_slot + expand[rows_of]
         base_slot += lo_parts[-1].size
 
+    los = np.concatenate(lo_parts)
+    his = np.concatenate(hi_parts)
+    parents = np.concatenate(parent_parts)
+    row_slot = np.concatenate(slot_parts)
+    if not (
+        np.array_equal(los[row_slot], row_lo)
+        and np.array_equal(his[row_slot], row_hi)
+    ):
+        raise ValueError(
+            "a shard counter is not a partition range of this universe "
+            "at its depth"
+        )
+    if np.any(los[parents[1:]] == his[parents[1:]]):
+        raise ValueError("a shard counter lies below an item range")
+    counts = np.zeros(los.size, dtype=np.int64)
+    np.add.at(counts, row_slot, row_count)
+    depths = np.repeat(
+        np.arange(len(lo_parts)), [part.size for part in lo_parts]
+    )
     folded = ColumnarRapTree.from_complete_partition(
-        config,
-        np.concatenate(lo_parts),
-        np.concatenate(hi_parts),
-        np.concatenate(depth_parts),
-        np.concatenate(parent_parts),
-        np.concatenate(count_parts),
+        config, los, his, depths, parents, counts
     )
     folded.merge_now()
-    # Hand the pruned tree over as the object backend the fold has
-    # always returned: the columnar view *is* a linked RapNode tree,
-    # and the fold owns both trees.
+    folded.compact()
+    folded.check_invariants()
+    if config.backend == "columnar":
+        return folded  # type: ignore[return-value]
+    # Object-config shards get the object backend: the columnar view
+    # *is* a linked RapNode tree, and the fold owns both trees.
+    combined = RapTree(config)
     combined._root = folded.root  # noqa: SLF001 - fold owns it
     combined._node_count = folded.node_count  # noqa: SLF001 - fold owns it
-    combined._events = total_events  # noqa: SLF001 - fold owns it
+    combined._events = folded.events  # noqa: SLF001 - fold owns it
     combined._scheduler = folded.merge_scheduler  # noqa: SLF001 - fold owns it
     combined._stats = folded.stats  # noqa: SLF001 - fold owns it
     combined._generation = folded.mutation_generation  # noqa: SLF001 - fold owns it
-    combined.check_invariants()
     return combined
 
 

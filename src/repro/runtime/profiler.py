@@ -965,7 +965,9 @@ class Profiler:
         process executor (see :meth:`drain`), then folds the shard
         trees with :func:`~repro.core.combine.combine_many`, which
         builds the combined tree from the shards' counter rows with
-        array kernels.
+        array kernels. The snapshot's backend follows the config:
+        a ``ColumnarRapTree`` for ``backend="columnar"`` (every process
+        executor snapshot), a linked ``RapTree`` for ``"object"``.
         The result is independent of the live shards (single-shard
         profiles are cloned; process-executor shards are folded from
         their attached shared-memory columns) and cached: repeated
@@ -1036,7 +1038,10 @@ class Profiler:
         always independent of worker state: a single shard is cloned,
         multiple shards fold through ``combine_many``, which copies each
         attached shard's nonzero counter rows out of its columns (no
-        node view, no cover index) and builds a fresh tree from them.
+        node view, no cover index) and builds fresh heap columns from
+        them. Either way the snapshot is a ``ColumnarRapTree`` (the
+        process executor requires ``backend="columnar"``), so reads of
+        it run on array paths and no column aliases worker memory.
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
 

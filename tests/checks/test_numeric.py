@@ -294,6 +294,8 @@ class TestHotspec:
         assert "ColumnarRapTree._vector_round" in columnar
         assert "ColumnarRapTree._resolve_holdouts" in columnar
         assert "ColumnarRapTree.add_counted_arrays" in columnar
+        assert "ColumnarRapTree.check_invariants" in columnar
+        assert "_fold_columns" in entries["core/combine.py"]
         assert "TernaryCam.search_batch" in entries["hardware/tcam.py"]
         assert "HashPartitioner.split" in entries["runtime/partition.py"]
         assert "RapTree.add_batch" in entries["core/tree.py"]

@@ -10,13 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ExactProfiler
-from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree
+from repro.core import (
+    ColumnarRapTree,
+    RapConfig,
+    RapTree,
+    dump_tree,
+    find_hot_ranges,
+)
 from repro.core.combine import (
     combine_by_descent,
     combine_many,
     combine_trees,
     split_stream_profile,
 )
+from repro.core.node import RapNode
 
 UNIVERSE = 1024
 
@@ -242,6 +249,54 @@ class TestArrayFoldMatchesDescent:
         assert dump_tree(folded) == dump_tree(reference)
         folded.check_invariants()
 
+    @given(
+        universe=st.sampled_from([u for u in UNIVERSES if u <= 2**64]),
+        branching=st.sampled_from([2, 3, 4, 8]),
+        shards=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**32 - 1),
+                st.sampled_from([0, 1, 40, 700, 2500]),
+            ),
+            min_size=2, max_size=4,
+        ),
+        hot_fraction=st.sampled_from([0.02, 0.1, 0.5]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fold_backend_follows_the_config(
+        self, universe, branching, shards, hot_fraction, data
+    ):
+        def shards_for(backend):
+            config = RapConfig(
+                range_max=universe,
+                epsilon=0.05,
+                branching=branching,
+                merge_initial_interval=64,
+                backend=backend,
+            )
+            return [shard_of(config, seed, events) for seed, events in shards]
+
+        columnar_shards = shards_for("columnar")
+        folded = combine_many(columnar_shards)
+        assert type(folded) is ColumnarRapTree
+        folded.check_invariants()
+        as_object = combine_many(shards_for("object"))
+        assert type(as_object) is RapTree
+        reference = combine_by_descent(columnar_shards)
+        assert type(reference) is RapTree
+        for other in (as_object, reference):
+            assert dump_tree(folded) == dump_tree(other)
+            assert find_hot_ranges(folded, hot_fraction) == find_hot_ranges(
+                other, hot_fraction
+            )
+        bound = st.integers(min_value=0, max_value=universe - 1)
+        for lo, hi in data.draw(
+            st.lists(st.tuples(bound, bound), min_size=1, max_size=8)
+        ):
+            lo, hi = min(lo, hi), max(lo, hi)
+            assert folded.estimate(lo, hi) == as_object.estimate(lo, hi)
+            assert folded.estimate(lo, hi) == reference.estimate(lo, hi)
+
     def test_attached_shards_fold_without_a_cover(self):
         config = RapConfig(range_max=2**64, epsilon=0.02, backend="columnar")
         shards = [shard_of(config, seed, 3000) for seed in (1, 2, 3)]
@@ -276,6 +331,19 @@ class TestArrayFoldMatchesDescent:
         with pytest.raises(ValueError, match="partition range"):
             combine_many([first, second])
 
+    def test_counter_below_an_item_is_rejected(self):
+        config = RapConfig(range_max=1024, epsilon=0.05)
+        first = shard_of(config, 7, 500)
+        second = shard_of(config, 8, 500)
+        item = next(
+            node for node in second.nodes()
+            if node.lo == node.hi and node.count
+        )
+        item.attach_child(RapNode(item.lo, item.hi, count=item.count))
+        item.count = 0
+        with pytest.raises(ValueError, match="below an item range"):
+            combine_many([first, second])
+
     def test_complete_partition_tree_is_valid_before_and_after_merge(self):
         # Root [0, 15] with all four cells, the second cell expanded
         # again: the layout the array fold hands to the columnar kernel.
@@ -293,3 +361,34 @@ class TestArrayFoldMatchesDescent:
         tree.merge_now()
         tree.check_invariants()
         assert tree.estimate(4, 4) == 9 and tree.total_weight() == 16
+
+    def test_compact_keeps_the_profile(self):
+        config = RapConfig(
+            range_max=2**64, epsilon=0.02, merge_initial_interval=64,
+            backend="columnar",
+        )
+        tree = shard_of(config, 5, 4000)
+        tree.merge_now()
+        assert tree._free_top  # noqa: SLF001 - the merge freed slots
+        twin = tree.clone()
+        tree.compact()
+        assert tree._size == tree.node_count  # noqa: SLF001
+        assert tree._free_top == 0  # noqa: SLF001
+        tree.check_invariants()
+        assert dump_tree(tree) == dump_tree(twin)
+        # Further ingest lands on the same tree as the uncompacted twin.
+        more = shard_of(config, 6, 3000)
+        values = [node.lo for node in more.nodes() if node.lo == node.hi]
+        for target in (tree, twin):
+            target.extend(values * 3)
+            target.merge_now()
+        tree.check_invariants()
+        assert dump_tree(tree) == dump_tree(twin)
+
+    def test_fold_result_is_compact(self):
+        config = RapConfig(range_max=2**64, epsilon=0.02, backend="columnar")
+        folded = combine_many(
+            [shard_of(config, seed, 3000) for seed in (1, 2, 3)]
+        )
+        assert folded._size == folded.node_count  # noqa: SLF001
+        assert folded._free_top == 0  # noqa: SLF001

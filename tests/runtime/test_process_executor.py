@@ -25,8 +25,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, find_hot_ranges
+from repro.core import ColumnarRapTree, RapConfig, dump_tree, find_hot_ranges
 from repro.runtime import Profiler, WorkerCrashed
+from repro.runtime import profiler as profiler_module
 
 from tests.core.test_tree_fastpath import zipf_stream
 
@@ -185,6 +186,61 @@ class TestLifecycle:
         # Worker-side sanitizers reported in on the sync.
         assert set(report["workers"]) == {"shard[0]", "shard[1]"}
         assert_no_leaks()
+
+
+class TestColumnarSnapshot:
+    def test_two_shard_fold_owns_its_columns(self, monkeypatch):
+        # The fold runs while the workers' segments are attached; check
+        # the result against them there, then read it after close()
+        # has unlinked every segment.
+        real_fold = profiler_module.combine_many
+        aliased = []
+
+        def fold(trees):
+            folded = real_fold(trees)
+            names = ColumnarRapTree.COLUMN_DTYPES
+            attached = [
+                getattr(tree, name) for tree in trees for name in names
+            ]
+            aliased.append(
+                any(
+                    np.shares_memory(getattr(folded, name), column)
+                    for name in names
+                    for column in attached
+                )
+            )
+            return folded
+
+        monkeypatch.setattr(profiler_module, "combine_many", fold)
+        rng = random.Random(43)
+        values = np.asarray(
+            zipf_stream(rng, UNIVERSE, 40_000), dtype=np.uint64
+        )
+        ranges = [
+            (lo, lo + width)
+            for lo, width in (
+                (rng.randrange(UNIVERSE - 4096), rng.randrange(4096))
+                for _ in range(32)
+            )
+        ]
+        profiler = Profiler.from_config(process_config(shards=2)).open()
+        try:
+            profiler.ingest(values)
+            snapshot = profiler.snapshot()
+            assert type(snapshot) is ColumnarRapTree
+            assert aliased == [False]
+            snapshot.check_invariants()
+            dump = dump_tree(snapshot)
+            estimates = [snapshot.estimate(lo, hi) for lo, hi in ranges]
+            hot = profiler.hot_ranges()
+            assert hot == find_hot_ranges(snapshot)
+        finally:
+            final = profiler.close()
+        assert_no_leaks()
+        assert final is snapshot and snapshot.events == len(values)
+        assert dump_tree(snapshot) == dump
+        assert [snapshot.estimate(lo, hi) for lo, hi in ranges] == estimates
+        assert profiler.hot_ranges() == hot
 
 
 def committed(profiler: Profiler) -> list:

@@ -133,7 +133,7 @@ class TestProcessExecutorOracle:
         values = zipf_stream(rng, UNIVERSE, 15_000)
         first = profiled_snapshot(values, 4, executor="process")
         second = profiled_snapshot(values, 4, executor="process")
-        assert shape(first._root) == shape(second._root)  # noqa: SLF001
+        assert shape(first.root) == shape(second.root)
 
     def test_repeat_ring_runs_are_identical(self):
         # Flush points are a pure function of the ring's frame
