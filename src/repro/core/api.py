@@ -4,9 +4,9 @@ The authors shipped a C++ library with three entry points —
 ``rap_init()``, ``rap_add_points()`` and ``rap_finalize()`` — usable
 both online and for post-processing trace files. This module keeps that
 surface working, but since API v2 it is a thin shim over
-:class:`repro.runtime.Profiler` (single-shard, serial executor: exactly
-the old single-tree behavior) and every call emits a
-``DeprecationWarning`` with a migration hint:
+:class:`repro.runtime.Profiler` (single-shard, serial executor: one
+tree, fed through the same combining window as every other shard) and
+every call emits a ``DeprecationWarning`` with a migration hint:
 
 =========================  ============================================
 v1 call                    v2 replacement
@@ -22,11 +22,13 @@ v1 call                    v2 replacement
 The shim preserves the v1 observable contract: ``profile.trees`` /
 ``profile.tree(name)`` expose the live trees, finalizing runs one last
 merge batch per non-empty tree, and adding after finalize raises
-``RuntimeError``. One behavioral note: point batches are now
-duplicate-combined and value-sorted before application (the Profiler's
-batch kernel), which can change split/merge *timing* relative to v1's
-strictly sequential ``add()`` loop — every count, estimate and bound is
-unaffected.
+``RuntimeError``. One behavioral note: points are buffered in the
+Profiler's combining window, then duplicate-combined and value-sorted
+once per flush (when the window is full, or when ``trees``/``tree()``
+or finalizing reads the tree). That changes split/merge *timing*, and
+so the tree's shape and node count, relative to v1's strictly
+sequential ``add()`` loop; every estimate keeps the ``epsilon * n``
+bound.
 """
 
 from __future__ import annotations

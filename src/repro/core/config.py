@@ -72,8 +72,9 @@ class RapConfig:
     executor:
         Which runtime a :class:`~repro.runtime.profiler.Profiler` built
         from this config uses to drive its shards: ``"serial"`` (the
-        default: every batch applied inline on the calling thread — the
-        oracle, and the only executor for ``backend="object"``) or
+        default: each shard's combining window flushed inline on the
+        calling thread — the oracle, and the only executor for
+        ``backend="object"``) or
         ``"process"`` (one worker process per shard, each owning a
         columnar tree in shared memory and fed through a shared-memory
         ring — requires ``backend="columnar"``). Like ``backend`` it

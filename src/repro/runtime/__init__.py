@@ -11,9 +11,11 @@ Entry point is :class:`Profiler` — ``open() / ingest(batch) /
 snapshot() / query(range) / close()`` — the blessed v2 ingestion
 surface for workloads, experiments and the CLI. The executor is chosen
 uniformly through ``RapConfig(executor=..., shards=...)``: ``"serial"``
-(the default: shard trees in this process, every batch applied inline)
+(the default: shard trees in this process, each fed through a
+:class:`~repro.runtime.window.CombiningWindow` flushed inline)
 or ``"process"`` (one worker process per shard over shared-memory
-columnar trees, fed through bounded shared-memory rings with explicit
+columnar trees, each worker running the same window, fed through
+bounded shared-memory rings with explicit
 backpressure — see :mod:`repro.runtime.ring` and
 :mod:`repro.runtime.shm`; a dead worker surfaces as
 :class:`WorkerCrashed` instead of a hang). See ``docs/runtime.md`` for

@@ -14,8 +14,9 @@ of batch boundaries or executor):
   each shard's tree spatially compact (useful when shards map to
   NUMA-style locality domains) at the cost of skew sensitivity.
 
-Both offer a scalar path (``shard_of``) and a vectorized numpy path
-(``split``) that produce identical assignments. ``split`` runs on the
+Both offer a scalar path (``shard_of``, which routes ``ingest_counted``
+pairs) and a vectorized numpy path (``split``, which routes ``ingest``
+chunks) that produce identical assignments. ``split`` runs on the
 dispatching thread for every event of a multi-shard profiler, so it
 stays a few array passes: the hash is reduced with a bitmask when the
 shard count is a power of two (equal to ``%`` on unsigned values), and
@@ -28,7 +29,7 @@ through float64 anywhere in a 2**64 universe.
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -55,33 +56,13 @@ class Partitioner:
 
         Returns one array per shard; shard ``i``'s array preserves the
         relative order of its events in the input. The concatenation of
-        all outputs is a permutation of the input. The process executor
-        encodes each output straight into its shard's ring as a raw
-        frame (the worker duplicate-combines across frames); the serial
-        executor combines per chunk through :meth:`split_counted`.
+        all outputs is a permutation of the input. Each output becomes
+        one raw frame for its shard's combining window
+        (:mod:`repro.runtime.window`), which duplicate-combines across
+        frames — in a worker under the process executor, inline under
+        the serial one.
         """
         raise NotImplementedError
-
-    def split_counted(
-        self, values: np.ndarray
-    ) -> List[Sequence[Tuple[int, int]]]:
-        """Partition and duplicate-combine in one pass.
-
-        For each shard, returns ``(value, count)`` pairs with duplicates
-        merged via ``np.unique`` — the vectorized analogue of the
-        paper's event-combining buffer (Section 3.3, stage 0), feeding
-        :meth:`RapTree.add_batch` directly.
-        """
-        combined: List[Sequence[Tuple[int, int]]] = []
-        for part in self.split(values):
-            if len(part) == 0:
-                combined.append([])
-                continue
-            uniques, counts = np.unique(part, return_counts=True)
-            combined.append(
-                list(zip(uniques.tolist(), counts.tolist()))
-            )
-        return combined
 
 
 class HashPartitioner(Partitioner):

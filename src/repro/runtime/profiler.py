@@ -2,27 +2,32 @@
 
 ``Profiler`` is the API v2 top-level entry point for profiling a
 stream. It owns ``N`` shard trees and a deterministic partitioner
-mapping each event value to its shard. Depending on the executor the
-shard trees live in this process and take every batch inline, or each
-lives in a worker *process* fed through a shared-memory ring:
+mapping each event value to its shard. Every shard tree is fed through
+a :class:`~repro.runtime.window.CombiningWindow`; the executor decides
+only where the window lives — next to the tree in this process, or in
+a worker *process* fed through a shared-memory ring:
 
 .. code-block:: text
 
     ingest(values)                  calling thread, ingest lock held
-        └─ chunk (batch_size) → partition
-             ├─ serial:  np.unique combine → RapTree shard i     (inline)
-             └─ process: ring[i] ── worker process i ── shard i  (shm)
-    snapshot()  =  quiesce every shard, then fold the shards' counter
-                   rows with ``combine_many`` (array kernels) into one
-                   consistent tree
+        └─ chunk (batch_size) → partition → one frame per shard
+             ├─ serial:  window[i] → shard i                  (inline)
+             └─ process: ring[i] ── worker i: window → shard i (shm)
+    flush       =  combine the window's frames (np.unique), then one
+                   tree pass; when 2**17 events are buffered and at
+                   every drain() / snapshot() / close()
+    snapshot()  =  flush (serial) or sync (process) every shard, then
+                   fold the shards' counter rows with ``combine_many``
+                   (array kernels) into one consistent tree
 
 The executor is selected uniformly through the config —
 ``RapConfig(executor="serial"|"process", shards=N)`` — with the
 constructor keywords as call-site overrides:
 
-* ``"serial"`` (default) applies every batch inline on the calling
-  thread. It is the oracle the process executor is tested against and
-  the only executor for ``backend="object"``.
+* ``"serial"`` (default) flushes the windows inline on the calling
+  thread. Its columnar shard trees are byte-identical to the process
+  executor's, which makes it the oracle; it is also the only executor
+  for ``backend="object"``.
 * ``"process"`` runs one worker *process* per shard (requires
   ``backend="columnar"``): each worker owns a columnar tree whose
   columns live in shared memory (:mod:`repro.runtime.shm`). The
@@ -97,6 +102,7 @@ from .ring import (
     RingStalled,
 )
 from .shm import ShmArena, ShmAttachment, sweep_prefix
+from .window import CombiningWindow
 
 Clock = Callable[[], float]
 Values = Union[np.ndarray, Iterable[int]]
@@ -109,10 +115,6 @@ _BACKPRESSURE = ("block", "drop", "spill")
 #: soon as it drains the frames ahead of the request.
 _POLL_INTERVAL = 0.1
 _EXIT_GRACE = 5.0
-
-#: Integer value dtypes the binary frame format carries natively.
-_FRAME_DTYPES = (np.dtype("<u8"), np.dtype("<i8"))
-
 
 def _outside_universe(value: int, range_max: int) -> ValueError:
     """The error for an event value outside the universe, worded like
@@ -170,23 +172,13 @@ def _event_array(values: Values, range_max: int) -> np.ndarray:
 
 
 def _frame_values(part: np.ndarray) -> np.ndarray:
-    """Coerce a partitioned slice to a frame-encodable dtype.
+    """A partitioned slice as ``uint64``, the dtype of every frame.
 
-    Workload arrays are already ``uint64`` and pass through untouched;
-    plain Python lists arrive as ``int64`` (also native). Anything else
-    — ``int32``, object arrays of Python ints — is widened once here;
-    out-of-``int64``-range object arrays are re-tried as ``uint64``.
-    Non-integer and out-of-universe values never get here
-    (``_event_array`` rejects them at the ``ingest`` boundary).
+    Exact: ``_event_array`` rejected negative and out-of-universe values.
+    One dtype keeps a window holding raw and counted frames from
+    combining them through float64.
     """
-    if part.dtype in _FRAME_DTYPES:
-        return part
-    if part.dtype.kind == "u":
-        return part.astype(np.uint64)
-    try:
-        return part.astype(np.int64)
-    except OverflowError:
-        return part.astype(np.uint64)
+    return part.astype(np.uint64, copy=False)
 
 
 def _ring_counters(producer: RingProducer) -> Dict[str, object]:
@@ -257,8 +249,8 @@ class Profiler:
         ``config.shards``.
     executor:
         ``None`` (default) inherits ``config.executor``. ``"serial"``
-        processes every batch inline on the calling thread — no
-        workers, deterministic, the oracle; ``"process"`` runs one
+        flushes every shard's combining window inline on the calling
+        thread — no workers, deterministic, the oracle; ``"process"`` runs one
         worker process per shard over shared-memory columnar trees
         (requires ``backend="columnar"``).
     partition:
@@ -275,7 +267,7 @@ class Profiler:
         process executor — ``"block"`` / ``"drop"`` / ``"spill"``,
         bounded by ``ring_bytes`` (see :mod:`repro.runtime.ring`). The
         serial executor has no transport to overflow: it validates the
-        name and applies every batch.
+        name and accepts every frame.
     batch_size:
         Ingest calls chop their input into chunks of this many events
         before partitioning, bounding the size of each frame.
@@ -337,14 +329,16 @@ class Profiler:
         self._shard_config = shard_config
         self._batch_size = batch_size
         self._clock = clock
-        # In-process shard trees (serial executor). Under the process
-        # executor the trees live in the workers; the parent holds
-        # per-shard sync state instead.
+        # In-process shard trees and their combining windows (serial
+        # executor). Under the process executor both live in the
+        # workers; the parent holds per-shard sync state instead.
         self._trees: List[RapTree] = []
+        self._windows: List[CombiningWindow] = []
         if executor == "serial":
             self._trees = [
                 RapTree.from_config(shard_config) for _ in range(shards)
             ]
+            self._windows = [CombiningWindow() for _ in range(shards)]
         # Process-executor plumbing: one worker process, duplex control
         # pipe, ring arena and ring producer per shard, plus the latest
         # synced payload. The final producer counters survive teardown
@@ -603,9 +597,7 @@ class Profiler:
             raise RuntimeError("cannot close a Profiler that was never opened")
         with self._ingest_lock:
             try:
-                if self._executor == "process":
-                    self._sync_workers(every=True)
-                self._raise_worker_errors()
+                self._quiesce_locked(every=True)
                 return self._fold_locked()
             finally:
                 self._state = "closed"
@@ -672,12 +664,12 @@ class Profiler:
         """Feed raw event values (any iterable of ints or numpy array).
 
         Values are chopped into chunks of ``batch_size`` and partitioned
-        to shards; the serial executor duplicate-combines each shard's
-        part (``np.unique``) and applies it inline, the process executor
-        writes it to the shard's ring. Returns once every chunk is
-        accepted — which, under ``block`` backpressure, may wait for
-        ring space. Non-integer dtypes and values outside the universe
-        raise ``ValueError`` before any event is accepted.
+        to shards; each shard's part becomes one raw frame, pushed into
+        the shard's combining window (serial) or written to its ring
+        (process). Returns once every chunk is accepted — which, under
+        ``block`` backpressure, may wait for ring space. Non-integer
+        dtypes and values outside the universe raise ``ValueError``
+        before any event is accepted.
         """
         self._check_ingestible()
         array = _event_array(values, self._config.range_max)
@@ -694,10 +686,11 @@ class Profiler:
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs.
 
-        A value or count that is not an integer (floats, bools,
-        strings), a value outside the universe or a count below 1
-        raises ``ValueError`` before any pair is accepted, under every
-        executor.
+        Each shard's pairs become one value-sorted counted frame; its
+        window treats the counts as weights. A value or count that is
+        not an integer (floats, bools, strings), a value outside the
+        universe or a count below 1 raises ``ValueError`` before any
+        pair is accepted, under every executor.
         """
         self._check_ingestible()
         range_max = self._config.range_max
@@ -722,92 +715,64 @@ class Profiler:
                 buckets[shard_of(value)].append((value, count))
             for shard, bucket in enumerate(buckets):
                 if bucket:
-                    weight = sum(count for _, count in bucket)
-                    if self._executor == "process":
-                        # Array-shaped counted frame; the worker's
-                        # combining buffer treats its counts as
-                        # weights, so this is observably one
-                        # pre-combined batch like the serial path's.
-                        bucket.sort()
-                        values = np.asarray(
-                            [value for value, _ in bucket],
-                            dtype=np.uint64,
-                        )
-                        counts = np.asarray(
-                            [count for _, count in bucket],
-                            dtype=np.int64,
-                        )
-                        self._submit_ring(
-                            shard, FRAME_CBATCH, values, counts, weight
-                        )
-                    else:
-                        self._submit(shard, bucket, weight)
+                    bucket.sort()
+                    self._submit_frame(
+                        shard,
+                        np.asarray(
+                            [value for value, _ in bucket], dtype=np.uint64
+                        ),
+                        np.asarray(
+                            [count for _, count in bucket], dtype=np.int64
+                        ),
+                        sum(count for _, count in bucket),
+                    )
         if clock is not None:
             self._ingest_seconds += clock() - start
 
     def _dispatch_chunk(self, chunk: np.ndarray) -> None:
-        if self._shards == 1 and self._executor == "serial":
-            # Single-shard passthrough: no partition, no combine — the
-            # same per-event path a bare tree takes (and the honest
-            # baseline the multi-shard benchmark compares against).
-            tree = self._trees[0]
-            tree.extend(int(value) for value in chunk)
-            self._shard_events[0] += len(chunk)
-            self._shard_batches[0] += 1
-            return
-        if self._executor == "process":
-            # Raw partitioned frames: no producer-side np.unique. The
-            # worker buffers frames and duplicate-combines its whole
-            # buffered substream in one pass (see ``worker_main``),
-            # which both shrinks the transport payload and moves the
-            # combining sort off the dispatching thread. The
-            # partitioner's output arrays are encoded straight into
-            # each shard's shared ring — no pickle.
-            for shard, part in enumerate(self._partitioner.split(chunk)):
-                if len(part):
-                    self._submit_ring(
-                        shard,
-                        FRAME_BATCH,
-                        _frame_values(part),
-                        None,
-                        len(part),
-                    )
-            return
-        for shard, batch in enumerate(
-            self._partitioner.split_counted(chunk)
-        ):
-            if batch:
-                weight = sum(count for _, count in batch)
-                self._submit(shard, batch, weight)
+        # Raw partitioned frames: no producer-side np.unique. Each
+        # shard's window duplicate-combines its whole buffered substream
+        # in one pass at flush time.
+        for shard, part in enumerate(self._partitioner.split(chunk)):
+            if len(part):
+                self._submit_frame(shard, _frame_values(part), None, len(part))
 
-    def _submit_ring(
+    def _submit_frame(
         self,
         shard: int,
-        kind: int,
         values: np.ndarray,
         counts: Optional[np.ndarray],
         weight: int,
     ) -> None:
-        """Write one binary frame into the shard's ring.
+        """Hand one frame (raw when ``counts`` is ``None``) to its shard:
+        its ring (process) or its window, flushed inline when full
+        (serial).
 
         Runs on the dispatching thread under the ingest lock (which is
         what makes the producer side single-writer). A consumer that
         died while we were blocked on ring space surfaces as
         :class:`WorkerCrashed` with the ring's commit counters.
         """
-        producer = self._rings[shard]
-        try:
-            disposition = producer.write_frame(kind, values, counts)
-        except RingStalled:
-            raise self._worker_crashed(shard, "draining its ring") from None
-        if disposition != "dropped":
-            self._shard_events[shard] += weight
-            self._shard_batches[shard] += 1
-        self._raise_worker_errors()
-
-    def _submit(self, shard: int, batch, weight: int) -> None:
-        """Apply one combined batch to a serial shard tree, inline."""
-        self._trees[shard].add_batch(batch)
+        if self._executor == "process":
+            try:
+                disposition = self._rings[shard].write_frame(
+                    FRAME_BATCH if counts is None else FRAME_CBATCH,
+                    values,
+                    counts,
+                )
+            except RingStalled:
+                raise self._worker_crashed(
+                    shard, "draining its ring"
+                ) from None
+            if disposition == "dropped":
+                return
+        else:
+            # Copied, as the ring copies: the window holds the frame
+            # until its flush, and a single shard's frame is a view of
+            # the caller's array.
+            window = self._windows[shard]
+            if window.push(np.array(values), counts):
+                window.flush(self._trees[shard])
         self._shard_events[shard] += weight
         self._shard_batches[shard] += 1
 
@@ -943,26 +908,35 @@ class Profiler:
 
         A quiesce without the fold: after ``drain()`` returns, the shard
         trees reflect every event accepted so far, but no snapshot is
-        built. Serial shard trees are always current, so there it only
-        checks the profiler is open; under the process executor it
-        syncs every worker whose ring committed a frame since its last
-        sync (or holds a spill backlog), which bounds ingest latency
-        measurements and refreshes the per-shard synced state
-        :attr:`metrics` is served from. With nothing new since the
-        last sync it returns without a round trip.
+        built. The serial executor flushes every shard's combining
+        window inline; the process executor syncs every worker whose
+        ring committed a frame since its last sync (or holds a spill
+        backlog), which flushes that worker's window. Either way this
+        bounds ingest latency measurements and refreshes the per-shard
+        state :attr:`metrics` is served from. With nothing new since
+        the last sync it returns without a round trip.
         """
         if self._state != "open":
             raise RuntimeError("cannot drain a Profiler that is not open")
         with self._ingest_lock:
-            if self._executor == "process":
-                self._sync_workers()
-            self._raise_worker_errors()
+            self._quiesce_locked()
+
+    def _quiesce_locked(self, every: bool = False) -> None:
+        """Apply every accepted frame to its shard tree (lock held):
+        flush each window (serial) or sync the workers (process, see
+        :meth:`_sync_workers`). Worker failures surface here."""
+        if self._executor == "process":
+            self._sync_workers(every)
+        else:
+            for window, tree in zip(self._windows, self._trees):
+                window.flush(tree)
+        self._raise_worker_errors()
 
     def snapshot(self) -> RapTree:
         """Fold every shard into one consistent tree (epoch boundary).
 
-        Locks out new ingests, syncs every worker with news under the
-        process executor (see :meth:`drain`), then folds the shard
+        Locks out new ingests, flushes every serial window or syncs
+        every worker with news (see :meth:`drain`), then folds the shard
         trees with :func:`~repro.core.combine.combine_many`, which
         builds the combined tree from the shards' counter rows with
         array kernels. The snapshot's backend follows the config:
@@ -987,9 +961,7 @@ class Profiler:
         if self._state != "open":
             raise RuntimeError("cannot snapshot a Profiler that is not open")
         with self._ingest_lock:
-            if self._executor == "process":
-                self._sync_workers()
-            self._raise_worker_errors()
+            self._quiesce_locked()
             return self._fold_locked()
 
     def _fold_locked(self) -> RapTree:
@@ -1100,10 +1072,11 @@ class Profiler:
 
         Producer-side counters (events, batches, backpressure) are
         always live. Tree-side fields (splits, merges, node counts)
-        read the live trees under the serial executor; under
-        the process executor they come from each shard's latest synced
-        state — call :meth:`drain` (or take a snapshot) first for
-        exact, deterministic values.
+        read the live trees under the serial executor and each shard's
+        latest synced state under the process executor; neither
+        flushes a window, so events still buffered are not in them —
+        call :meth:`drain` (or take a snapshot) first for exact,
+        deterministic values.
         """
         shards: List[ShardMetrics] = []
         for index in range(self._shards):
@@ -1145,9 +1118,11 @@ class Profiler:
     def shard_trees(self) -> Sequence[RapTree]:
         """The live shard trees (read-only view; do not mutate).
 
-        Serial executor only: process-executor shard trees
-        live in worker address spaces — take a :meth:`snapshot` (or use
-        :attr:`metrics`) instead of reaching for the live objects.
+        Flushes every shard's combining window first, so the trees
+        reflect every accepted event. Serial executor only:
+        process-executor shard trees live in worker address spaces —
+        take a :meth:`snapshot` (or use :attr:`metrics`) instead of
+        reaching for the live objects.
         """
         if self._executor == "process":
             raise RuntimeError(
@@ -1155,6 +1130,8 @@ class Profiler:
                 "the trees live in worker processes; use snapshot() for a "
                 "folded copy or metrics for per-shard counters"
             )
+        with self._ingest_lock:
+            self._quiesce_locked()
         return tuple(self._trees)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

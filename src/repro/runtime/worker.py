@@ -10,17 +10,13 @@ ring (:class:`~repro.runtime.ring.RingConsumer`) the parent allocated.
 Data frames arrive as binary counted frames (:mod:`repro.core.serialize`),
 decoded as read-only ndarray *views* over ring memory — zero copies
 until the combining flush. Frames are *buffered*, not ingested one by
-one: the worker accumulates them in a combining buffer and
-duplicate-combines the whole buffered substream in a single
-``np.unique`` pass right before feeding one sorted counted frame to
-``add_counted_arrays`` — the paper's event-combining buffer (Section
-3.3, stage 0) stretched across frames. Raw value frames weight each
-occurrence 1; pre-counted frames (the ``ingest_counted`` path) carry
-their counts as weights. The buffer flushes when it holds
-``_COMBINE_WINDOW`` events and at every sync, so its memory is bounded
-and its flush points are a pure function of the frame sequence (ring
-order = producer dispatch order): repeat runs build bit-identical
-trees. An ingest failure is remembered and surfaced on the next sync.
+one: the worker pushes them into the shard's
+:class:`~repro.runtime.window.CombiningWindow`, which duplicate-combines
+the whole buffered substream in one pass before feeding the tree. The
+window flushes when full and at every sync; the serial executor runs
+the same window at the same points, so its shard trees are
+byte-identical to the worker's. An ingest failure is remembered and
+surfaced on the next sync.
 
 Sync frames travel *in-band* through the ring, so they order behind
 every data frame by construction: a sync flushes the combining buffer,
@@ -63,23 +59,16 @@ from __future__ import annotations
 
 import gc
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
-from ..core.serialize import FRAME_CBATCH, FRAME_SYNC
+from ..core.serialize import FRAME_SYNC
 from .ring import RingConsumer
 from .shm import ShmArena, ShmAttachment
-
-# Combining-buffer flush threshold, in buffered events. Large enough
-# that a typical drain-bounded burst coalesces into one tree pass,
-# small enough to bound worker memory under sustained overload (2**17
-# uint64 values is 1 MiB). Flushes depend only on the frame sequence,
-# never on timing, so the built tree stays a pure function of the
-# stream.
-_COMBINE_WINDOW = 1 << 17
+from .window import CombiningWindow
 
 # How long the ring consumer parks on the control pipe when the ring is
 # empty. The producer nudges the pipe ("wake") whenever it writes into
@@ -88,37 +77,6 @@ _COMBINE_WINDOW = 1 << 17
 # nudge raced the park, not the steady-state latency (which is the
 # nudge itself).
 _RING_IDLE_POLL = 0.05
-
-
-def _combine_frames(
-    raw: List[np.ndarray],
-    counted: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Duplicate-combine buffered frames into one sorted counted frame.
-
-    ``raw`` frames weight each occurrence 1; ``counted`` frames carry
-    explicit counts. The result is exactly ``np.unique`` with counts
-    over the concatenated expansion — ascending values, summed
-    weights — without ever materializing the expansion. Dtypes pass
-    through untouched: ``add_counted_arrays`` owns validation, so
-    malformed values raise there exactly as they would have
-    frame by frame.
-    """
-    if not counted:
-        uniques, counts = np.unique(
-            np.concatenate(raw), return_counts=True
-        )
-        return uniques, counts.astype(np.int64, copy=False)
-    parts = list(raw) + [values for values, _ in counted]
-    weights = [
-        np.ones(len(values), dtype=np.int64) for values in raw
-    ] + [counts for _, counts in counted]
-    uniques, inverse = np.unique(
-        np.concatenate(parts), return_inverse=True
-    )
-    combined = np.zeros(uniques.size, dtype=np.int64)
-    np.add.at(combined, inverse, np.concatenate(weights))
-    return uniques, combined
 
 
 def _warm_ingest_path(config: RapConfig) -> None:
@@ -134,16 +92,15 @@ def _warm_ingest_path(config: RapConfig) -> None:
     """
     try:
         span = min(1 << 12, config.range_max)
-        values = (np.arange(2048, dtype=np.uint64) * 7) % span
-        uniques, counts = _combine_frames(
-            [values], [(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))]
-        )
+        window = CombiningWindow()
+        window.push((np.arange(2048, dtype=np.uint64) * 7) % span)
+        window.push(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))
         scratch = ColumnarRapTree(config.with_updates(range_max=span))
-        if not scratch.bootstrap_counted_arrays(uniques, counts):
-            scratch.add_counted_arrays(uniques, counts)
-        scratch.add_counted_arrays(
+        window.flush(scratch)
+        window.push(
             np.arange(16, dtype=np.uint64), np.full(16, 2, dtype=np.int64)
         )
+        window.flush(scratch)
     except BaseException:
         # Best-effort by definition: a failed warm-up must never take
         # the worker down — the real stream decides what actually fails.
@@ -208,48 +165,7 @@ def worker_main(
         pass  # parent gone already; the loops below exit the same way
 
     failed: Optional[str] = None
-    pending_raw: List[np.ndarray] = []
-    pending_counted: List[Tuple[np.ndarray, np.ndarray]] = []
-    buffered = 0
-
-    def flush() -> None:
-        # One combining pass over everything buffered, then one tree
-        # ingest. Buffers are cleared even on failure (and after one,
-        # dropped unprocessed) so a poisoned batch cannot cascade into
-        # misleading follow-ups or pin memory.
-        nonlocal failed, buffered
-        raw = pending_raw[:]
-        counted = pending_counted[:]
-        pending_raw.clear()
-        pending_counted.clear()
-        buffered = 0
-        if failed is not None or not (raw or counted):
-            return
-        try:
-            values, counts = _combine_frames(raw, counted)
-            # First flush on a fresh tree: build the partition offline
-            # in one pass (same bounds, far cheaper than cascading a
-            # cold tree through per-event splits). Preconditions not
-            # met — or any later flush — take the online kernel.
-            if not (
-                tree.events == 0
-                and tree.bootstrap_counted_arrays(values, counts)
-            ):
-                tree.add_counted_arrays(values, counts)
-        except BaseException:
-            # Remembered, reported on the next sync.
-            failed = traceback.format_exc()
-
-    def materialize() -> None:
-        # Copy buffered ring views into worker-owned arrays so the ring
-        # bytes under them can be released early (congestion relief).
-        # Invisible to the tree: flush points and the combined stream
-        # are unchanged — this only rebinds where the bytes live.
-        pending_raw[:] = [np.array(part) for part in pending_raw]
-        pending_counted[:] = [
-            (np.array(values), np.array(counts))
-            for values, counts in pending_counted
-        ]
+    window = CombiningWindow()
 
     def sync_payload(sync_seq: int) -> Dict[str, object]:
         arena.reap_retired()
@@ -265,33 +181,21 @@ def worker_main(
         # memory: the ring bytes are released right after each flush
         # copies them out, or copied aside (``materialize``) if the
         # buffered window starts crowding the producer.
-        nonlocal failed, buffered
+        nonlocal failed
         congested = consumer.capacity // 2
         while True:
             frame = consumer.try_next()
             if frame is not None:
                 if frame.kind == FRAME_SYNC:
-                    flush()
+                    failed = _flush(window, tree, failed)
                     consumer.release()
                     conn.send(("synced", sync_payload(frame.sequence)))
-                elif frame.kind == FRAME_CBATCH:
-                    pending_counted.append((frame.values, frame.counts))
-                    buffered += int(np.sum(frame.counts))
-                    if buffered >= _COMBINE_WINDOW:
-                        flush()
-                        consumer.release()
-                    elif consumer.bytes_held > congested:
-                        materialize()
-                        consumer.release()
-                else:
-                    pending_raw.append(frame.values)
-                    buffered += len(frame.values)
-                    if buffered >= _COMBINE_WINDOW:
-                        flush()
-                        consumer.release()
-                    elif consumer.bytes_held > congested:
-                        materialize()
-                        consumer.release()
+                elif window.push(frame.values, frame.counts):
+                    failed = _flush(window, tree, failed)
+                    consumer.release()
+                elif consumer.bytes_held > congested:
+                    window.materialize()
+                    consumer.release()
                 continue
             try:
                 if not conn.poll(_RING_IDLE_POLL):
@@ -303,7 +207,7 @@ def worker_main(
                     # on a consumer that is parked waiting for it —
                     # a standoff neither side can break.
                     if consumer.bytes_held:
-                        materialize()
+                        window.materialize()
                         consumer.release()
                     continue
                 message = conn.recv()
@@ -329,8 +233,7 @@ def worker_main(
         # tree, so a collect is needed to actually release the views;
         # it walks only what this worker allocated since ``gc.freeze``.
         del tree
-        pending_raw.clear()
-        pending_counted.clear()
+        window.clear()
         gc.collect()
         arena.close()
         if ring_attachment is not None:
@@ -340,6 +243,26 @@ def worker_main(
         except (BrokenPipeError, OSError):
             pass
         conn.close()
+
+
+def _flush(
+    window: CombiningWindow, tree: ColumnarRapTree, failed: Optional[str]
+) -> Optional[str]:
+    """Flush ``window`` into ``tree``; return the shard's failure, if any.
+
+    A failure is remembered (and reported on the next sync) instead of
+    raised; once one is recorded, later windows are dropped
+    unprocessed, so a poisoned batch cannot cascade into misleading
+    follow-ups or pin memory.
+    """
+    if failed is not None:
+        window.clear()
+        return failed
+    try:
+        window.flush(tree)
+    except BaseException:
+        return traceback.format_exc()
+    return None
 
 
 def _sync_payload(

@@ -79,28 +79,6 @@ class EventStream:
         for start in range(0, total, chunk):
             yield self.values[start : start + chunk]
 
-    def partitioned(
-        self, shards: int, scheme: str = "hash", chunk: int = 4096
-    ) -> Iterator[List[Tuple[int, int]]]:
-        """Yield per-chunk, per-shard duplicate-combined batches.
-
-        For each chunk of ``chunk`` events, yields ``shards`` lists of
-        ``(value, count)`` pairs — list ``i`` holding the chunk's events
-        assigned to shard ``i`` by the named partitioning scheme (see
-        :mod:`repro.runtime.partition`). Feeding batch ``i`` to shard
-        ``i``'s tree reproduces exactly what ``Profiler.ingest`` does
-        internally; exposed for experiments that drive shard trees
-        directly.
-        """
-        from ..runtime.partition import make_partitioner  # lazy: optional dep
-
-        partitioner = make_partitioner(scheme, shards, self.universe)
-        total = len(self)
-        for start in range(0, total, chunk):
-            window = self.values[start : start + chunk]
-            for batch in partitioner.split_counted(window):
-                yield list(batch)
-
     def exact_counts(self) -> Dict[int, int]:
         """Ground-truth value counts (what a perfect profiler gathers)."""
         uniques, counts = np.unique(self.values, return_counts=True)

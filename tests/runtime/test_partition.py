@@ -146,23 +146,6 @@ class TestRangePartitioner:
             assert 0 <= partitioner.shard_of(value) < 3
 
 
-class TestSplitCounted:
-    def test_counts_conserve_events(self):
-        partitioner = HashPartitioner(4)
-        rng = np.random.default_rng(17)
-        values = rng.integers(0, 1000, size=5000, dtype=np.uint64)
-        batches = partitioner.split_counted(values)
-        total = sum(count for batch in batches for _, count in batch)
-        assert total == 5000
-
-    def test_duplicates_are_combined(self):
-        partitioner = HashPartitioner(2)
-        values = np.array([7] * 100 + [9] * 50, dtype=np.uint64)
-        batches = partitioner.split_counted(values)
-        pairs = [pair for batch in batches for pair in batch]
-        assert sorted(pairs) == [(7, 100), (9, 50)]
-
-
 class TestMakePartitioner:
     def test_schemes(self):
         assert isinstance(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree, find_hot_ranges
+from repro.core import RapConfig, find_hot_ranges
 from repro.runtime import MIN_RING_BYTES, Profiler
 from repro.workloads.spec import benchmark
 
@@ -85,17 +85,17 @@ class TestLifecycle:
 
 
 class TestSingleShardPassthrough:
-    def test_serial_single_shard_matches_bare_tree_exactly(self):
-        values = zipf_values(3, 20_000)
-        oracle = RapTree.from_config(config())
-        oracle.extend(int(v) for v in values)
+    """One shard: the partitioner passes every chunk through whole."""
+
+    def test_window_does_not_alias_the_callers_array(self):
+        # A single shard's frame is the caller's chunk itself; the
+        # window must own its bytes before ingest() returns.
+        values = np.full(10_000, 7, dtype=np.uint64)
         with Profiler(config(), shards=1, executor="serial") as profiler:
             profiler.ingest(values)
-            snapshot = profiler.snapshot()
-        assert snapshot.events == oracle.events
-        assert [
-            (n.lo, n.hi, n.count) for n in snapshot.nodes()
-        ] == [(n.lo, n.hi, n.count) for n in oracle.nodes()]
+            values[:] = 9
+            assert profiler.query(7, 7) >= 10_000 * (1 - 0.05)
+            assert profiler.query(8, UNIVERSE - 1) == 0
 
     def test_snapshot_does_not_alias_the_live_tree(self):
         with Profiler(config(), shards=1, executor="serial") as profiler:
@@ -106,7 +106,7 @@ class TestSingleShardPassthrough:
             assert profiler.snapshot().events == 150
 
 
-class TestThreadedIngestion:
+class TestSerialIngestion:
     """Multi-shard ingestion on the default (serial) executor."""
 
     def test_all_events_accounted_for(self):
@@ -147,7 +147,7 @@ class TestThreadedIngestion:
     def test_worker_error_propagates_to_producer(self, monkeypatch):
         import multiprocessing
 
-        from repro.runtime import worker
+        from repro.runtime import window
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("workers inherit the patched flush only under fork")
@@ -157,7 +157,7 @@ class TestThreadedIngestion:
 
         # The ingest boundary rejects every input the shard trees would,
         # so the worker-side failure is injected into its flush.
-        monkeypatch.setattr(worker, "_combine_frames", poisoned_flush)
+        monkeypatch.setattr(window, "_combine_frames", poisoned_flush)
         profiler = tiny_ring_profiler("block").open()
         with pytest.raises(RuntimeError, match="shard worker failed"):
             # The failure rides back on the next sync.
@@ -395,6 +395,24 @@ class TestIngestBoundary:
                 assert profiler.snapshot().events == 2
             profiler.ingest([9])
             assert profiler.close().events == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("partition,shards", [("hash", 1), ("range", 2)])
+    def test_list_and_counted_frames_combine_exactly_past_2_53(
+        self, executor, partition, shards
+    ):
+        # A Python list arrives as int64 and ingest_counted builds
+        # uint64 frames; one window holding both must not combine them
+        # through float64, which rounds 2**60 + 1 down to 2**60.
+        value = 2**60 + 1
+        with Profiler(
+            RapConfig(2**64, epsilon=0.01, backend="columnar"),
+            shards=shards, executor=executor, partition=partition,
+        ) as profiler:
+            profiler.ingest([value] * 60_000)
+            profiler.ingest_counted([(value, 40_000)])
+            assert profiler.query(value, value) >= 100_000 * (1 - 0.01)
+            assert profiler.query(2**60, 2**60) == 0  # never overcounts
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_ingest_counted_rejects_non_integer_pairs(self, executor):

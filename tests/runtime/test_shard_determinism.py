@@ -147,9 +147,8 @@ class TestProcessExecutorOracle:
         second = profiled_snapshot(values, 4, executor="process")
         assert dump_tree(first) == dump_tree(second)
 
-    def test_process_within_envelope_of_threaded(self):
-        # The serial executor is the in-process oracle (it replaced the
-        # retired thread executor, whose shards it matched bit for bit).
+    def test_process_within_envelope_of_serial(self):
+        # The serial executor is the in-process oracle.
         rng = random.Random(127)
         values = zipf_stream(rng, UNIVERSE, 20_000)
         serial = profiled_snapshot(values, 4, executor="serial")
@@ -158,6 +157,64 @@ class TestProcessExecutorOracle:
         for lo, hi in random_ranges(rng, 40):
             delta = abs(process.estimate(lo, hi) - serial.estimate(lo, hi))
             assert delta <= budget, (lo, hi)
+
+    @pytest.mark.parametrize("backpressure", ["block", "spill"])
+    @pytest.mark.parametrize("partition", ["hash", "range"])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_serial_and_process_build_identical_trees(
+        self, shards, partition, backpressure
+    ):
+        # One ingest semantics: the serial executor pushes the frames
+        # the process executor writes into its rings into the same
+        # combining windows and flushes them at the same points, so
+        # every read is byte-identical. The first segment fills every
+        # shard's window past _COMBINE_WINDOW; the small rings make the
+        # producer block or spill behind busy workers without ever
+        # splitting a frame.
+        from repro.core import dump_tree
+        from repro.runtime.window import _COMBINE_WINDOW
+
+        rng = np.random.default_rng(1000 + 10 * shards + len(partition))
+        n = 720_000
+        values = np.where(
+            rng.random(n) < 0.2,
+            rng.zipf(1.3, size=n) % UNIVERSE,
+            rng.integers(0, UNIVERSE, size=n),
+        ).astype(np.uint64)
+        first, rest = values[:600_000], values[600_000:]
+        pairs = [(int(v), int(c)) for v, c in zip(
+            rng.integers(0, UNIVERSE, size=300), rng.integers(1, 50, size=300)
+        )]
+
+        def run(executor):
+            config = RapConfig(UNIVERSE, epsilon=EPS, backend="columnar")
+            with Profiler(
+                config, shards=shards, executor=executor,
+                partition=partition, backpressure=backpressure,
+                batch_size=2048, ring_bytes=1 << 16,
+            ) as profiler:
+                profiler.ingest(first)
+                profiler.ingest_counted(pairs)
+                mid = dump_tree(profiler.snapshot())
+                answer = profiler.query(UNIVERSE // 5, UNIVERSE // 2)
+                profiler.ingest(rest)
+                profiler.drain()
+                counters = [
+                    (shard.events, shard.batches, shard.splits,
+                     shard.merge_batches, shard.node_count)
+                    for shard in profiler.metrics.shards
+                ]
+                return mid, answer, counters, dump_tree(profiler.snapshot())
+
+        serial = run("serial")
+        assert all(
+            events > _COMBINE_WINDOW for events, *_ in serial[2]
+        ), "every shard's window must fill at least once"
+        process = run("process")
+        assert serial[0] == process[0]  # mid-stream snapshot
+        assert serial[1] == process[1]  # mid-stream query
+        assert serial[2] == process[2]  # per-shard counters after drain()
+        assert serial[3] == process[3]  # final snapshot
 
 
 class TestSanitizedRuns:
