@@ -308,7 +308,7 @@ def _numeric_env_join(values: Sequence[Env]) -> Env:
 #: key on; the bound columns are the uint64 side of RAP-LINT018.
 _COUNTER_SCALAR_ATTRS = frozenset({"count", "_events", "events"})
 _COUNTER_ARRAY_ATTRS = frozenset({"counts", "_counts"})
-_UINT64_ARRAY_ATTRS = frozenset({"_cov_starts", "_values", "_masks"})
+_UINT64_ARRAY_ATTRS = frozenset({"_values", "_masks"})
 
 #: dtype spellings accepted in ``dtype=`` arguments.
 _DTYPE_NAMES: Dict[str, str] = {

@@ -25,10 +25,8 @@ The contract (also documented in ``docs/performance.md``):
 
 The production hot set mirrors the per-backend benchmark rows:
 
-* the columnar vectorized ingest rounds (``_vector_round``, its
-  holdout resolver ``_resolve_holdouts``, and the batch entry points
-  driving them — ``add_counted_arrays`` is the process workers' frame
-  path),
+* the columnar batch entry points that drive the compiled update
+  kernel (``add_counted_arrays`` is the process workers' frame path),
 * the object backend's descent-cache fast paths (``_locate`` plus the
   inline loops of ``extend``/``add_counted``/``add_batch``),
 * the TCAM batch match (``search_batch``) the hardware pipeline leans
@@ -52,8 +50,6 @@ HOT_MARKER = "rap: hot"
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "core/columnar.py": frozenset(
         {
-            "ColumnarRapTree._vector_round",
-            "ColumnarRapTree._resolve_holdouts",
             "ColumnarRapTree.extend",
             "ColumnarRapTree.add_counted",
             "ColumnarRapTree.add_counted_arrays",

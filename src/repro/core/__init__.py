@@ -13,10 +13,12 @@ Public surface:
 * :class:`MultiDimRapTree` — the multi-dimensional extension from the
   paper's conclusion.
 * :class:`TreeBackend` / :class:`ColumnarRapTree` — the backend protocol
-  and the struct-of-arrays kernel selected by
+  and the struct-of-arrays tree selected by
   ``RapConfig(backend="columnar")``; construct through
   ``RapTree.from_config`` (RAP-LINT012 flags imports of the kernel's
-  module internals outside :mod:`repro.core`).
+  module internals outside :mod:`repro.core`). Its updates run in a C
+  kernel compiled with the host's gcc; :class:`NativeKernelError` is
+  raised when that kernel cannot be built or loaded.
 """
 
 from .api import RapProfile, RapSummary, rap_add_points, rap_finalize, rap_init
@@ -32,6 +34,7 @@ from .hot_ranges import (
     hot_tree,
 )
 from .multidim import MultiDimConfig, MultiDimNode, MultiDimRapTree
+from .native import NativeKernelError
 from .node import RapNode, partition_range
 from .quantiles import cdf_bounds, median_bounds, quantile, quantile_bounds
 from .sampled import SampledRapTree
@@ -47,6 +50,7 @@ __all__ = [
     "MultiDimConfig",
     "MultiDimNode",
     "MultiDimRapTree",
+    "NativeKernelError",
     "RapConfig",
     "RapNode",
     "RapProfile",

@@ -1,10 +1,9 @@
-"""Struct-of-arrays RAP tree kernel with vectorized batch ingest.
+"""Struct-of-arrays RAP tree over a compiled update kernel.
 
 :class:`ColumnarRapTree` stores the range tree in parallel numpy
 columns instead of linked :class:`~repro.core.node.RapNode` objects.
 One *slot* (column index) is one node; freed slots are recycled through
-a free stack. Every column has exactly one copy — there is no Python
-shadow list and no mirror to refresh:
+a free stack. Every column has exactly one copy:
 
 ========================  ============  ===================================
 column                    dtype         meaning
@@ -16,7 +15,7 @@ column                    dtype         meaning
 ``_next_sibling``         int32         next sibling in ``lo`` order
 ``_n_children``           int32         chain length (avoids walks)
 ``_depth``                int32         node depth (root 0; level kernels)
-``_is_item``              bool          ``lo == hi`` (vector fit predicate)
+``_is_item``              bool          ``lo == hi``
 ``_dirty``                bool          dirty-frontier flag (see tree.py)
 ``_cached_weight``        int64         subtree weight at last merge visit
 ``_cached_min``           int64         min subtree weight at last visit
@@ -24,91 +23,52 @@ column                    dtype         meaning
 ``_free_slots``           int32         free stack (``_free_top`` entries)
 ========================  ============  ===================================
 
-On top of the slots sits the *cover index*: the deepest covering node is
-piecewise constant over the value space, so ``_cov_starts`` (sorted
-segment starts) and ``_cov_owner`` (owning slot per segment) answer
-"smallest covering range" with one ``searchsorted`` — for a whole batch
-at once. The index is maintained incrementally in both directions:
-splits queue positioned-insert splices on ``_cov_pending`` (a split
-node's owned region is exactly its missing partition cells), and merge
-passes remap every segment to the nearest surviving ancestor of its old
-owner and coalesce equal-owner runs — no wholesale rebuild on either
-path (``_rebuild_cover`` survives as the oracle that
-``check_invariants`` compares against, and as the deferred build for
-trees wrapped by ``attach_columns``, run on the first cover read).
+Updates run in C. ``_kernel.c`` (built and loaded by
+:mod:`repro.core.native`) is a line-for-line port of
+:class:`repro.core.tree.RapTree`'s update path onto these columns: the
+finger descent over the sibling chains, the inline fast loop of
+``add_counted``/``extend`` (a deposit that stays at or below its node's
+threshold and short of the merge trigger), and ``_absorb``'s cascade —
+closed-form split crossing points with their ±1 fixups, the dry split
+of a counter that merge churn left over threshold, mid-count merge
+triggers — with ``TreeStats`` accumulated in the same order. The two
+backends therefore build identical trees and statistics for identical
+operation sequences. The kernel contract:
 
-Batch ingest (`extend` / `add_counted` / `add_batch`) consumes one
-*window* per round. The round routes the window through the cover index
-and cuts it before the next merge trigger and before any malformed
-item. Owners that merge churn left already over threshold are split
-*dry* first: each is checked at its first arrival in the cut with the
-scalar cascade's own dry-split predicate, split if it holds, and its
-items re-routed to the fresh children. An owner whose whole-cut deposit
-then fits the cut's first arrival threshold is *safe*: its items are
-applied with one exact ``bincount`` scatter. Every other owner's items
-are *holdouts*, settled in array passes. A pass routes the remaining
-holdouts through the cover, takes each owner's running deposit against
-each item's own arrival threshold, scatters every item before the
-owner's first crossing, and sends only that crossing item through the
-exact scalar cascade, with ``events`` rewound to its arrival value, so
-split cascades land exactly where the object backend puts them. The
-next pass routes what is left through the cover those cascades
-deepened. A blocked owner never stalls the rest of the window, and a
-pass runs once per cascade generation, not once per item. The scalar
-cascade is arithmetic-identical to :class:`repro.core.tree.RapTree`
-(same closed-form split crossing points, same mid-count merges), so the
-two backends produce identical trees for identical operation sequences.
+* **Exact arithmetic.** Every integer-vs-double comparison is exact, as
+  CPython's is, at any magnitude: counters past 2**53 compare against
+  ``floor``/``ceil`` of the double in 128-bit integers, and integers
+  convert to doubles rounded to nearest. The root's width, 2**64 over
+  the full universe, is held in ``unsigned __int128``. An item whose
+  count would take the event total past 2**63-1 raises
+  ``OverflowError`` before it deposits anything (the object backend's
+  Python ints keep going; the paper's ``n`` sits far below the bound).
+* **Return at merge and grow.** The kernel never allocates memory and
+  never merges. It returns when a merge is due, and Python runs the
+  numpy :meth:`merge_now`; it returns when a split needs more free
+  slots than the columns hold, and Python runs :meth:`_grow` (under
+  the shared-memory allocator hook, a remap). Either way the kernel
+  then resumes at the item and remaining count where it stopped.
+* **Per-event hooks.** With ``timeline_sample_every`` or
+  ``audit_every`` set, every entry point feeds the kernel one item at a
+  time through :meth:`add`, so the hooks see every update.
 
-Why the passes are exact: within one cut window no merge can fire (the
-cut ends before the trigger) and thresholds only grow, so a deposit
-that keeps its owner's counter at or below the *first* item's threshold
-fits at its own (later) arrival too, and a per-item check against each
-arrival threshold is exactly the scalar path's check. Owner regions are
-disjoint, so a cascade reads its owner's counter after exactly the
-deposits that preceded it in arrival order, and the splits it performs
-only re-route later items of that same owner; every other owner's items
-route as before. The same facts make the dry pre-split exact: a dry
-split absorbs nothing and leaves ``events`` alone, and the owner's
-counter is untouched before its first arrival, so splitting it at the
-start of the cut builds the tree splitting it at that arrival would
-(only ``TreeStats.node_seconds`` books the new children a little
-earlier).
-
-Regimes: a cold tree starts in *storm* mode, where nearly every
-deposit is a true crossing and windows run straight through the scalar
-kernel. The storm ends after two scalar windows in which under 1/64 of
-the items cascaded, and a vectorized round re-enters it only when a
-quarter of its items cascaded. The window doubles (up to
-``_WINDOW_MAX``) while under an eighth of a round cascades. Both
-signals count true cascades: a held item that fits costs an array
-pass, not the scalar kernel, and a dry pre-split costs one split, so
-neither counts.
-
-Exactness: the fit predicate works entirely on the integer side.
-Per-owner deposits are summed exactly in int64 (``_exact_bincount``
-splits each weight into 32-bit halves so every float64 partial sum that
-``np.bincount`` computes internally stays below 2**53), totals are
-compared against ``math.floor`` of the float threshold — for integral
-``x``, ``x <= t`` iff ``x <= floor(t)`` — and the merge-trigger cut
-compares int64 running totals against ``math.ceil`` of the trigger, so
-no float64 rounding ever enters a routing decision, including counters
-past 2**53 (RAP-LINT019/020 gate regressions here). The scalar cascade
-converts every counter it reads to a Python int before comparing
-against float thresholds, preserving CPython's exact int-float
-comparison. Totals beyond int64 are out of the kernel's domain: a
-counter store past 2**63-1 raises (``ValueError`` from the memoryview
-store on the scalar paths, ``OverflowError`` from the array store on
-the vectorized scatter) instead of wrapping (the object backend's
-Python ints keep going; the paper's ``n`` sits far below either
-bound).
+The kernel keeps the tree's scalar state (slot accounting, event total,
+finger) in its ``KernelState`` struct; the ``_size``/``_events``/...
+attributes read and write it. Merges, folds, estimates, hot ranges and
+``check_invariants`` stay numpy passes over the columns.
 
 Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 — importing this module's internals elsewhere is flagged by RAP-LINT012.
+If the kernel cannot be built or loaded, construction raises
+:class:`repro.core.native.NativeKernelError`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
 import os
 import threading
 from typing import (
@@ -121,56 +81,34 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
-from .config import MergeScheduler, RapConfig, split_crossing_point
+from .config import MergeScheduler, RapConfig
+from .native import (
+    K_BAD,
+    K_DONE,
+    K_GROW,
+    K_MERGE,
+    K_OVERFLOW,
+    K_TIMELINE,
+    K_UNCOVERED,
+    KernelState,
+    load_kernel,
+)
 from .node import RapNode, partition_range
 from .stats import TreeStats
 
 _NO_SLOT = -1
 _INITIAL_CAPACITY = 64
-# Vectorized window sizing: grows while rounds come back nearly
-# cascade-free, shrinks while the cascade fraction is high (cold-start
-# split storms), bounding the threshold staleness a long window causes.
-_WINDOW_MIN = 512
-_WINDOW_START = 1024
-_WINDOW_MAX = 16384
-# Below this many remaining items the fixed numpy overhead of a round
-# (array conversion, argsort, mask passes) costs more than finishing
-# the tail through the scalar kernel, which runs ~1us per item.
-_MIN_VECTOR_TAIL = 384
+# Timeline samples the kernel buffers before handing them to TreeStats.
+_TIMELINE_BUFFER = 64
 
-# int64 split point for _exact_bincount: weights are divided at 32 bits
-# so each half's float64 bincount sum stays exact (see the docstring).
+# 32-bit split for exact int64 sums (check_invariants).
 _LOW32 = (1 << 32) - 1
 _INT64_MAX = 2**63 - 1
-# float64(2**63), exact: thresholds at or above it exceed every int64
-# counter, so the integer-side comparison clamps to _INT64_MAX there.
-_TWO_POW_63 = 9223372036854775808.0
-
-
-def _exact_bincount(
-    owners: np.ndarray, weights: np.ndarray, minlength: int
-) -> np.ndarray:
-    """Exact int64 per-owner sums of non-negative int64 ``weights``.
-
-    ``np.bincount(..., weights=...)`` always accumulates in float64,
-    which rounds individual deposits above 2**53. Splitting each weight
-    into 32-bit halves keeps every float64 partial sum exact — with
-    fewer than 2**21 contributions per owner each half sums to below
-    2**21 * 2**32 = 2**53 (an ingest window holds at most ``_WINDOW_MAX``
-    = 2**14 items) — and the recombined int64 total is exact for any
-    sum that fits int64. Where the accumulation is an indexed add of
-    existing int64 values rather than a ``weights=`` sum (the merge
-    pass), ``np.add.at`` is exact and cheaper — this helper is for the
-    bincount-shaped reductions only.
-    """
-    low = np.bincount(owners, weights=weights & _LOW32, minlength=minlength)
-    high = np.bincount(owners, weights=weights >> 32, minlength=minlength)
-    return low.astype(np.int64) + (high.astype(np.int64) << 32)
+_UINT64_MAX = 2**64 - 1
 
 
 #: Per-slot columns, grown together (see _grow). ``_free_slots`` rides
@@ -191,6 +129,57 @@ _ARRAY_COLUMNS: Tuple[str, ...] = (
     "_cached_min",
     "_live",
 )
+
+
+def _int_column(
+    items: Sequence, dtype: type, low: int, high: int
+) -> Tuple[np.ndarray, int]:
+    """``items`` as a ``dtype`` column, and where it stops holding them.
+
+    Returns the column of the leading items that are integers in
+    ``[low, high]``, and the index of the first item that is not (the
+    length when all are). Nothing is cast unchecked: ndarray casts do
+    not range-check, and numpy would read a list mixing ints past 2**63
+    with small ones as float64.
+    """
+    if isinstance(items, np.ndarray):
+        if items.ndim == 1 and items.dtype.kind in "iu":
+            if items.dtype.kind == "i" and low > np.iinfo(items.dtype).min:
+                outside = np.flatnonzero(items < low)
+            elif items.dtype.kind == "u" and high < np.iinfo(items.dtype).max:
+                outside = np.flatnonzero(items > np.uint64(high))
+            else:
+                outside = np.zeros(0, dtype=np.int64)
+            stop = int(outside[0]) if outside.size else int(items.size)
+            return items[:stop].astype(dtype, copy=False), stop
+        items = items.tolist()
+    elif set(map(type, items)) <= {int}:
+        try:
+            return np.array(items, dtype=dtype), len(items)
+        except OverflowError:
+            pass
+    held: List[int] = []
+    for item in items:
+        try:
+            item = operator.index(item)
+        except TypeError:
+            break
+        if not low <= item <= high:
+            break
+        held.append(item)
+    return np.array(held, dtype=dtype), len(held)
+
+
+def _state_field(name: str) -> property:
+    """A tree attribute stored in the kernel's state struct."""
+
+    def get(self: "ColumnarRapTree") -> int:
+        return getattr(self._kstate, name)
+
+    def put(self: "ColumnarRapTree", value: int) -> None:
+        setattr(self._kstate, name, value)
+
+    return property(get, put)
 
 
 class ColumnarRapTree:
@@ -226,6 +215,13 @@ class ColumnarRapTree:
         "_free_slots": np.dtype(np.int32),
     }
 
+    _capacity = _state_field("capacity")
+    _size = _state_field("size")
+    _free_top = _state_field("free_top")
+    _node_count = _state_field("node_count")
+    _events = _state_field("events")
+    _cached_slot = _state_field("cached_slot")
+
     def __init__(
         self,
         config: RapConfig,
@@ -234,6 +230,18 @@ class ColumnarRapTree:
             Callable[[str, np.dtype, int], np.ndarray]
         ] = None,
     ) -> None:
+        if config.range_max - 1 > _UINT64_MAX:
+            raise ValueError(
+                "the columnar backend holds ranges in uint64: range_max "
+                f"must be at most 2**64, got {config.range_max}"
+            )
+        if config.backend == "columnar":
+            # Fail construction, not the first update, without a kernel.
+            # (The snapshot fold also lays out object-config trees in
+            # columns; those never update, and need no kernel.)
+            load_kernel()
+        self._kstate = KernelState()
+        self._kstate_at = ctypes.addressof(self._kstate)
         self._config = config
         # Optional column allocator hook: ``allocator(name, dtype,
         # capacity)`` returns a zero-filled 1-D array of exactly
@@ -250,28 +258,34 @@ class ColumnarRapTree:
                 name,
                 self._new_column(name, self.COLUMN_DTYPES[name], capacity),
             )
-        self._free_top = 0
-        self._size = 0
         # Allocation-default pre-fill: fresh (never-allocated) slots
-        # already hold the state _alloc would write — leaf chain head,
+        # already hold the state a split writes — leaf chain head,
         # dirty, live — and freed slots are restored to it in bulk when
-        # the merge pass recycles them, so the allocation hot path only
-        # stores the per-node fields (bounds, depth, item flag). The
-        # live pre-fill is safe: every _live read is masked to the
-        # allocated prefix ``[:size]``.
+        # the merge pass recycles them, so a split only stores the
+        # per-node fields (bounds, depth, item flag). The live pre-fill
+        # is safe: every _live read is masked to the allocated prefix
+        # ``[:size]``.
         self._first_child.fill(_NO_SLOT)
         self._dirty.fill(True)
         self._live.fill(True)
         self._rebind_views()
-        root = self._alloc(0, config.range_max - 1, 0)
-        assert root == 0, "root must occupy slot 0"
-        # _alloc leaves parent/sibling pointers to _set_children; the
-        # root is never anyone's child, so pin its pointers here once.
+        self._root_hi = config.range_max - 1
+        # The root: slot 0, never anyone's child.
+        self._his[0] = self._root_hi
         self._parents[0] = _NO_SLOT
         self._next_sibling[0] = _NO_SLOT
-        self._root_hi = config.range_max - 1
+        self._size = 1
+        self._free_top = 0
         self._node_count = 1
         self._events = 0
+        # The kernel's finger (same role as RapTree's ``_cached_node``);
+        # reset to the root after merges recycle slots.
+        self._cached_slot = 0
+        kstate = self._kstate
+        kstate.root_hi = self._root_hi
+        kstate.branching = config.branching
+        kstate.eps_h = config.epsilon / config.max_height
+        kstate.min_th = config.min_split_threshold
         self._scheduler = MergeScheduler(
             initial_interval=config.merge_initial_interval,
             growth=config.merge_growth,
@@ -283,30 +297,16 @@ class ColumnarRapTree:
         self._next_audit = config.audit_every
         self._generation = 0
         self._confined_ident: Optional[Tuple[int, int]] = None
-        # Finger cache for scalar descents (same role as RapTree's
-        # ``_cached_node``); reset to the root after merges recycle slots.
-        self._cached_slot = 0
-        # Cover index: one segment, the whole universe, owned by the root.
-        self._cov_starts = np.zeros(1, dtype=np.uint64)
-        self._cov_owner = np.zeros(1, dtype=np.int64)
-        # Queued split splices, folded in batch by the next _sync_cover.
-        self._cov_pending: List[Tuple[int, List[int]]] = []
-        # Set by attach_columns: the cover is built on first read.
-        self._cover_stale = False
+        # Timeline samples buffered by the kernel, (events, nodes) pairs.
+        self._timeline = np.zeros(2 * _TIMELINE_BUFFER, dtype=np.int64)
+        kstate.timeline = self._timeline.ctypes.data
+        kstate.timeline_cap = _TIMELINE_BUFFER
+        # One-item arguments for add().
+        self._one_value = ctypes.c_uint64()
+        self._one_count = ctypes.c_int64()
         # Materialized RapNode view, cached per mutation generation.
         self._view_root: Optional[RapNode] = None
         self._view_generation = -1
-        # Bulk-ingest mode flag, persistent across _ingest calls: a
-        # cold tree starts in a split storm (every deposit crosses
-        # the still-tiny thresholds), and chunked feeders like
-        # add_stream re-enter _ingest mid-storm. Purely a routing
-        # heuristic — both modes are the exact scalar semantics.
-        # ``_calm`` counts consecutive low-fallback scalar windows; the
-        # storm only ends after two, so one quiet window between split
-        # bursts (common in chunked counted feeds) does not buy a
-        # wasted convert-and-vectorize round trip.
-        self._storm = True
-        self._calm = 0
 
     # ------------------------------------------------------------------
     # Slot management
@@ -321,69 +321,58 @@ class ColumnarRapTree:
         return np.zeros(capacity, dtype=dtype)
 
     def _rebind_views(self) -> None:
-        """Rebind the zero-copy scalar read views over the columns.
+        """Point the kernel at the current column arrays.
 
-        ``memoryview`` indexing returns plain Python ints/bools straight
-        off the numpy buffers (no array-scalar boxing), which makes the
-        scalar cascade's per-element reads ~3x cheaper while keeping a
-        single copy of every column — the views alias the same memory,
-        so every vectorized write is visible through them immediately.
-        Scalar *writes* go through the views too (~1.5-2x cheaper than
-        a numpy scalar store), counters included: an int64 counter
-        store that overflows raises ``ValueError`` from the memoryview
-        (numpy's array store would raise ``OverflowError``) — either
-        way a loud failure, never a silent wrap; the module docstring
-        pins the exception types. Must be called whenever a column
-        array object is replaced (``_grow``/``clone``).
+        Must be called whenever a column array object is replaced
+        (``_grow``, ``clone``, ``attach_columns``, ``compact``), after
+        ``_capacity`` is set. The kernel indexes raw addresses, so each
+        column must be a contiguous array of its dtype holding at least
+        ``_capacity`` slots.
         """
-        self._v_counts = memoryview(self._counts)
-        self._v_los = memoryview(self._los)
-        self._v_his = memoryview(self._his)
-        self._v_parents = memoryview(self._parents)
-        self._v_first_child = memoryview(self._first_child)
-        self._v_next_sibling = memoryview(self._next_sibling)
-        self._v_n_children = memoryview(self._n_children)
-        self._v_depth = memoryview(self._depth)
-        self._v_is_item = memoryview(self._is_item)
-        self._v_dirty = memoryview(self._dirty)
-        self._v_live = memoryview(self._live)
-        self._v_free_slots = memoryview(self._free_slots)
+        kstate = self._kstate
+        for name in _ARRAY_COLUMNS + ("_free_slots",):
+            column = getattr(self, name)
+            if (
+                column.dtype != self.COLUMN_DTYPES[name]
+                or not column.flags.c_contiguous
+                or column.size < self._capacity
+            ):
+                raise ValueError(
+                    f"column {name!r} must be a contiguous "
+                    f"{self.COLUMN_DTYPES[name]} array of at least "
+                    f"{self._capacity} slots"
+                )
+            if name not in ("_cached_weight", "_cached_min"):
+                setattr(kstate, name[1:], column.ctypes.data)
 
-    def _alloc(self, lo: int, hi: int, depth: int) -> int:
-        """Pop a slot off the free stack (or extend) and initialize it.
+    def _children_slots(self, slot: int) -> List[int]:
+        """Direct children of ``slot`` in ``lo`` order."""
+        out: List[int] = []
+        child = int(self._first_child[slot])
+        while child != _NO_SLOT:
+            out.append(child)
+            child = int(self._next_sibling[child])
+        return out
 
-        Recycled slots had their counter and item flag reset when the
-        merge pass freed them, so a zero counter is an invariant of
-        every non-live slot (estimate/total_weight sum the raw column).
-        This path stores only the per-node fields (bounds, depth, item
-        flag). Everything else already holds the allocation default:
-        parent and sibling pointers are immediately overwritten by the
-        caller's chain build (the root's are set once in ``__init__``),
-        a dirty slot's cached weight/min are never read before the next
-        merge pass rewrites them wholesale, and the leaf/dirty/live
-        state is pre-filled for fresh slots and bulk-restored when the
-        merge pass frees a batch (only ``live`` needs a store on the
-        recycle branch — frees are what cleared it).
+    def _set_children(self, slot: int, kids: List[int]) -> None:
+        """Rebuild the sibling chain of ``slot`` from a slot list."""
+        self._n_children[slot] = len(kids)
+        self._first_child[slot] = kids[0] if kids else _NO_SLOT
+        for index, kid in enumerate(kids):
+            self._parents[kid] = slot
+            self._next_sibling[kid] = (
+                kids[index + 1] if index + 1 < len(kids) else _NO_SLOT
+            )
+
+    def _grow(self, slots: int) -> None:
+        """Double the columns until they hold ``slots`` slots.
+
+        One reallocation however many doublings that takes.
         """
-        if self._free_top:
-            self._free_top -= 1
-            slot = self._v_free_slots[self._free_top]
-            self._v_live[slot] = True
-        else:
-            slot = self._size
-            if slot == self._capacity:
-                self._grow()
-            self._size += 1
-        self._v_los[slot] = lo
-        self._v_his[slot] = hi
-        self._v_depth[slot] = depth
-        if lo == hi:
-            self._v_is_item[slot] = True
-        return slot
-
-    def _grow(self) -> None:
-        capacity = max(_INITIAL_CAPACITY, 2 * self._capacity)
         old_capacity = self._capacity
+        capacity = max(_INITIAL_CAPACITY, 2 * old_capacity)
+        while capacity < slots:
+            capacity *= 2
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             old = getattr(self, name)
             # Under the allocator hook this is the shared-memory "grow
@@ -393,195 +382,12 @@ class ColumnarRapTree:
             grown[: old.size] = old
             setattr(self, name, grown)
         # Restore the allocation-default pre-fill on the fresh tail
-        # (see __init__) so _alloc can keep skipping those stores.
+        # (see __init__) so splits can keep skipping those stores.
         self._first_child[old_capacity:] = _NO_SLOT
         self._dirty[old_capacity:] = True
         self._live[old_capacity:] = True
         self._capacity = capacity
         self._rebind_views()
-
-    def _children_slots(self, slot: int) -> List[int]:
-        """Direct children of ``slot`` in ``lo`` order."""
-        out: List[int] = []
-        child = self._v_first_child[slot]
-        next_sibling = self._v_next_sibling
-        while child != _NO_SLOT:
-            out.append(child)
-            child = next_sibling[child]
-        return out
-
-    def _set_children(self, slot: int, kids: List[int]) -> None:
-        """Rebuild the sibling chain of ``slot`` from a sorted slot list."""
-        self._v_n_children[slot] = len(kids)
-        self._v_first_child[slot] = kids[0] if kids else _NO_SLOT
-        parents = self._v_parents
-        next_sibling = self._v_next_sibling
-        last = len(kids) - 1
-        for index, kid in enumerate(kids):
-            parents[kid] = slot
-            next_sibling[kid] = kids[index + 1] if index < last else _NO_SLOT
-
-    def _mark_dirty(self, slot: int) -> None:
-        """Mark ``slot`` and its clean ancestors dirty (early-exit walk)."""
-        vdirty = self._v_dirty
-        vparents = self._v_parents
-        while slot != _NO_SLOT and not vdirty[slot]:
-            vdirty[slot] = True
-            slot = vparents[slot]
-
-    def _mark_dirty_many(self, touched: np.ndarray) -> None:
-        """Vectorized dirty propagation for a batch of deposited slots.
-
-        Level-by-level frontier walk: same final dirty set as calling
-        :meth:`_mark_dirty` per slot (a slot already dirty stops the
-        climb; ancestors of newly dirtied slots continue it).
-        """
-        dirty = self._dirty
-        parents = self._parents
-        current = touched[~dirty[touched]]
-        while current.size:
-            dirty[current] = True
-            up = parents[current]
-            up = up[up != _NO_SLOT]
-            if not up.size:
-                return
-            up = np.unique(up)
-            current = up[~dirty[up]]
-
-    # ------------------------------------------------------------------
-    # Scalar descent (finger search over the sibling chains)
-    # ------------------------------------------------------------------
-
-    def _deepest_slot(self, value: int) -> int:
-        """Slot of the deepest node covering ``value``.
-
-        Finger search, exactly like ``RapTree._locate``: walk up from
-        the cached slot until the value is covered, then descend the
-        sorted sibling chains. Consecutive events land near each other
-        (loops, hot ranges), so the walk is usually O(1). All reads go
-        through the memoryview accessors (plain Python ints out).
-        """
-        los = self._v_los
-        his = self._v_his
-        no_slot = _NO_SLOT
-        slot = self._cached_slot
-        if value < los[slot] or value > his[slot]:
-            parents = self._v_parents
-            slot = parents[slot]
-            while slot != no_slot and (
-                value < los[slot] or value > his[slot]
-            ):
-                slot = parents[slot]
-            if slot == no_slot:
-                slot = 0
-        first_child = self._v_first_child
-        next_sibling = self._v_next_sibling
-        while True:
-            child = first_child[slot]
-            while child != no_slot and value > his[child]:
-                child = next_sibling[child]
-            if child == no_slot or los[child] > value:
-                self._cached_slot = slot
-                return slot
-            slot = child
-
-    # ------------------------------------------------------------------
-    # Cover index (incremental in both directions)
-    # ------------------------------------------------------------------
-
-    def _rebuild_cover(self) -> None:
-        """Recompute the full cover index from the sibling chains.
-
-        The incremental splices (split inserts in ``_sync_cover``, the
-        merge remap in ``_merge_frontier``) keep the live index equal to
-        this recursive emission; ``check_invariants`` asserts exactly
-        that, so this survives as the oracle, not a maintenance path.
-        """
-        starts: List[int] = []
-        owners: List[int] = []
-        # Plain-list mirrors of the columns: one C-speed conversion each,
-        # then the per-node walk runs on native ints instead of paying a
-        # numpy scalar extraction per field per node. The walk itself is
-        # the recursive emission unrolled onto an explicit stack of
-        # (slot, resume position, next child) frames, so arbitrarily deep
-        # trees cannot hit the interpreter recursion limit either.
-        los = self._los.tolist()
-        his = self._his.tolist()
-        first_child = self._first_child.tolist()
-        next_sibling = self._next_sibling.tolist()
-        stack = [(0, los[0], first_child[0])]
-        while stack:
-            slot, position, child = stack.pop()
-            while child != _NO_SLOT:
-                if los[child] > position:
-                    starts.append(position)
-                    owners.append(slot)
-                stack.append((slot, his[child] + 1, next_sibling[child]))
-                slot = child
-                position = los[slot]
-                child = first_child[slot]
-            if position <= his[slot]:
-                starts.append(position)
-                owners.append(slot)
-        self._cov_starts = np.array(starts, dtype=np.uint64)
-        self._cov_owner = np.array(owners, dtype=np.int64)
-
-    def _sync_cover(self) -> None:
-        """Fold queued split splices into the cover index.
-
-        After a split every missing partition cell gained a child, so the
-        split node owns nothing: its segments are exactly the union of
-        the new children's ranges. Batching the queued splits means one
-        positioned insert per vectorized round instead of one per split;
-        a fresh child that itself split later in the same batch
-        contributes no segment (its own children do). A tree wrapped by
-        :meth:`attach_columns` has no cover yet; it is built here, on
-        the first read that needs it.
-        """
-        if self._cover_stale:
-            self._rebuild_cover()
-            self._cover_stale = False
-        pending = self._cov_pending
-        if not pending:
-            return
-        self._cov_pending = []
-        split_slots = {slot for slot, _ in pending}
-        new_owners = [
-            kid
-            for _, created in pending
-            for kid in created
-            if kid not in split_slots
-        ]
-        # Membership via a boolean table over slots: owners are slot ids
-        # (< size), so this is O(segments) with no sorting — much cheaper
-        # than np.isin for the handful of splits pending between rounds.
-        split_table = np.zeros(self._size, dtype=np.bool_)
-        split_table[list(split_slots)] = True
-        keep = ~split_table[self._cov_owner]
-        kept_starts = self._cov_starts[keep]
-        kept_owner = self._cov_owner[keep]
-        owner_arr = np.asarray(new_owners, dtype=np.int64)
-        new_starts = self._los[owner_arr]
-        order = np.argsort(new_starts, kind="stable")
-        new_starts = new_starts[order]
-        owner_arr = owner_arr[order]
-        # Both sides are sorted, so a positioned insert replaces the
-        # concatenate-and-argsort: O(segments) copy, no sort. Done by
-        # hand (shared scatter mask) — np.insert's argument handling
-        # costs more than the copy itself at this size.
-        positions = np.searchsorted(kept_starts, new_starts)
-        grown = kept_starts.size + new_starts.size
-        at = positions + np.arange(new_starts.size)
-        starts_out = np.empty(grown, dtype=np.uint64)
-        owner_out = np.empty(grown, dtype=np.int64)
-        old_at = np.ones(grown, dtype=np.bool_)
-        old_at[at] = False
-        starts_out[at] = new_starts
-        owner_out[at] = owner_arr
-        starts_out[old_at] = kept_starts
-        owner_out[old_at] = kept_owner
-        self._cov_starts = starts_out
-        self._cov_owner = owner_out
 
     # ------------------------------------------------------------------
     # Basic properties (mirrors RapTree)
@@ -633,17 +439,13 @@ class ColumnarRapTree:
         """Actual bytes held by the column arrays.
 
         Counts every allocated slot — free-list slack and the unused
-        capacity tail included — plus the cover index and the free
-        stack: what the process really pays for this profile, not the
+        capacity tail included — plus the free stack: what the process
+        really pays for this profile, not the
         paper's per-node model. ``bits_per_node`` is accepted for
         signature compatibility across backends but only the model
         (:meth:`modeled_memory_bytes`) uses it.
         """
-        total = (
-            self._free_slots.nbytes
-            + self._cov_starts.nbytes
-            + self._cov_owner.nbytes
-        )
+        total = self._free_slots.nbytes
         for name in _ARRAY_COLUMNS:
             total += getattr(self, name).nbytes
         return total
@@ -697,12 +499,11 @@ class ColumnarRapTree:
         confined shard tree can be cloned by the fold coordinator while
         the owning worker is quiesced.
         """
-        self._sync_cover()
         other = ColumnarRapTree(self._config)
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             setattr(other, name, getattr(self, name).copy())
-        other._rebind_views()
         other._capacity = self._capacity
+        other._rebind_views()
         other._free_top = self._free_top
         other._size = self._size
         other._node_count = self._node_count
@@ -710,10 +511,6 @@ class ColumnarRapTree:
         other._scheduler.next_at = self._scheduler.next_at
         other._scheduler.batches_fired = self._scheduler.batches_fired
         other._generation = self._generation
-        other._cov_starts = self._cov_starts.copy()
-        other._cov_owner = self._cov_owner.copy()
-        other._storm = self._storm
-        other._calm = self._calm
         return other
 
     def column_state(self) -> Dict[str, object]:
@@ -735,8 +532,6 @@ class ColumnarRapTree:
             "next_at": self._scheduler.next_at,
             "batches_fired": self._scheduler.batches_fired,
             "generation": self._generation,
-            "storm": self._storm,
-            "calm": self._calm,
         }
 
     @classmethod
@@ -781,17 +576,10 @@ class ColumnarRapTree:
         tree._scheduler.next_at = float(state["next_at"])
         tree._scheduler.batches_fired = int(state["batches_fired"])
         tree._generation = int(state["generation"])
-        tree._storm = bool(state["storm"])
-        tree._calm = int(state["calm"])
         tree._cached_slot = 0
         tree._view_root = None
         tree._view_generation = -1
         tree._rebind_views()
-        # A fold reads only counter_rows; the cover index is a Python
-        # walk over the chains, so it waits for a reader (_sync_cover).
-        tree._cov_starts = np.zeros(0, dtype=np.uint64)
-        tree._cov_owner = np.zeros(0, dtype=np.int64)
-        tree._cover_stale = True
         return tree
 
     @classmethod
@@ -811,7 +599,6 @@ class ColumnarRapTree:
         Row 0 must be the root (parent ``-1``), and every node with
         children must carry *all* of its ``partition_range`` cells —
         the shape :func:`repro.core.combine.combine_many` expands to.
-        That makes the cover index exactly the leaves in ``lo`` order.
         Every slot starts dirty, so the caller's :meth:`merge_now`
         prunes and finalizes the tree like any fresh one.
         """
@@ -838,16 +625,13 @@ class ColumnarRapTree:
         tree._events = int(counts.sum())
         tree._rebind_views()
         tree._rebuild_chains(np.arange(size, dtype=np.int64))
-        leaves = np.flatnonzero(tree._n_children == 0)
-        tree._cov_owner = leaves[np.argsort(tree._los[leaves])]
-        tree._cov_starts = tree._los[tree._cov_owner]
         return tree
 
     def compact(self) -> None:
         """Drop freed slots: renumber the live slots densely, in order.
 
         Every column shrinks to ``node_count`` slots (the root stays
-        slot 0), pointers and cover owners are remapped, and the free
+        slot 0), pointers are remapped, and the free
         stack empties. The profile is unchanged (same ``dump_tree``,
         estimates and merge state); slot-space scans (``estimate``,
         hot ranges, ``check_invariants``) then cost ``node_count``,
@@ -858,7 +642,6 @@ class ColumnarRapTree:
         """
         if self._allocator is not None:
             raise ValueError("compact() needs heap-backed columns")
-        self._sync_cover()
         size = self._size
         live_idx = np.flatnonzero(self._live[:size])
         # One spare entry maps _NO_SLOT (index -1) to itself.
@@ -872,7 +655,6 @@ class ColumnarRapTree:
         self._free_slots = np.zeros(live_idx.size, dtype=np.int32)
         self._free_top = 0
         self._size = self._capacity = int(live_idx.size)
-        self._cov_owner = renumber[self._cov_owner]
         self._cached_slot = 0
         self._rebind_views()
 
@@ -895,7 +677,7 @@ class ColumnarRapTree:
         )
 
     # ------------------------------------------------------------------
-    # Updates — scalar path (exact port of RapTree.add/_absorb)
+    # Updates (the compiled kernel)
     # ------------------------------------------------------------------
 
     def add(self, value: int, count: int = 1) -> None:
@@ -903,7 +685,7 @@ class ColumnarRapTree:
 
         Arithmetic-identical to :meth:`repro.core.tree.RapTree.add`:
         same closed-form split crossing points, same mid-count merge
-        triggers, same descent semantics.
+        triggers, same descent semantics, same statistics.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -913,9 +695,20 @@ class ColumnarRapTree:
             raise ValueError(
                 f"value {value} outside universe [0, {self._root_hi}]"
             )
-        self._absorb_slot(self._deepest_slot(value), value, count)
+        self._one_value.value = operator.index(value)
+        count = operator.index(count)
+        if count > _INT64_MAX:
+            raise OverflowError(
+                f"count {count} is past the columnar int64 counter range"
+            )
+        self._one_count.value = count
+        self._run(
+            ctypes.addressof(self._one_value),
+            ctypes.addressof(self._one_count),
+            1,
+            direct=True,
+        )
         self._generation += 1
-        self._stats.observe_update()
 
         if self._scheduler.due(self._events):
             self.merge_now()
@@ -925,147 +718,44 @@ class ColumnarRapTree:
                 self._next_audit += self._audit_every
             self.audit()
 
-    def _absorb_slot(self, slot: int, value: int, count: int) -> None:
-        """Deposit ``count`` units of ``value`` starting at ``slot``.
-
-        Line-for-line port of ``RapTree._absorb`` onto slots. Every
-        counter read is converted to a Python int before the float
-        threshold comparison (CPython compares int vs float exactly at
-        any magnitude; numpy would round the int64 side past 2**53), so
-        the cascade arithmetic matches the object backend bit for bit.
-        """
-        remaining = count
-        events = self._events
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        scheduler = self._scheduler
-        stats = self._stats
-        vcounts = self._v_counts
-        vitem = self._v_is_item
-        vdirty = self._v_dirty
-        vparents = self._v_parents
-        no_slot = _NO_SLOT
-        cap = self._capacity
-        while True:
-            next_at = scheduler.next_at
-            m_merge = int(next_at - events)
-            if events + m_merge < next_at:
-                m_merge += 1
-            if m_merge < 1:
-                m_merge = 1
-            m = remaining if remaining < m_merge else m_merge
-
-            m_split = 0
-            c0 = vcounts[slot]
-            if not vitem[slot]:
-                cap_th = eps_h * (events + m)
-                if cap_th < min_th:
-                    cap_th = min_th
-                if c0 + m > cap_th:
-                    th1 = eps_h * (events + 1)
-                    if th1 < min_th:
-                        th1 = min_th
-                    if c0 > int(th1):
-                        # Already over threshold before absorbing (merge
-                        # churn re-deposited weight): split dry and push
-                        # the whole run down to the covering child. The
-                        # split may grow (reallocate) the columns and
-                        # rebind the views — re-hoist before the scan.
-                        self._split_slot(slot)
-                        if cap != self._capacity:
-                            cap = self._capacity
-                            vcounts = self._v_counts
-                            vitem = self._v_is_item
-                            vdirty = self._v_dirty
-                            vparents = self._v_parents
-                        vlos = self._v_los
-                        vhis = self._v_his
-                        vnext = self._v_next_sibling
-                        child = self._v_first_child[slot]
-                        while child != no_slot and not (
-                            vlos[child] <= value <= vhis[child]
-                        ):
-                            child = vnext[child]
-                        assert child != no_slot, (
-                            "split left the value uncovered"
-                        )
-                        slot = child
-                        continue
-                    m_split = split_crossing_point(c0, events, eps_h, min_th)
-                    if 0 < m_split < m:
-                        m = m_split
-
-            vcounts[slot] = c0 + m
-            events += m
-            remaining -= m
-            self._events = events
-            walk = slot
-            while walk != no_slot and not vdirty[walk]:
-                vdirty[walk] = True
-                walk = vparents[walk]
-            split_now = m_split != 0 and m == m_split
-            if split_now:
-                self._split_slot(slot)
-                if cap != self._capacity:
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-            stats.observe_weight(m, self._node_count)
-
-            if events >= next_at:
-                self.merge_now()
-                if not remaining:
-                    return
-                # The merge may have recycled our slot; re-descend from
-                # the root-side finger. (Merges never reallocate the
-                # columns, so the hoisted views stay valid.)
-                slot = self._deepest_slot(value)
-            elif not remaining:
-                self._cached_slot = slot
-                return
-            else:
-                # A split boundary was hit with units left: descend one
-                # level into the covering child of the just-split slot
-                # (a sibling-chain scan — no full finger search needed).
-                vlos = self._v_los
-                vhis = self._v_his
-                vnext = self._v_next_sibling
-                child = self._v_first_child[slot]
-                while child != no_slot and not (
-                    vlos[child] <= value <= vhis[child]
-                ):
-                    child = vnext[child]
-                assert child != no_slot, "split left the value uncovered"
-                slot = child
-
-    # ------------------------------------------------------------------
-    # Updates — vectorized batch ingest
-    # ------------------------------------------------------------------
-
     def extend(self, values: Iterable[int]) -> None:
-        """Feed a stream of single events (vectorized rounds).
+        """Feed a stream of single events.
 
-        Observably identical to calling :meth:`add` per value; with
-        timeline sampling or self-audits enabled the per-event path is
-        used outright so those hooks see every event.
+        Observably identical to calling :meth:`add` per value, and to
+        ``RapTree.extend``; with timeline sampling or self-audits
+        enabled the per-event path is used outright so those hooks see
+        every event.
         """
-        items = values if isinstance(values, list) else list(values)
-        self._ingest(items, True)
+        if not isinstance(values, (list, np.ndarray)):
+            values = list(values)
+        self._feed(values, None)
 
     def add_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs in arrival order."""
         items = pairs if isinstance(pairs, list) else list(pairs)
-        self._ingest(items, False)
+        if not items:
+            return
+        try:
+            pairs_only = set(map(len, items)) == {2}
+        except TypeError:
+            pairs_only = False
+        if not pairs_only:
+            # Not all pairs: the per-item path raises at the first bad one.
+            if self._confined_ident is not None:
+                self._assert_owner()
+            for value, count in items:
+                self.add(value, count)
+            return
+        values, counts = zip(*items)
+        self._feed(values, counts)
 
     def add_batch(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Feed ``(value, count)`` pairs, sorted once and routed in bulk.
+        """Feed ``(value, count)`` pairs, sorted once.
 
         Observably identical to ``add_counted(sorted(pairs))`` — the
         same contract as the object backend's batch kernel.
         """
-        self._ingest(sorted(pairs), False)
+        self.add_counted(sorted(pairs))
 
     # rap: hot
     def add_counted_arrays(
@@ -1075,15 +765,13 @@ class ColumnarRapTree:
 
         Observably identical to
         ``add_counted(list(zip(values.tolist(), counts.tolist())))``,
-        but the pair list is never built unless a scalar window needs
-        it: the vectorized rounds consume the arrays directly. This is
-        the process executor's frame path — shard workers receive
-        ``(values, counts)`` ndarray frames off the ring and ingest
-        them without a tuple transpose on either side. Inputs the
-        column dtypes cannot represent faithfully (negative or
-        non-integer values, counts past int64) take the exact per-item
-        path instead, which raises the object backend's errors at the
-        same item.
+        without building the pair list: the kernel reads the arrays.
+        This is the process executor's frame path — shard workers
+        receive ``(values, counts)`` ndarray frames off the ring and
+        ingest them without a tuple transpose on either side. An item
+        the column dtypes cannot hold (a negative or non-integer value,
+        a count past int64) raises the object backend's error at that
+        item, after every item before it went in.
         """
         values = np.asarray(values)
         counts = np.asarray(counts)
@@ -1092,33 +780,133 @@ class ColumnarRapTree:
                 "values and counts must be matching 1-D arrays, got "
                 f"shapes {values.shape} and {counts.shape}"
             )
-        if (
-            values.dtype.kind not in "iu"
-            or counts.dtype.kind not in "iu"
-            or (
-                values.dtype.kind == "i"
-                and values.size
-                and int(values.min()) < 0
-            )
-            or (
-                counts.dtype.kind == "u"
-                and counts.size
-                and int(counts.max()) > _INT64_MAX
-            )
-        ):
-            # astype would wrap these silently (ndarray casts do not
-            # range-check like Python ints); the list path validates
-            # per item and raises exactly like the object backend.
-            self._ingest(list(zip(values.tolist(), counts.tolist())), False)
+        self._feed(values, counts)
+
+    def _feed(
+        self, values: Sequence[int], counts: Optional[Sequence[int]]
+    ) -> None:
+        """The batch entry points' shared body (``counts`` None: ones).
+
+        Items go to the kernel as uint64/int64 columns. The first item
+        the columns cannot hold goes through :meth:`add` instead, which
+        raises exactly the object backend's error for it.
+        """
+        if self._confined_ident is not None:
+            self._assert_owner()
+        total = len(values)
+        if self._stats.sample_every > 0 or self._audit_every:
+            # Sampling/audit hooks must see every event: per-event path.
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            if isinstance(counts, np.ndarray):
+                counts = counts.tolist()
+            for at in range(total):
+                self.add(values[at], 1 if counts is None else counts[at])
             return
-        self._ingest(
-            None,
-            False,
-            columns=(
-                values.astype(np.uint64, copy=False),
-                counts.astype(np.int64, copy=False),
-            ),
-        )
+        varr, stop = _int_column(values, np.uint64, 0, _UINT64_MAX)
+        carr = None
+        if counts is not None:
+            carr, count_stop = _int_column(
+                counts, np.int64, -(2**63), _INT64_MAX
+            )
+            if count_stop < stop:
+                stop = count_stop
+                varr = varr[:stop]
+            carr = np.ascontiguousarray(carr[:stop])
+        varr = np.ascontiguousarray(varr)
+        if stop:
+            try:
+                self._run(
+                    varr.ctypes.data,
+                    None if carr is None else carr.ctypes.data,
+                    stop,
+                    direct=False,
+                )
+            finally:
+                self._generation += 1
+        if stop < total:
+            self.add(values[stop], 1 if counts is None else counts[stop])
+            self._feed(
+                values[stop + 1 :],
+                None if counts is None else counts[stop + 1 :],
+            )
+
+    def _run(
+        self,
+        values_at: int,
+        counts_at: Optional[int],
+        total: int,
+        direct: bool,
+    ) -> None:
+        """Drive the kernel over ``total`` items until it finishes.
+
+        ``values_at``/``counts_at`` are the addresses of the uint64
+        values and int64 counts (``None``: one unit each). The kernel
+        stops for merges, column growth and full timeline buffers,
+        which run here, and then resumes where it stopped; a malformed
+        item or an event total past int64 raises.
+        """
+        if not self._counts.flags.writeable:
+            # The kernel writes through raw addresses, past numpy's
+            # read-only flag: refuse here instead.
+            raise ValueError(
+                "the tree wraps read-only columns (attach_columns); "
+                "update a clone() instead"
+            )
+        kstate = self._kstate
+        stats = self._stats
+        kstate.st_events = stats.events
+        kstate.st_updates = stats.updates
+        kstate.st_splits = stats.splits
+        kstate.st_max_nodes = stats.max_nodes
+        kstate.st_node_seconds = stats.node_seconds
+        kstate.sample_every = stats.sample_every
+        kstate.next_sample = stats.next_sample
+        kstate.item = 0
+        kstate.phase = 0
+        ingest = load_kernel().rap_ingest
+        at = self._kstate_at
+        while True:
+            kstate.next_at = self._scheduler.next_at
+            code = ingest(at, values_at, counts_at, total, direct)
+            stats.events = kstate.st_events
+            stats.updates = kstate.st_updates
+            stats.splits = kstate.st_splits
+            stats.max_nodes = kstate.st_max_nodes
+            stats.node_seconds = kstate.st_node_seconds
+            stats.next_sample = kstate.next_sample
+            if kstate.timeline_len:
+                samples = self._timeline[: 2 * kstate.timeline_len].tolist()
+                stats.timeline.extend(zip(samples[0::2], samples[1::2]))
+                kstate.timeline_len = 0
+            if code == K_DONE:
+                return
+            if code == K_MERGE:
+                self.merge_now()
+            elif code == K_GROW:
+                self._grow(self._size - self._free_top + kstate.need)
+            elif code == K_BAD:
+                offset = 8 * kstate.item
+                value = ctypes.c_uint64.from_address(values_at + offset).value
+                count = 1
+                if counts_at is not None:
+                    count = ctypes.c_int64.from_address(
+                        counts_at + offset
+                    ).value
+                if count <= 0:
+                    raise ValueError(f"count must be positive, got {count}")
+                raise ValueError(
+                    f"value {value} outside universe [0, {self._root_hi}]"
+                )
+            elif code == K_OVERFLOW:
+                raise OverflowError(
+                    "event total would pass 2**63-1, the columnar "
+                    "backend's int64 counter range"
+                )
+            elif code == K_UNCOVERED:
+                raise AssertionError("split left the value uncovered")
+            elif code != K_TIMELINE:
+                raise AssertionError(f"unknown kernel return code {code}")
 
     def bootstrap_counted_arrays(
         self, values: np.ndarray, counts: np.ndarray
@@ -1203,18 +991,8 @@ class ColumnarRapTree:
 
         created = 0
         bursts = 0
-        # Cover segments, collected level by level as the build walks
-        # down: a leaf's whole range, and each burst parent's runs of
-        # empty cells (cell-aligned by construction). One argsort at
-        # the end replaces the per-node recursive emission of
-        # ``_rebuild_cover`` — which stays the oracle this collection
-        # is checked against (``check_invariants``).
-        cover_start_parts: List[np.ndarray] = []
-        cover_owner_parts: List[np.ndarray] = []
         if total <= floor_t or self._root_hi == 0:
-            self._v_counts[0] = total
-            cover_start_parts.append(self._los[:1].astype(np.uint64))
-            cover_owner_parts.append(np.zeros(1, dtype=np.int64))
+            self._counts[0] = total
         else:
             # Root level in exact Python ints — the root's width (the
             # whole universe) can overflow the uint64 cell arithmetic
@@ -1228,16 +1006,6 @@ class ColumnarRapTree:
             bounds[-1] = varr.size
             bounds[1:-1] = np.searchsorted(varr, cell_lo[1:])
             mass = cum[bounds[1:]] - cum[bounds[:-1]]
-            # Root-owned segments: each maximal run of empty cells is
-            # one gap (emit() merges consecutive empty cells too).
-            root_gap = mass == 0
-            root_run = root_gap.copy()
-            root_run[1:] &= ~root_gap[:-1]
-            if root_run.any():
-                cover_start_parts.append(cell_lo[root_run])
-                cover_owner_parts.append(
-                    np.zeros(int(root_run.sum()), dtype=np.int64)
-                )
             keep = np.flatnonzero(mass)
             sel_lo = cell_lo[keep]
             sel_hi = cell_hi[keep]
@@ -1250,8 +1018,8 @@ class ColumnarRapTree:
             depth = 1
             while True:
                 spawned = int(sel_lo.size)
-                while self._size + spawned > self._capacity:
-                    self._grow()
+                if self._size + spawned > self._capacity:
+                    self._grow(self._size + spawned)
                 base_slot = self._size
                 slots = base_slot + np.arange(spawned, dtype=np.int64)
                 self._los[slots] = sel_lo
@@ -1276,11 +1044,6 @@ class ColumnarRapTree:
                 leaf = item | (sel_mass <= floor_t)
                 leaf_slots = slots[leaf]
                 self._counts[leaf_slots] = sel_mass[leaf]
-                if leaf_slots.size:
-                    cover_start_parts.append(
-                        sel_lo[leaf].astype(np.uint64, copy=False)
-                    )
-                    cover_owner_parts.append(leaf_slots)
                 recurse = np.flatnonzero(~leaf)
                 if recurse.size == 0:
                     break
@@ -1330,20 +1093,6 @@ class ColumnarRapTree:
                     ends[narrow, cells_n[narrow] - 1] = p_hi[narrow]
                 mass = cum[idx[:, 1:]] - cum[idx[:, :-1]]
                 nonzero = mass > 0
-                # Parent-owned segments: runs of empty *valid* cells
-                # (columns past a narrow parent's cell count are
-                # padding, not range).
-                valid = (
-                    np.arange(branching, dtype=np.int64)[None, :]
-                    < cells_n[:, None]
-                )
-                gap = ~nonzero & valid
-                gap_run = gap.copy()
-                gap_run[:, 1:] &= ~gap[:, :-1]
-                g_rows, g_cols = np.nonzero(gap_run)
-                if g_rows.size:
-                    cover_start_parts.append(starts[g_rows, g_cols])
-                    cover_owner_parts.append(parent_slots[g_rows])
                 flat = np.flatnonzero(nonzero.ravel())
                 rows = flat // branching
                 cols = flat - rows * branching
@@ -1361,14 +1110,6 @@ class ColumnarRapTree:
         self._stats.splits += bursts
         self._generation += 1
         self._cached_slot = 0
-        starts_all = np.concatenate(cover_start_parts)
-        owners_all = np.concatenate(cover_owner_parts)
-        # Segment starts are globally unique (one deepest owner per
-        # position), so this ordering is deterministic; stable only to
-        # make that self-evident.
-        order = np.argsort(starts_all, kind="stable")
-        self._cov_starts = starts_all[order]
-        self._cov_owner = owners_all[order]
         if self._scheduler.due(self._events):
             self.merge_now()
         return True
@@ -1390,959 +1131,6 @@ class ColumnarRapTree:
         if chunk:
             self.add_batch(chunk.items())
 
-    def _ingest(
-        self,
-        items: Optional[Sequence],
-        ones: bool,
-        columns: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Shared bulk kernel behind extend/add_counted/add_batch.
-
-        One vectorized round per window: scatter the provably-safe
-        positions, resolve the holdouts in exact array passes (see the
-        module docstring). Items a round cannot start on — merge
-        triggers and malformed items — go through :meth:`add`, which
-        fires the merge mid-count or raises exactly like the object
-        backend. ``ones`` means ``items`` is a raw value stream;
-        otherwise it is a list of ``(value, count)`` pairs, consumed
-        as-is (the scalar kernel unpacks the tuples exactly like the
-        object backend's loops — no column transpose unless a
-        vectorized round actually runs).
-
-        ``columns`` is the array-native entry
-        (:meth:`add_counted_arrays`): ``items`` is passed as ``None``
-        and the ``(values, counts)`` arrays — already validated to fit
-        the column dtypes — feed the vectorized rounds directly. A
-        scalar window transposes only its own slice into pairs.
-        """
-        if self._confined_ident is not None:
-            self._assert_owner()
-
-        if columns is not None:
-            col_values, col_counts = columns
-            total = int(col_values.size)
-        else:
-            col_values = col_counts = None
-            total = len(items)
-
-        def scalar_window(at: int, length: int) -> Tuple[int, int]:
-            # _scalar_run over [at, at + length); an array-native ingest
-            # transposes just that slice into pairs.
-            if items is not None:
-                return self._scalar_run(items, ones, at, length)
-            stop = at + length
-            pairs = list(
-                zip(
-                    col_values[at:stop].tolist(),
-                    col_counts[at:stop].tolist(),
-                )
-            )
-            end, fallbacks = self._scalar_run(pairs, ones, 0, length)
-            return at + end, fallbacks
-
-        def add_item(at: int) -> None:
-            # One item through add(): fires a merge mid-count, or raises
-            # the object backend's exact error for a malformed item.
-            if ones:
-                self.add(items[at])
-            elif items is None:
-                self.add(int(col_values[at]), int(col_counts[at]))
-            else:
-                self.add(*items[at])
-
-        stats = self._stats
-        if stats.sample_every > 0 or self._audit_every:
-            # Sampling/audit hooks must see every event: per-event path.
-            for at in range(total):
-                add_item(at)
-            return
-        if not total:
-            return
-        # All numpy-side state is computed lazily on the first
-        # vectorized round: storm-mode windows run on the Python lists
-        # directly (validity checked inline, like the object backend's
-        # fast loops), so a fully-stormed ingest never pays the
-        # list-to-array conversion at all. ``varr is None`` doubles as
-        # the not-yet-converted marker; ``cum_counts`` holds running
-        # event totals after each item (events at any point is the
-        # start total plus this prefix — every item deposits exactly
-        # once, in order) and ``invalid_at`` the positions the vector
-        # path must hand to add() for error parity.
-        varr = None
-        carr = None
-        cum_counts = None
-        invalid_at = None
-        index = 0
-        window = _WINDOW_START
-        # Storm mode: while thresholds are tiny (cold tree, small n)
-        # nearly every deposit is a true crossing, so a vectorized
-        # round would compute masks just to send the window through
-        # the cascade. Run those windows through the scalar kernel
-        # directly and come back to vectorized rounds once crossings
-        # thin out. The flag persists across calls (chunked feeders
-        # re-enter here mid-storm).
-        storm = self._storm
-        calm = self._calm
-        try:
-            while index < total:
-                remaining = total - index
-                if storm or remaining < _MIN_VECTOR_TAIL:
-                    # Storm window or short tail (the whole tail): the
-                    # exact scalar kernel, without the numpy round.
-                    next_index, fallbacks = scalar_window(
-                        index,
-                        remaining
-                        if remaining < _MIN_VECTOR_TAIL
-                        else min(window, remaining),
-                    )
-                    if next_index == index:
-                        # Malformed item at the head.
-                        add_item(index)
-                        index += 1
-                        continue
-                    consumed = next_index - index
-                    index = next_index
-                    # Leave the storm only when true crossings have
-                    # been rare for two windows running: one quiet
-                    # window mid-storm is usually just the gap between
-                    # split bursts.
-                    if 64 * fallbacks > consumed:
-                        storm = True
-                        calm = 0
-                    else:
-                        calm += 1
-                        if calm >= 2:
-                            storm = False
-                    continue
-                if varr is None:
-                    if col_values is not None:
-                        # Array-native ingest: dtypes were validated by
-                        # add_counted_arrays, no conversion to attempt.
-                        varr = col_values
-                        carr = col_counts
-                    else:
-                        try:
-                            if ones:
-                                varr = np.asarray(items, dtype=np.uint64)
-                                carr = None
-                            else:
-                                vcols, ccols = zip(*items)
-                                varr = np.asarray(vcols, dtype=np.uint64)
-                                carr = np.asarray(ccols, dtype=np.int64)
-                        except (OverflowError, TypeError, ValueError):
-                            # Out-of-dtype input (negative / huge /
-                            # non-integer values): finish on the exact
-                            # per-item path, which raises the same
-                            # errors at the same item the object
-                            # backend would.
-                            while index < total:
-                                add_item(index)
-                                index += 1
-                            break
-                    if ones:
-                        invalid_at = np.flatnonzero(
-                            varr > np.uint64(self._root_hi)
-                        )
-                    else:
-                        invalid_at = np.flatnonzero(
-                            (varr > np.uint64(self._root_hi)) | (carr <= 0)
-                        )
-                        cum_counts = np.cumsum(carr)
-                next_index, cascades = self._vector_round(
-                    varr, carr, cum_counts, invalid_at, ones, index, window
-                )
-                if next_index == index:
-                    # Blocked at the head: merge trigger or malformed
-                    # item — the scalar port decides authoritatively.
-                    add_item(index)
-                    index += 1
-                    continue
-                consumed = next_index - index
-                index = next_index
-                # Regime signals key on true cascades, not on held
-                # items: a held item that fits costs array passes, not
-                # the scalar kernel. Storm re-entry when a quarter of
-                # the round cascaded; long windows amortize the numpy
-                # overhead but stale-threshold more items into the
-                # holdout passes, so the window tracks the cascade
-                # fraction too.
-                storm = 4 * cascades >= consumed
-                if storm:
-                    calm = 0
-                if 8 * cascades <= consumed:
-                    if consumed == window and window < _WINDOW_MAX:
-                        window *= 2
-                elif storm and window > _WINDOW_MIN:
-                    window //= 2
-        finally:
-            self._storm = storm
-            self._calm = calm
-            self._generation += 1
-            self._view_root = None
-
-    def _scalar_run(
-        self,
-        items: Sequence,
-        ones: bool,
-        start: int,
-        window: int,
-    ) -> Tuple[int, int]:
-        """Storm-mode window: the exact scalar kernel, no vector pass.
-
-        The exact scalar kernel over the whole window — finger search,
-        inline fit check, full cascade only on true threshold/merge
-        crossings, consecutive equal raw values run-combined — without
-        the safe mask and holdout passes a cold window would spend
-        mostly on cascades anyway. Semantics are the scalar port's by
-        construction; there is no mask to prove anything about. Runs
-        on a Python sequence — the caller's list, or just this window
-        of an array-native ingest transposed to pairs — with the pair
-        tuples unpacked in place, exactly like the object backend's
-        loops: malformed items — out-of-universe values,
-        non-positive counts — are detected inline and stop the window
-        at their position. Returns ``(next_index, fallbacks)`` where
-        ``fallbacks`` counts full-cascade deposits — the storm-exit
-        signal (few crossings means thresholds have outgrown typical
-        deposits and the vectorized rounds pay again). A return of
-        ``start`` means a malformed item sits at the head; the caller
-        routes it through add() for error parity.
-        """
-        total = len(items)
-        end = start + window
-        if end > total:
-            end = total
-        absorb = self._absorb_slot
-        scheduler = self._scheduler
-        stats = self._stats
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        root_hi = self._root_hi
-        next_at_now = scheduler.next_at
-        vcounts = self._v_counts
-        vitem = self._v_is_item
-        vdirty = self._v_dirty
-        vparents = self._v_parents
-        vlos = self._v_los
-        vhis = self._v_his
-        vfirst = self._v_first_child
-        vnext = self._v_next_sibling
-        cached = self._cached_slot
-        no_slot = _NO_SLOT
-        cap = self._capacity
-        pending_weight = 0
-        pending_updates = 0
-        fallbacks = 0
-        evt = self._events
-        # Leaf cache: between fallbacks no split, merge or grow can
-        # happen, so the deepest leaf that took the last deposit — its
-        # bounds, is_item flag and running counter — stays valid as
-        # plain Python ints. A stream camped on one leaf then deposits
-        # with a single column store and zero reads. ``flo > fhi``
-        # marks the cache empty; every cascade invalidates it.
-        floc = 0
-        flo = 1
-        fhi = 0
-        fitem = False
-        fcount = 0
-        if ones:
-            # Raw stream: indexed loop so consecutive equal values
-            # (common in address traces) combine into one deposit.
-            i = start
-            while i < end:
-                value = items[i]
-                if value < 0 or value > root_hi:
-                    end = i
-                    break
-                j = i + 1
-                while j < end and items[j] == value:
-                    j += 1
-                item_count = j - i
-                i = j
-                if flo <= value <= fhi:
-                    # Cached-leaf fast path: one store, no reads.
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        if fitem:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = fcount + item_count <= th
-                        if fits:
-                            fcount += item_count
-                            vcounts[floc] = fcount
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += item_count
-                            continue
-                    slot = floc
-                else:
-                    # Inline finger search (the body of _deepest_slot,
-                    # with the finger kept in a local across
-                    # iterations).
-                    slot = cached
-                    if value < vlos[slot] or value > vhis[slot]:
-                        slot = vparents[slot]
-                        while slot != no_slot and (
-                            value < vlos[slot] or value > vhis[slot]
-                        ):
-                            slot = vparents[slot]
-                        if slot == no_slot:
-                            slot = 0
-                    # Descent: siblings sit in lo order, so the first
-                    # child whose hi reaches the value is the only
-                    # candidate; one lo read then decides
-                    # covered-vs-gap (merge passes can leave gaps
-                    # between surviving siblings).
-                    while True:
-                        child = vfirst[slot]
-                        while child != no_slot and value > vhis[child]:
-                            child = vnext[child]
-                        if child == no_slot or vlos[child] > value:
-                            break
-                        slot = child
-                    cached = slot
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        c0 = vcounts[slot]
-                        isit = vitem[slot]
-                        if isit:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = c0 + item_count <= th
-                        if fits:
-                            c0 += item_count
-                            vcounts[slot] = c0
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += item_count
-                            if not vdirty[slot]:
-                                walk = slot
-                                while walk != no_slot and not vdirty[walk]:
-                                    vdirty[walk] = True
-                                    walk = vparents[walk]
-                            if vfirst[slot] == no_slot:
-                                # Childless: any in-range value is
-                                # deepest here. (``child == no_slot``
-                                # is weaker — children left of the
-                                # value also end the scan that way,
-                                # and they must keep catching their
-                                # own deposits.)
-                                floc = slot
-                                flo = vlos[slot]
-                                fhi = vhis[slot]
-                                fitem = isit
-                                fcount = c0
-                            continue
-                # True crossing (or merge boundary): the full cascade,
-                # which can split (growing and rebinding the column
-                # views) or merge (moving next_at and recycling slots —
-                # stale finger) — re-hoist the loop locals and drop the
-                # leaf cache.
-                flo = 1
-                fhi = 0
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                fallbacks += 1
-                evt = self._events
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    # The cascade grew the columns: the memoryviews
-                    # were rebound — re-hoist. (Merges recycle slots
-                    # in place and never reallocate.)
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-                    vlos = self._v_los
-                    vhis = self._v_his
-                    vfirst = self._v_first_child
-                    vnext = self._v_next_sibling
-                cached = self._cached_slot
-        else:
-            # Counted pairs: iterate at C speed like the object
-            # backend's fast loops (no run-combining — combined feeds
-            # carry unique values, so the lookahead never pays). Each
-            # pair deposits on its own, exactly like the object
-            # backend's per-pair path.
-            hit_bad = False
-            for value, item_count in items[start:end]:
-                if item_count <= 0 or value < 0 or value > root_hi:
-                    hit_bad = True
-                    break
-                if flo <= value <= fhi:
-                    # Cached-leaf fast path: one store, no reads.
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        if fitem:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = fcount + item_count <= th
-                        if fits:
-                            fcount += item_count
-                            vcounts[floc] = fcount
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += 1
-                            continue
-                    slot = floc
-                else:
-                    slot = cached
-                    if value < vlos[slot] or value > vhis[slot]:
-                        slot = vparents[slot]
-                        while slot != no_slot and (
-                            value < vlos[slot] or value > vhis[slot]
-                        ):
-                            slot = vparents[slot]
-                        if slot == no_slot:
-                            slot = 0
-                    # Descent: siblings sit in lo order, so the first
-                    # child whose hi reaches the value is the only
-                    # candidate; one lo read then decides
-                    # covered-vs-gap (merge passes can leave gaps
-                    # between surviving siblings).
-                    while True:
-                        child = vfirst[slot]
-                        while child != no_slot and value > vhis[child]:
-                            child = vnext[child]
-                        if child == no_slot or vlos[child] > value:
-                            break
-                        slot = child
-                    cached = slot
-                    landed = evt + item_count
-                    if landed < next_at_now:
-                        c0 = vcounts[slot]
-                        isit = vitem[slot]
-                        if isit:
-                            fits = True
-                        else:
-                            th = eps_h * landed
-                            if th < min_th:
-                                th = min_th
-                            # Python int vs float: exact at any
-                            # magnitude.
-                            fits = c0 + item_count <= th
-                        if fits:
-                            c0 += item_count
-                            vcounts[slot] = c0
-                            evt = landed
-                            pending_weight += item_count
-                            pending_updates += 1
-                            if not vdirty[slot]:
-                                walk = slot
-                                while walk != no_slot and not vdirty[walk]:
-                                    vdirty[walk] = True
-                                    walk = vparents[walk]
-                            if vfirst[slot] == no_slot:
-                                # Childless: any in-range value is
-                                # deepest here (see the ones loop).
-                                floc = slot
-                                flo = vlos[slot]
-                                fhi = vhis[slot]
-                                fitem = isit
-                                fcount = c0
-                            continue
-                flo = 1
-                fhi = 0
-                self._events = evt
-                absorb(slot, value, item_count)
-                stats.observe_update()
-                fallbacks += 1
-                evt = self._events
-                next_at_now = scheduler.next_at
-                if cap != self._capacity:
-                    # The cascade grew the columns: the memoryviews
-                    # were rebound — re-hoist. (Merges recycle slots
-                    # in place and never reallocate.)
-                    cap = self._capacity
-                    vcounts = self._v_counts
-                    vitem = self._v_is_item
-                    vdirty = self._v_dirty
-                    vparents = self._v_parents
-                    vlos = self._v_los
-                    vhis = self._v_his
-                    vfirst = self._v_first_child
-                    vnext = self._v_next_sibling
-                cached = self._cached_slot
-            if hit_bad:
-                # Recover the malformed pair's index: every pair before
-                # it was valid (the loop deposited them), so the first
-                # invalid position from ``start`` is exactly where the
-                # iteration stopped.
-                at = start
-                while True:
-                    value, item_count = items[at]
-                    if (
-                        item_count <= 0
-                        or value < 0
-                        or value > root_hi
-                    ):
-                        break
-                    at += 1
-                end = at
-        self._events = evt
-        self._cached_slot = cached
-        if pending_updates:
-            stats.observe_batch(
-                pending_weight, pending_updates, self._node_count
-            )
-        return end, fallbacks
-
-    def _vector_round(
-        self,
-        varr: np.ndarray,
-        carr: Optional[np.ndarray],
-        cum_counts: Optional[np.ndarray],
-        invalid_at: np.ndarray,
-        ones: bool,
-        start: int,
-        window: int,
-    ) -> Tuple[int, int]:
-        """Consume one window: safe scatter plus exact holdout resolution.
-
-        Returns ``(next_index, cascades)`` — the index of the first
-        unconsumed item and how many deposits took the full scalar
-        cascade (the regime signal: true threshold crossings, not
-        merely held items). A return of ``start`` means the round could
-        not start (merge trigger or malformed item at the head); the
-        caller routes that item through add().
-
-        Owners left over threshold by merge churn are split dry up
-        front (:meth:`_dry_owners`) and their items re-routed; dry
-        splits do not count as cascades. An owner whose whole-window
-        deposit fits the round's first — smallest — arrival threshold
-        is safe outright: its items scatter in one exact bincount.
-        Every other owner's items are holdouts, settled by
-        :meth:`_resolve_holdouts` against each item's own arrival
-        threshold (the window is cut before the next merge trigger, so
-        arrival event totals are known up front).
-        """
-        self._sync_cover()
-        total = varr.size
-        if start + window > total:
-            window = total - start
-        size = self._size
-        events_before = self._events
-        next_at = self._scheduler.next_at
-        if ones:
-            # Raw stream: the j-th window item lands at events + j, so
-            # the merge cap is a scalar, no prefix array needed.
-            can_take = int(next_at) - events_before
-            while events_before + can_take >= next_at:
-                can_take -= 1
-            while events_before + can_take + 1 < next_at:
-                can_take += 1
-            limit = window if can_take >= window else max(can_take, 0)
-            n_after = None
-        else:
-            base = int(cum_counts[start - 1]) if start else 0
-            n_after = (
-                cum_counts[start : start + window] - base
-            ) + events_before
-            # First item pushing events to >= next_at ends the window
-            # before it. Integral n >= next_at iff n >= ceil(next_at),
-            # so the cut compares int64 against an int64 scalar — exact
-            # at any magnitude (searchsorted against the raw float
-            # would round n_after past 2**53).
-            cap = math.ceil(next_at)
-            if cap > _INT64_MAX:
-                limit = window
-            else:
-                limit = int(np.searchsorted(n_after, np.int64(cap)))
-        if invalid_at.size:
-            bad_index = np.searchsorted(invalid_at, start)
-            if bad_index < invalid_at.size:
-                next_invalid = int(invalid_at[bad_index]) - start
-                if next_invalid < limit:
-                    limit = next_invalid
-        if limit <= 0:
-            return start, 0
-        owners = self._cov_owner[
-            np.searchsorted(
-                self._cov_starts, varr[start : start + limit], side="right"
-            )
-            - 1
-        ]
-        first_n = events_before + 1 if ones else int(n_after[0])
-        th0 = self._eps_over_height * first_n
-        if th0 < self._min_threshold:
-            th0 = self._min_threshold
-        # Integer-side threshold: for integral totals, x <= th0 iff
-        # x <= floor(th0), so the mask never compares int64 against
-        # float64 (inexact above 2**53). Clamped to int64 range —
-        # past the clamp every representable total fits anyway.
-        th_int = min(math.floor(th0), _INT64_MAX)
-        counts = self._counts
-        weights = None if ones else carr[start : start + limit]
-        if ones:
-            totals = np.bincount(owners, minlength=size)
-        else:
-            totals = _exact_bincount(owners, weights, size)
-        owner_ok = self._is_item[:size] | (counts[:size] + totals <= th_int)
-        # Merge churn leaves owners already over threshold: their first
-        # arrival only splits them dry. Split those up front and re-route
-        # their items, so the holdout passes never see them. Candidates
-        # are over the round's first threshold, which every later
-        # arrival's is at least; _dry_owners decides exactly. (A dry
-        # owner this misses, only possible for a counted round's first
-        # item, still splits exactly in the holdout passes.)
-        dry = self._dry_owners(
-            ~owner_ok & (counts[:size] > th_int) & (totals > 0),
-            owners,
-            weights,
-            events_before if ones else n_after,
-        )
-        if dry.size:
-            moved_from = np.zeros(size, dtype=np.bool_)
-            moved_from[dry] = True
-            for slot in dry.tolist():
-                self._split_slot(slot)
-            self._sync_cover()
-            moved = np.flatnonzero(moved_from[owners])
-            owners[moved] = self._cov_owner[
-                np.searchsorted(
-                    self._cov_starts, varr[start + moved], side="right"
-                )
-                - 1
-            ]
-            # A split may have grown (reallocated) the columns.
-            size = self._size
-            counts = self._counts
-            if ones:
-                totals = np.bincount(owners, minlength=size)
-            else:
-                totals = _exact_bincount(owners, weights, size)
-            owner_ok = self._is_item[:size] | (
-                counts[:size] + totals <= th_int
-            )
-        held = np.flatnonzero(~owner_ok[owners])
-        if held.size:
-            totals[~owner_ok] = 0
-        touched = np.flatnonzero(totals)
-        if touched.size:
-            # Both bincount shapes produce integer sums (unweighted
-            # bincount returns intp; _exact_bincount returns int64).
-            counts[touched] += totals[touched]
-            self._mark_dirty_many(touched)
-            safe_count = limit - int(held.size)
-            self._stats.observe_batch(
-                safe_count if ones else int(totals[touched].sum()),
-                safe_count,
-                self._node_count,
-            )
-        cascades = 0
-        if held.size:
-            if ones:
-                hold_weights = np.ones(held.size, dtype=np.int64)
-                arrivals = events_before + held
-            else:
-                hold_weights = weights[held]
-                arrivals = n_after[held] - hold_weights
-            cascades = self._resolve_holdouts(
-                varr[start + held], hold_weights, arrivals
-            )
-        # The whole cut is absorbed; land events on the cut's end (the
-        # last cascade may have left it mid-window).
-        self._events = (
-            events_before + limit if ones else int(n_after[limit - 1])
-        )
-        return start + limit, cascades
-
-    def _floor_thresholds(self, landed: np.ndarray) -> np.ndarray:
-        """``floor`` of the split threshold once ``landed`` events are in.
-
-        ``float64(landed)`` rounds like the scalar port's int-to-float
-        conversion in ``eps_h * (events + m)``, and for an integral
-        counter ``x > th`` iff ``x > floor(th)``, so comparing int64
-        counters against the result is exactly ``_absorb_slot``'s
-        check. Thresholds at or past 2**63 clamp to ``_INT64_MAX`` (no
-        int64 counter exceeds them) before the cast, which would
-        otherwise overflow.
-        """
-        th = self._eps_over_height * landed.astype(np.float64)
-        np.maximum(th, self._min_threshold, out=th)
-        big = th >= _TWO_POW_63
-        big_any = bool(big.any())
-        if big_any:
-            th[big] = 0.0
-        th_int = np.floor(th).astype(np.int64)
-        if big_any:
-            th_int[big] = _INT64_MAX
-        return th_int
-
-    def _dry_owners(
-        self,
-        candidate: np.ndarray,
-        owners: np.ndarray,
-        weights: Optional[np.ndarray],
-        arrival_base: Union[int, np.ndarray],
-    ) -> np.ndarray:
-        """Owners of a round that ``_absorb_slot`` would split dry.
-
-        ``candidate`` is a per-slot mask of owners that may be dry.
-        Each one is checked at its first arrival in the round, with
-        ``_absorb_slot``'s own predicate: the deposit does not fit
-        (``c0 + w > threshold(events + w)``) and the counter is already
-        over the threshold of the first unit (``c0 >
-        int(threshold(events + 1))``). ``arrival_base`` is the event
-        total before the round for a raw stream (``weights`` is
-        ``None``, item ``i`` arrives at ``arrival_base + i``), else the
-        round's running totals after each item. Returns the dry slots
-        in first-arrival order; the module docstring says why splitting
-        them at round start is exact.
-        """
-        if not candidate.any():
-            return owners[:0]
-        at = np.flatnonzero(candidate[owners])
-        slots, first = np.unique(owners[at], return_index=True)
-        at = at[first]
-        order = np.argsort(at)
-        slots = slots[order]
-        at = at[order]
-        if weights is None:
-            deposit = 1
-            arrival = arrival_base + at
-        else:
-            deposit = weights[at]
-            arrival = arrival_base[at] - deposit
-        c0 = self._counts[slots]
-        dry = (c0 + deposit > self._floor_thresholds(arrival + deposit)) & (
-            c0 > self._floor_thresholds(arrival + 1)
-        )
-        return slots[dry]
-
-    # rap: hot
-    def _resolve_holdouts(
-        self,
-        values: np.ndarray,
-        weights: np.ndarray,
-        arrivals: np.ndarray,
-    ) -> int:
-        """Deposit a round's holdouts exactly, in array passes.
-
-        ``values``/``weights`` are the held items in arrival order and
-        ``arrivals`` the event total just before each one. A pass routes
-        them through the cover, groups them by owner (stable sort, so a
-        group keeps arrival order) and runs each owner's deposit against
-        every item's own arrival threshold — the scalar fast path's
-        predicate, on the integer side. Items before their owner's
-        first crossing fit and scatter in one exact bincount. Of the
-        rest, consecutive equal values merge into one counted deposit
-        (the equivalence ``add_counted`` is built on), each owner's
-        first crossing deposit takes the exact scalar cascade at its
-        arrival ``events``, in arrival order, and the others wait for
-        the next pass, which routes them through the cover the cascades
-        just deepened. Exact for the reason the safe scatter is (see the
-        module docstring): no merge fires inside a cut window and owner
-        regions are disjoint, so a cascade only re-routes items of its
-        own owner, all of which arrive after it. Each pass settles at
-        least one deposit per owner. Returns the number of cascades.
-        """
-        stats = self._stats
-        absorb = self._absorb_slot
-        updates = np.ones(values.size, dtype=np.int64)
-        cascades = 0
-        # Per-pass buffers, sized for the first (largest) pass.
-        positions = np.arange(values.size)
-        heads_buf = np.empty(values.size, dtype=np.bool_)
-        fit_buf = np.empty(values.size, dtype=np.bool_)
-        first_buf = np.empty(values.size, dtype=np.bool_)
-        while values.size:
-            n = values.size
-            self._sync_cover()
-            owners = self._cov_owner[
-                np.searchsorted(self._cov_starts, values, side="right") - 1
-            ]
-            order = np.argsort(owners, kind="stable")
-            grouped = owners[order]
-            group_weights = weights[order]
-            heads_buf[0] = True
-            np.not_equal(grouped[1:], grouped[:-1], out=heads_buf[1:n])
-            heads = np.maximum.accumulate(
-                np.where(heads_buf[:n], positions[:n], 0)
-            )
-            deposited = np.cumsum(group_weights)
-            running = (
-                self._counts[grouped]
-                + deposited
-                - (deposited[heads] - group_weights[heads])
-            )
-            # Integral running > th iff running > floor(th).
-            th_int = self._floor_thresholds(arrivals[order] + group_weights)
-            crossed = (running > th_int) & ~self._is_item[grouped]
-            seen = np.cumsum(crossed)
-            seen -= seen[heads] - crossed[heads]
-            fit_buf[order] = seen == 0
-            first_buf[order] = crossed & (seen == 1)
-            fit = fit_buf[:n]
-            first = first_buf[:n]
-            sums = _exact_bincount(owners[fit], weights[fit], self._size)
-            touched = np.flatnonzero(sums)
-            if touched.size:
-                self._counts[touched] += sums[touched]
-                self._mark_dirty_many(touched)
-                stats.observe_batch(
-                    int(sums[touched].sum()),
-                    int(updates[fit].sum()),
-                    self._node_count,
-                )
-            keep = ~fit
-            values = values[keep]
-            weights = weights[keep]
-            arrivals = arrivals[keep]
-            updates = updates[keep]
-            owners = owners[keep]
-            first = first[keep]
-            # Runs of consecutive equal values deposit as one counted
-            # item. A crossing item heads its run: an equal value just
-            # before it has the same owner, so it fitted.
-            join = (values[1:] == values[:-1]) & (
-                arrivals[1:] == arrivals[:-1] + weights[:-1]
-            )
-            if join.any():
-                heads_buf[0] = True
-                np.logical_not(join, out=heads_buf[1 : values.size])
-                runs = np.flatnonzero(heads_buf[: values.size])
-                weights = np.add.reduceat(weights, runs)
-                updates = np.add.reduceat(updates, runs)
-                values = values[runs]
-                arrivals = arrivals[runs]
-                owners = owners[runs]
-                first = first[runs]
-            for slot, value, count, arrival in zip(
-                owners[first].tolist(),
-                values[first].tolist(),
-                weights[first].tolist(),
-                arrivals[first].tolist(),
-            ):
-                self._events = arrival
-                absorb(slot, value, count)
-                stats.observe_update()
-                cascades += 1
-            rest = ~first
-            values = values[rest]
-            weights = weights[rest]
-            arrivals = arrivals[rest]
-            updates = updates[rest]
-        return cascades
-
-    # ------------------------------------------------------------------
-    # Split
-    # ------------------------------------------------------------------
-
-    def _split_slot(self, slot: int) -> None:
-        """Burst ``slot`` into up to ``b`` children (Section 2.2).
-
-        Same policy as ``RapTree._split``: existing children (partition
-        cells that survived a partial merge) are left alone, missing
-        cells gain zero-count children, and the chain up to the root is
-        marked dirty. The cover splice is queued for the next vectorized
-        round rather than applied here.
-        """
-        lo = self._v_los[slot]
-        hi = self._v_his[slot]
-        kid_depth = self._v_depth[slot] + 1
-        if self._v_n_children[slot]:
-            cells = partition_range(lo, hi, self._config.branching)
-            kids = self._children_slots(slot)
-            los = self._v_los
-            his = self._v_his
-            existing = {(los[k], his[k]) for k in kids}
-            created = [
-                self._alloc(cell_lo, cell_hi, kid_depth)
-                for cell_lo, cell_hi in cells
-                if (cell_lo, cell_hi) not in existing
-            ]
-            if created:
-                # _alloc may have grown (reallocated) the columns:
-                # re-read the bounds view before sorting the chain.
-                los = self._v_los
-                merged = [
-                    kid
-                    for _, kid in sorted(
-                        [(los[k], k) for k in kids]
-                        + [(los[k], k) for k in created]
-                    )
-                ]
-                self._set_children(slot, merged)
-                self._node_count += len(created)
-                self._cov_pending.append((slot, created))
-        else:
-            # Fast path (no surviving children): every cell is fresh
-            # and emitted in ``lo`` order, so the sibling chain is just
-            # the allocation order — allocate the partition cells
-            # directly (the same boundaries ``partition_range``
-            # computes: up to ``b`` near-equal cells, the remainder
-            # spread over the leading ones) and chain them inline.
-            width = hi - lo + 1
-            branching = self._config.branching
-            cells_n = branching if width >= branching else width
-            base_w = width // cells_n
-            extra = width % cells_n
-            # Batched allocation: same pop-then-extend order as
-            # per-cell _alloc calls, but with capacity ensured up
-            # front so no view can rebind mid-loop.
-            while self._size + cells_n - self._free_top > self._capacity:
-                self._grow()
-            free_top = self._free_top
-            size = self._size
-            vfree = self._v_free_slots
-            vlive = self._v_live
-            vlos = self._v_los
-            vhis = self._v_his
-            vdepth = self._v_depth
-            vis_item = self._v_is_item
-            parents = self._v_parents
-            next_sibling = self._v_next_sibling
-            created = []
-            cell_lo = lo
-            for cell_index in range(cells_n):
-                cell_w = base_w + 1 if cell_index < extra else base_w
-                if free_top:
-                    free_top -= 1
-                    kid = vfree[free_top]
-                    vlive[kid] = True
-                else:
-                    kid = size
-                    size += 1
-                cell_hi = cell_lo + cell_w - 1
-                vlos[kid] = cell_lo
-                vhis[kid] = cell_hi
-                vdepth[kid] = kid_depth
-                if cell_w == 1:
-                    vis_item[kid] = True
-                created.append(kid)
-                cell_lo = cell_hi + 1
-            self._free_top = free_top
-            self._size = size
-            prev = created[0]
-            self._v_first_child[slot] = prev
-            parents[prev] = slot
-            for kid in created[1:]:
-                parents[kid] = slot
-                next_sibling[prev] = kid
-                prev = kid
-            next_sibling[prev] = _NO_SLOT
-            self._v_n_children[slot] = len(created)
-            self._node_count += len(created)
-            self._cov_pending.append((slot, created))
-        self._mark_dirty(slot)
-        self._stats.observe_split()
 
     # ------------------------------------------------------------------
     # Merge
@@ -2355,12 +1143,10 @@ class ColumnarRapTree:
         dirty-frontier walk is documented to produce exactly the tree a
         full post-order pass would, and after either pass every node is
         clean with exact cached values, so the vectorized full pass in
-        :meth:`_merge_frontier` lands on the same state. The cover index
-        is spliced in place (no rebuild).
+        :meth:`_merge_frontier` lands on the same state.
         """
         if self._confined_ident is not None:
             self._assert_owner()
-        self._sync_cover()
         threshold = self._config.merge_threshold(self._events)
         before = self._node_count
         visited = self._merge_frontier(threshold)
@@ -2403,9 +1189,8 @@ class ColumnarRapTree:
         bounds = np.searchsorted(level_of, np.arange(max_depth + 2))
         # Subtree weights, bottom-up by level. ``np.add.at`` is an
         # unbuffered indexed add straight in int64 — exact at any
-        # magnitude (the float64-splitting ``_exact_bincount`` is only
-        # needed where a ``weights=`` accumulation is unavoidable) and,
-        # on the shallow per-level slot groups of a deep tree, several
+        # magnitude (a ``weights=`` bincount would accumulate in float64)
+        # and, on the shallow per-level slot groups of a deep tree, several
         # times cheaper than two bincounts over the whole slot space.
         subtree = counts[:size].copy()
         for level in range(max_depth, 0, -1):
@@ -2441,7 +1226,7 @@ class ColumnarRapTree:
         np.add.at(counts, parents[tops], subtree[tops])
         # Free the removed slots: reset counters/item flags so dead
         # slots keep reading as zero, restore the allocation defaults
-        # _alloc relies on (leaf chain head, dirty), push onto the
+        # a split relies on (leaf chain head, dirty), push onto the
         # free stack.
         counts[removed_idx] = 0
         self._is_item[removed_idx] = False
@@ -2456,21 +1241,6 @@ class ColumnarRapTree:
         surv_idx = np.flatnonzero(survives)
         self._rebuild_chains(surv_idx)
         self._finalize_clean(by_depth, bounds, max_depth, subtree, survives)
-        # Cover splice: a value's new deepest cover is the nearest
-        # surviving ancestor of its old one (collapses remove whole
-        # subtrees). Remap owners top-down, then coalesce equal-owner
-        # runs — the result is exactly what _rebuild_cover would emit.
-        ancestor = np.arange(size, dtype=np.int64)
-        for level in range(start_level - 1, max_depth + 1):
-            slots = by_depth[bounds[level] : bounds[level + 1]]
-            gone = slots[removed[slots]]
-            ancestor[gone] = ancestor[parents[gone]]
-        owner_new = ancestor[self._cov_owner]
-        keep = np.empty(owner_new.size, dtype=np.bool_)
-        keep[0] = True
-        np.not_equal(owner_new[1:], owner_new[:-1], out=keep[1:])
-        self._cov_starts = self._cov_starts[keep]
-        self._cov_owner = owner_new[keep]
         return visited
 
     def _finalize_clean(
@@ -2782,9 +1552,7 @@ class ColumnarRapTree:
           bottom-up subtree sums and minima.
 
         Then the columnar bookkeeping: the free stack against the live
-        column, the allocation defaults of freed slots, and the
-        incrementally spliced cover index against a from-scratch
-        :meth:`_rebuild_cover`.
+        column, and the allocation defaults of freed slots.
         """
         size = self._size
         live = self._live[:size]
@@ -2802,7 +1570,7 @@ class ColumnarRapTree:
         dirty = self._dirty[:size]
 
         # Slot accounting: the free stack holds exactly the dead slots,
-        # each restored to the allocation defaults _alloc relies on.
+        # each restored to the allocation defaults a split relies on.
         free = self._free_slots[: self._free_top]
         assert np.all((free >= 0) & (free < size)), (
             "free stack holds a slot outside the allocated prefix"
@@ -2950,14 +1718,6 @@ class ColumnarRapTree:
         assert np.array_equal(self._cached_min[clean], minima[clean]), (
             "a clean node caches a stale subtree minimum"
         )
-
-        self._sync_cover()
-        expected_starts = self._cov_starts
-        expected_owner = self._cov_owner
-        self._rebuild_cover()
-        assert np.array_equal(expected_starts, self._cov_starts) and (
-            np.array_equal(expected_owner, self._cov_owner)
-        ), "cover index diverged from tree structure"
 
     def __len__(self) -> int:
         return self._node_count

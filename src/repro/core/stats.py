@@ -53,7 +53,8 @@ class TreeStats:
     node_seconds: float = 0.0
     timeline: List[Tuple[int, int]] = field(default_factory=list)
     merge_points: List[int] = field(default_factory=list)
-    _next_sample: int = field(default=0, repr=False)
+    #: Event count at which the next timeline sample is due.
+    next_sample: int = field(default=0, repr=False)
 
     def observe(self, events_delta: int, node_count: int) -> None:
         """Record the tree size after processing ``events_delta`` weight."""
@@ -72,9 +73,9 @@ class TreeStats:
         if node_count > self.max_nodes:
             self.max_nodes = node_count
         self.node_seconds += events_delta * node_count
-        if self.sample_every > 0 and self.events >= self._next_sample:
+        if self.sample_every > 0 and self.events >= self.next_sample:
             self.timeline.append((self.events, node_count))
-            self._next_sample = self.events + self.sample_every
+            self.next_sample = self.events + self.sample_every
 
     def observe_update(self) -> None:
         """Count one ``add`` call (a counted add is one update)."""

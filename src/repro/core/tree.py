@@ -31,6 +31,7 @@ Hot-path engineering (see "Performance notes" in ``DESIGN.md``):
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -320,12 +321,12 @@ class RapTree:
         stats = self._stats
         while True:
             # Units until the merge trigger: smallest m with
-            # events + m >= next_at (merges are never left overdue, but
-            # guard to 1 so a stale schedule cannot wedge the loop).
+            # events + m >= next_at, in exact integers (a float
+            # ``next_at - events`` rounds once events pass 2**53).
+            # Merges are never left overdue, but guard to 1 so a stale
+            # schedule cannot wedge the loop.
             next_at = scheduler.next_at
-            m_merge = int(next_at - events)
-            if events + m_merge < next_at:
-                m_merge += 1
+            m_merge = math.ceil(next_at) - events
             if m_merge < 1:
                 m_merge = 1
             m = remaining if remaining < m_merge else m_merge

@@ -23,6 +23,7 @@ per event") falls out of the accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -306,9 +307,7 @@ class PipelinedRapEngine:
             # per SRAM access.
             current = self.sram.read(node.slot)
             next_at = scheduler.next_at
-            m_merge = int(next_at - events)
-            if events + m_merge < next_at:
-                m_merge += 1
+            m_merge = math.ceil(next_at) - events
             if m_merge < 1:
                 m_merge = 1
             m = remaining if remaining < m_merge else m_merge

@@ -92,6 +92,7 @@ from ..core.config import RapConfig
 from ..core.combine import combine_many
 from ..core.hot_ranges import DEFAULT_HOT_FRACTION, HotRange, find_hot_ranges
 from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
+from ..core.native import load_kernel
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
 from .partition import Partitioner, make_partitioner
@@ -432,10 +433,18 @@ class Profiler:
         return self._sanitizer
 
     def open(self) -> "Profiler":
-        """Start the runtime (spawns the process executor's workers)."""
+        """Start the runtime (spawns the process executor's workers).
+
+        The process executor's workers run the columnar kernel: it is
+        built and loaded here, before any ring or worker exists, so a
+        missing compiler fails ``open()`` with
+        :class:`~repro.core.native.NativeKernelError` and leaves nothing
+        behind, and the forked workers share the loaded library.
+        """
         if self._state != "created":
             raise RuntimeError(f"cannot open a {self._state} Profiler")
         if self._executor == "process":
+            load_kernel()
             self._setup_rings()
             self._spawn_processes()
         self._state = "open"

@@ -11,7 +11,7 @@ so the assertion that fires is the one that owns the property; the
 
 Some properties exist on one backend only: the columnar root slot,
 item flags, ``n_children`` and depth columns, free stack, allocation
-defaults and cover index have no counterpart in a linked tree.
+defaults have no counterpart in a linked tree.
 """
 
 from __future__ import annotations
@@ -239,13 +239,6 @@ def col_free_slot_lost(tree: ColumnarRapTree) -> None:
     tree._free_top -= 1  # noqa: SLF001
 
 
-def col_cover_diverged(tree: ColumnarRapTree) -> None:
-    tree._sync_cover()  # noqa: SLF001
-    owners = tree._cov_owner.copy()  # noqa: SLF001
-    owners[0] += 1
-    tree._cov_owner = owners  # noqa: SLF001
-
-
 # ----------------------------------------------------------------------
 # Seeded defects: linked nodes
 # ----------------------------------------------------------------------
@@ -374,9 +367,6 @@ DEFECTS: Dict[str, Tuple[Seed, Seed, str]] = {
     ),
     "dead slot off the free stack": (
         col_free_slot_lost, None, "slot accounting"
-    ),
-    "cover index diverged": (
-        col_cover_diverged, None, "cover index diverged"
     ),
 }
 

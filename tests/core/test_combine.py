@@ -312,16 +312,10 @@ class TestArrayFoldMatchesDescent:
                 )
             )
         folded = combine_many(attached)
-        assert all(tree._cover_stale for tree in attached)  # noqa: SLF001
         assert dump_tree(folded) == dump_tree(combine_by_descent(shards))
-        # A reader that needs the cover builds it; it must match the
-        # live shard's incrementally maintained one.
         attached[0].check_invariants()
         clone = attached[1].clone()
         clone.check_invariants()
-        live = shards[1].clone()  # clone() folds in pending splices
-        assert np.array_equal(clone._cov_starts, live._cov_starts)  # noqa: SLF001
-        assert np.array_equal(clone._cov_owner, live._cov_owner)  # noqa: SLF001
 
     def test_counter_off_the_partition_is_rejected(self):
         config = RapConfig(range_max=1024, epsilon=0.05)
