@@ -144,9 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "shards*epsilon for the equal-memory configuration)"
         ),
     )
-    serve.add_argument(
-        "--backpressure", choices=["block", "drop", "spill"], default="block"
-    )
     serve.add_argument("--batch-size", type=int, default=4096)
     serve.add_argument("--events", type=int, default=200_000)
     serve.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -366,7 +363,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             executor=args.executor,
             partition=args.partition,
             shard_epsilon=args.shard_epsilon,
-            backpressure=args.backpressure,
             batch_size=args.batch_size,
             clock=time.perf_counter,
         )
@@ -377,8 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metrics = profiler.metrics
         print(
             f"{stream.name}: {metrics.events:,} events through "
-            f"{args.shards} shard(s) [{args.executor}/{args.partition}, "
-            f"{args.backpressure}]"
+            f"{args.shards} shard(s) [{args.executor}/{args.partition}]"
         )
         if args.executor == "process" and metrics.transport_stalls:
             print(
@@ -389,20 +384,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"  shard {shard.shard}: {shard.events:,} events in "
                 f"{shard.batches} batches, {shard.node_count} nodes, "
-                f"{shard.splits} splits, {shard.merge_batches} merges, "
-                f"dropped={shard.dropped_events}, "
-                f"spilled={shard.spilled_batches}"
+                f"{shard.splits} splits, {shard.merge_batches} merges"
             )
         if metrics.events_per_second:
             print(
                 f"  throughput: {metrics.events_per_second:,.0f} events/s "
                 f"(ingest {metrics.ingest_seconds * 1e3:.1f} ms, "
                 f"snapshot {metrics.snapshot_seconds * 1e3:.1f} ms)"
-            )
-        if metrics.dropped_events:
-            print(
-                f"  WARNING: {metrics.dropped_events:,} events dropped "
-                "under backpressure"
             )
         print(
             render_hot_tree(

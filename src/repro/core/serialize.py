@@ -211,12 +211,12 @@ def load_from_file(path: str) -> RapTree:
 #          0     4  magic  b"RAPF"
 #          4     2  format version (currently 1)
 #          6     1  kind: 1=batch  2=cbatch  3=sync
-#          7     1  value dtype tag: 0=none 1=<u8 2=<i8 3=<f8
+#          7     1  value dtype tag: 0=none 1=<u8
 #          8     8  count — number of payload values
 #         16     8  sequence — producer frame counter (diagnostics,
 #                   sync acknowledgement)
 #         24     8  reserved (zero)
-#         32     …  values[count]  (8-byte elements, tag dtype)
+#         32     …  values[count]  (<u8)
 #          +     …  counts[count]  (<i8, cbatch frames only)
 #
 # Every field and payload element is 8 bytes or a divisor of its
@@ -250,17 +250,13 @@ assert _FRAME_HEADER_DTYPE.itemsize == FRAME_HEADER_BYTES
 
 _FRAME_MAGIC_U32 = int(np.frombuffer(FRAME_MAGIC, dtype="<u4")[0])
 
-#: Supported value dtypes. Everything is 8 bytes wide on purpose: the
-#: profiler's event values are ``uint64`` (``int64`` when they arrive as
-#: plain Python lists) and the float tag reserves room for value-weight
-#: streams without a format bump.
+#: Frame values are ``uint64``, the one dtype the profiler builds its
+#: frames in (raw and counted alike), so a window holding both never
+#: combines them through a float. Tag 1 names it; encoding any other
+#: dtype, or decoding any other tag, raises :class:`FrameError`.
 _TAG_NONE = 0
-_TAG_BY_DTYPE = {
-    np.dtype("<u8"): 1,
-    np.dtype("<i8"): 2,
-    np.dtype("<f8"): 3,
-}
-_DTYPE_BY_TAG = {tag: dtype for dtype, tag in _TAG_BY_DTYPE.items()}
+_TAG_VALUES = 1
+_VALUES_DTYPE = np.dtype("<u8")
 _COUNTS_DTYPE = np.dtype("<i8")
 
 FrameBuffer = Union[np.ndarray, bytes, bytearray, memoryview]
@@ -305,13 +301,12 @@ def frame_nbytes(kind: int, count: int) -> int:
 
 
 def _payload_tag(values: np.ndarray) -> int:
-    tag = _TAG_BY_DTYPE.get(values.dtype.newbyteorder("<"))
-    if tag is None:
+    if values.dtype.newbyteorder("<") != _VALUES_DTYPE:
         raise FrameError(
-            f"unsupported frame value dtype {values.dtype}; expected one "
-            f"of {sorted(str(d) for d in _TAG_BY_DTYPE)}"
+            f"unsupported frame value dtype {values.dtype}; frames "
+            "carry uint64 values"
         )
-    return tag
+    return _TAG_VALUES
 
 
 def encode_frame_into(
@@ -358,7 +353,7 @@ def encode_frame_into(
     if count:
         at = FRAME_HEADER_BYTES
         span = count * 8
-        target[at:at + span].view(_DTYPE_BY_TAG[tag])[:] = values
+        target[at:at + span].view(_VALUES_DTYPE)[:] = values
         if counts is not None:
             at += span
             target[at:at + span].view(_COUNTS_DTYPE)[:] = counts
@@ -419,7 +414,7 @@ def decode_frame(buffer: FrameBuffer) -> BinaryFrame:
                 f"sync frame carries a payload (tag {tag}, count {count})"
             )
         return BinaryFrame(kind, sequence, None, None, FRAME_HEADER_BYTES)
-    if tag not in _DTYPE_BY_TAG:
+    if tag != _TAG_VALUES:
         raise FrameError(f"unknown value dtype tag {tag}")
     total = frame_nbytes(kind, count)
     if len(data) < total:
@@ -429,7 +424,7 @@ def decode_frame(buffer: FrameBuffer) -> BinaryFrame:
         )
     at = FRAME_HEADER_BYTES
     span = count * 8
-    values = data[at:at + span].view(_DTYPE_BY_TAG[tag])
+    values = data[at:at + span].view(_VALUES_DTYPE)
     values.flags.writeable = False
     counts = None
     if kind == FRAME_CBATCH:

@@ -15,12 +15,13 @@ uniformly through ``RapConfig(executor=..., shards=...)``: ``"serial"``
 :class:`~repro.runtime.window.CombiningWindow` flushed inline)
 or ``"process"`` (one worker process per shard over shared-memory
 columnar trees, each worker running the same window, fed through
-bounded shared-memory rings with explicit
-backpressure — see :mod:`repro.runtime.ring` and
-:mod:`repro.runtime.shm`; a dead worker surfaces as
-:class:`WorkerCrashed` instead of a hang). See ``docs/runtime.md`` for
-the architecture, executor selection, partitioning schemes,
-backpressure policies and the snapshot consistency model.
+bounded shared-memory rings whose producer waits when one is full —
+see :mod:`repro.runtime.ring` and :mod:`repro.runtime.shm`; a dead
+worker surfaces as :class:`WorkerCrashed` instead of a hang). Both
+executors cut the stream into the same frames, so they build
+byte-identical shard trees. See ``docs/runtime.md`` for the
+architecture, executor selection, partitioning schemes, the ring and
+the snapshot consistency model.
 """
 
 from .metrics import RuntimeMetrics, ShardMetrics

@@ -1,8 +1,8 @@
 """Runtime metrics: per-shard and aggregate ingestion statistics.
 
 Everything event-count-shaped here is deterministic for a given stream
-and configuration (under the ``block`` and ``spill`` backpressure
-policies), so tests and the regression gate can assert on exact values.
+and configuration, under either executor, so tests and the regression
+gate can assert on exact values.
 Time-shaped fields (``ingest_seconds``, ``events_per_second``,
 ``snapshot_seconds``) are only populated when the profiler was given a
 clock — timing stays caller-supplied (the same discipline RAP-LINT005
@@ -20,11 +20,11 @@ from typing import Dict, List
 class ShardMetrics:
     """Ingestion counters for one worker shard.
 
-    The backpressure fields (drops, spills, ``transport_stalls`` /
-    ``transport_stall_s``, ``ring_peak_bytes``) describe the shard's
-    shared-memory ring under the process executor: how often (and,
-    with a clock, for how long) the producer waited for ring space,
-    and the ring's high-water occupancy. The serial executor has no
+    The transport fields (``transport_stalls`` / ``transport_stall_s``,
+    ``ring_peak_bytes``) describe the shard's shared-memory ring under
+    the process executor: how often (and, with a clock, for how long)
+    the producer waited for ring space, and the ring's high-water
+    occupancy. The serial executor has no
     transport, so they read zero there. ``transport_stall_s`` is
     time-shaped and stays ``0.0`` without a clock, like every other
     duration here.
@@ -33,9 +33,6 @@ class ShardMetrics:
     shard: int
     events: int = 0
     batches: int = 0
-    dropped_batches: int = 0
-    dropped_events: int = 0
-    spilled_batches: int = 0
     transport_stalls: int = 0
     transport_stall_s: float = 0.0
     ring_peak_bytes: int = 0
@@ -48,9 +45,6 @@ class ShardMetrics:
             "shard": self.shard,
             "events": self.events,
             "batches": self.batches,
-            "dropped_batches": self.dropped_batches,
-            "dropped_events": self.dropped_events,
-            "spilled_batches": self.spilled_batches,
             "transport_stalls": self.transport_stalls,
             "transport_stall_s": self.transport_stall_s,
             "ring_peak_bytes": self.ring_peak_bytes,
@@ -71,16 +65,8 @@ class RuntimeMetrics:
 
     @property
     def events(self) -> int:
-        """Total events accepted into shard trees (drops excluded)."""
+        """Total events accepted into shard trees."""
         return sum(shard.events for shard in self.shards)
-
-    @property
-    def dropped_events(self) -> int:
-        return sum(shard.dropped_events for shard in self.shards)
-
-    @property
-    def spilled_batches(self) -> int:
-        return sum(shard.spilled_batches for shard in self.shards)
 
     @property
     def node_count(self) -> int:
@@ -106,8 +92,6 @@ class RuntimeMetrics:
     def as_dict(self) -> Dict[str, object]:
         return {
             "events": self.events,
-            "dropped_events": self.dropped_events,
-            "spilled_batches": self.spilled_batches,
             "node_count": self.node_count,
             "transport_stalls": self.transport_stalls,
             "transport_stall_s": self.transport_stall_s,

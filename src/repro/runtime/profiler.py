@@ -10,7 +10,7 @@ a worker *process* fed through a shared-memory ring:
 .. code-block:: text
 
     ingest(values)                  calling thread, ingest lock held
-        └─ chunk (batch_size) → partition → one frame per shard
+        └─ chunk (frame length) → partition → one frame per shard
              ├─ serial:  window[i] → shard i                  (inline)
              └─ process: ring[i] ── worker i: window → shard i (shm)
     flush       =  combine the window's frames (np.unique), then one
@@ -32,11 +32,18 @@ constructor keywords as call-site overrides:
   ``backend="columnar"``): each worker owns a columnar tree whose
   columns live in shared memory (:mod:`repro.runtime.shm`). The
   dispatching thread writes binary counted frames straight into a
-  per-shard shared-memory ring (:mod:`repro.runtime.ring`) under the
-  block/drop/spill backpressure policy. Snapshots attach the quiesced
+  per-shard shared-memory ring (:mod:`repro.runtime.ring`), waiting
+  for space when a ring is full. Snapshots attach the quiesced
   workers' columns zero-copy and fold them in the parent. A host
   without usable shared memory for the rings or a worker's columns
   fails ``open()`` with an ``OSError``; nothing falls back.
+
+Frames fit by construction: the constructor fixes one frame length,
+``batch_size`` or the longest counted frame a ``ring_bytes`` ring
+holds, whichever is smaller, and both executors cut every ``ingest``
+chunk and every ``ingest_counted`` shard bucket to it. Serial and
+process therefore push identical frame sequences into identical
+windows.
 
 Lifecycle: ``open() → ingest()* → snapshot()* → close()``; the object
 is also a context manager. ``query(lo, hi)`` is sugar for
@@ -51,11 +58,8 @@ whose ring took a frame since its last sync acknowledges a sync frame
 that trails its batches in ring order — and only then are the shard
 trees folded (a worker with no news is already in sync). The snapshot
 therefore reflects exactly the events accepted before the call, no
-torn batches. Serial ingestion, and process ingestion under the
-``block`` and ``spill`` backpressure policies, make the shard trees
-(and hence every snapshot) a deterministic function of the ingested
-stream; ``drop`` trades that determinism for bounded memory and
-latency.
+torn batches. Both executors make the shard trees (and hence every
+snapshot) the same deterministic function of the ingested stream.
 
 Accuracy: each shard undercounts by at most ``eps_shard * n_shard``, so
 the folded snapshot undercounts any range by at most
@@ -101,14 +105,13 @@ from .ring import (
     MIN_RING_BYTES,
     RingProducer,
     RingStalled,
+    max_frame_events,
 )
 from .shm import ShmArena, ShmAttachment, sweep_prefix
 from .window import CombiningWindow
 
 Clock = Callable[[], float]
 Values = Union[np.ndarray, Iterable[int]]
-
-_BACKPRESSURE = ("block", "drop", "spill")
 
 #: How long (seconds) to poll a live worker for a protocol reply before
 #: re-checking liveness, and how long to wait for voluntary exit before
@@ -183,12 +186,9 @@ def _frame_values(part: np.ndarray) -> np.ndarray:
 
 
 def _ring_counters(producer: RingProducer) -> Dict[str, object]:
-    """A ring producer's backpressure counters, keyed by the
+    """A ring producer's stall and occupancy counters, keyed by the
     :class:`ShardMetrics` fields they fill."""
     return {
-        "dropped_batches": producer.dropped_batches,
-        "dropped_events": producer.dropped_events,
-        "spilled_batches": producer.spilled_batches,
         "transport_stalls": producer.stalls,
         "transport_stall_s": producer.stall_seconds,
         "ring_peak_bytes": producer.peak_bytes,
@@ -263,20 +263,16 @@ class Profiler:
         ``N * config.epsilon`` keeps the single-tree node budget with an
         ``shard_epsilon * n`` snapshot bound (the equal-memory config
         the multi-shard benchmark uses).
-    backpressure:
-        Overflow policy of each shard's shared-memory ring under the
-        process executor — ``"block"`` / ``"drop"`` / ``"spill"``,
-        bounded by ``ring_bytes`` (see :mod:`repro.runtime.ring`). The
-        serial executor has no transport to overflow: it validates the
-        name and accepts every frame.
     batch_size:
-        Ingest calls chop their input into chunks of this many events
-        before partitioning, bounding the size of each frame.
+        Ingest calls chop their input into chunks of at most this many
+        events before partitioning, bounding the size of each frame.
     ring_bytes:
         Size of each shard's shared ring region under the process
-        executor (counter header included). The default (4 MiB)
-        comfortably holds several worker combining windows; tests use
-        small rings to exercise wrap-around and backpressure.
+        executor (counter header included). A full ring makes the
+        producer wait for its worker. The default (4 MiB) holds
+        several combining windows' worth of frames; tests use small
+        rings to exercise wrap-around and producer waits. Frames are
+        cut short enough to fit it, under both executors alike.
     clock:
         Optional zero-arg callable returning seconds (e.g.
         ``time.perf_counter`` passed *as a function*). When provided,
@@ -292,7 +288,6 @@ class Profiler:
         executor: Optional[str] = None,
         partition: str = "hash",
         shard_epsilon: Optional[float] = None,
-        backpressure: str = "block",
         batch_size: int = 4096,
         ring_bytes: int = DEFAULT_RING_BYTES,
         clock: Optional[Clock] = None,
@@ -305,11 +300,6 @@ class Profiler:
         # so every executor/shards/backend combination fails with one
         # message (notably executor='process' + backend='object').
         config.with_updates(executor=executor, shards=shards)
-        if backpressure not in _BACKPRESSURE:
-            raise ValueError(
-                f"unknown backpressure policy {backpressure!r}; "
-                f"expected one of {_BACKPRESSURE}"
-            )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if ring_bytes < MIN_RING_BYTES:
@@ -319,7 +309,6 @@ class Profiler:
         self._config = config
         self._shards = shards
         self._executor = executor
-        self._backpressure = backpressure
         self._ring_bytes = ring_bytes
         self._partitioner: Partitioner = make_partitioner(
             partition, shards, config.range_max
@@ -328,7 +317,9 @@ class Profiler:
         if shard_epsilon is not None:
             shard_config = config.with_updates(epsilon=shard_epsilon)
         self._shard_config = shard_config
-        self._batch_size = batch_size
+        # The one frame length both executors cut to: every frame fits
+        # the ring, and serial pushes the frames process writes.
+        self._frame_events = min(batch_size, max_frame_events(ring_bytes))
         self._clock = clock
         # In-process shard trees and their combining windows (serial
         # executor). Under the process executor both live in the
@@ -339,7 +330,9 @@ class Profiler:
             self._trees = [
                 RapTree.from_config(shard_config) for _ in range(shards)
             ]
-            self._windows = [CombiningWindow() for _ in range(shards)]
+            self._windows = [
+                CombiningWindow(self._frame_events) for _ in range(shards)
+            ]
         # Process-executor plumbing: one worker process, duplex control
         # pipe, ring arena and ring producer per shard, plus the latest
         # synced payload. The final producer counters survive teardown
@@ -466,7 +459,6 @@ class Profiler:
                 self._rings.append(
                     RingProducer(
                         region,
-                        policy=self._backpressure,
                         liveness=self._worker_alive(shard),
                         on_wake=self._nudger(shard),
                         clock=self._clock,
@@ -548,6 +540,7 @@ class Profiler:
                         shard,
                         self._shm_prefix,
                         self._ring_tables[shard],
+                        self._frame_events,
                     ),
                     name=f"rap-shard-{shard}",
                     daemon=True,
@@ -672,13 +665,12 @@ class Profiler:
     def ingest(self, values: Values) -> None:
         """Feed raw event values (any iterable of ints or numpy array).
 
-        Values are chopped into chunks of ``batch_size`` and partitioned
-        to shards; each shard's part becomes one raw frame, pushed into
-        the shard's combining window (serial) or written to its ring
-        (process). Returns once every chunk is accepted — which, under
-        ``block`` backpressure, may wait for ring space. Non-integer
-        dtypes and values outside the universe raise ``ValueError``
-        before any event is accepted.
+        Values are chopped into chunks of the frame length and
+        partitioned to shards; each shard's part becomes one raw frame,
+        pushed into the shard's combining window (serial) or written to
+        its ring (process). Returns once every chunk is accepted, which
+        may wait for ring space. Non-integer dtypes and values outside
+        the universe raise ``ValueError`` before any event is accepted.
         """
         self._check_ingestible()
         array = _event_array(values, self._config.range_max)
@@ -686,7 +678,7 @@ class Profiler:
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
             self._check_ingestible()
-            step = self._batch_size
+            step = self._frame_events
             for at in range(0, len(array), step):
                 self._dispatch_chunk(array[at:at + step])
         if clock is not None:
@@ -695,10 +687,11 @@ class Profiler:
     def ingest_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs.
 
-        Each shard's pairs become one value-sorted counted frame; its
-        window treats the counts as weights. A value or count that is
-        not an integer (floats, bools, strings), a value outside the
-        universe or a count below 1 raises ``ValueError`` before any
+        Each shard's pairs are sorted by value and cut into counted
+        frames of the frame length; its window treats the counts as
+        weights. A value or count that is not an integer (floats,
+        bools, strings), a value outside the universe or a count
+        outside ``[1, 2**63 - 1]`` raises ``ValueError`` before any
         pair is accepted, under every executor.
         """
         self._check_ingestible()
@@ -712,6 +705,10 @@ class Profiler:
                 raise _outside_universe(value, range_max)
             if count < 1:
                 raise ValueError(f"count must be positive, got {count}")
+            if count >= 1 << 63:
+                raise ValueError(
+                    f"count {count} does not fit a 64-bit signed counter"
+                )
         clock = self._clock
         start = clock() if clock is not None else 0.0
         with self._ingest_lock:
@@ -722,18 +719,16 @@ class Profiler:
             ]
             for value, count in items:
                 buckets[shard_of(value)].append((value, count))
+            step = self._frame_events
             for shard, bucket in enumerate(buckets):
-                if bucket:
-                    bucket.sort()
+                bucket.sort()
+                for at in range(0, len(bucket), step):
+                    values, counts = zip(*bucket[at:at + step])
                     self._submit_frame(
                         shard,
-                        np.asarray(
-                            [value for value, _ in bucket], dtype=np.uint64
-                        ),
-                        np.asarray(
-                            [count for _, count in bucket], dtype=np.int64
-                        ),
-                        sum(count for _, count in bucket),
+                        np.asarray(values, dtype=np.uint64),
+                        np.asarray(counts, dtype=np.int64),
+                        sum(counts),
                     )
         if clock is not None:
             self._ingest_seconds += clock() - start
@@ -764,7 +759,7 @@ class Profiler:
         """
         if self._executor == "process":
             try:
-                disposition = self._rings[shard].write_frame(
+                self._rings[shard].write_frame(
                     FRAME_BATCH if counts is None else FRAME_CBATCH,
                     values,
                     counts,
@@ -773,14 +768,9 @@ class Profiler:
                 raise self._worker_crashed(
                     shard, "draining its ring"
                 ) from None
-            if disposition == "dropped":
-                return
         else:
-            # Copied, as the ring copies: the window holds the frame
-            # until its flush, and a single shard's frame is a view of
-            # the caller's array.
             window = self._windows[shard]
-            if window.push(np.array(values), counts):
+            if window.push(values, counts):
                 window.flush(self._trees[shard])
         self._shard_events[shard] += weight
         self._shard_batches[shard] += 1
@@ -852,12 +842,12 @@ class Profiler:
         sanitizer reports ride back on the reply.
 
         Only a shard with news gets a sync frame: one whose ring
-        committed a frame since its last acknowledged sync, or which
-        holds a spill backlog. A worker's state changes only on
-        frames, so a clean shard's cached payload is exactly what a
-        round trip would return. ``every=True`` (``close()``) syncs
-        every shard regardless, so a worker that died after its last
-        sync still surfaces as :class:`WorkerCrashed`.
+        committed a frame since its last acknowledged sync. A worker's
+        state changes only on frames, so a clean shard's cached payload
+        is exactly what a round trip would return. ``every=True``
+        (``close()``) syncs every shard regardless, so a worker that
+        died after its last sync still surfaces as
+        :class:`WorkerCrashed`.
 
         The sync is broadcast to every ring that needs one before any
         reply is collected, so the workers' wakeup and flush latencies
@@ -872,7 +862,6 @@ class Profiler:
                 every
                 or state is None
                 or producer.sequence != state["sync_seq"]
-                or producer.spill_backlog
             ):
                 continue
             try:
@@ -919,11 +908,11 @@ class Profiler:
         trees reflect every event accepted so far, but no snapshot is
         built. The serial executor flushes every shard's combining
         window inline; the process executor syncs every worker whose
-        ring committed a frame since its last sync (or holds a spill
-        backlog), which flushes that worker's window. Either way this
-        bounds ingest latency measurements and refreshes the per-shard
-        state :attr:`metrics` is served from. With nothing new since
-        the last sync it returns without a round trip.
+        ring committed a frame since its last sync, which flushes that
+        worker's window. Either way this bounds ingest latency
+        measurements and refreshes the per-shard state :attr:`metrics`
+        is served from. With nothing new since the last sync it returns
+        without a round trip.
         """
         if self._state != "open":
             raise RuntimeError("cannot drain a Profiler that is not open")
@@ -1079,7 +1068,7 @@ class Profiler:
     def metrics(self) -> RuntimeMetrics:
         """Current per-shard and aggregate runtime metrics.
 
-        Producer-side counters (events, batches, backpressure) are
+        Producer-side counters (events, batches, ring stalls) are
         always live. Tree-side fields (splits, merges, node counts)
         read the live trees under the serial executor and each shard's
         latest synced state under the process executor; neither

@@ -7,8 +7,8 @@ process through a byte ring buffer living in a
 intermediate copies. The parent encodes binary counted frames
 (:mod:`repro.core.serialize`) straight from the partitioner's output
 arrays into the ring with two slice assignments; the worker decodes
-them as *read-only ndarray views* over the same memory and feeds its
-combining buffer without touching a byte. The process executor's
+them as *read-only ndarray views* over the same memory, copies each
+into its combining window and releases it. The process executor's
 duplex pipe carries only low-rate control (ready/synced/bye replies,
 exit/wake) — the data path never pickles.
 
@@ -41,17 +41,15 @@ the producer stamps a one-word ``PAD`` record (length
 ``0xFFFF_FFFF_FFFF_FFFF``) that tells the consumer to skip to the ring
 start, keeping every frame contiguous so decoded views stay zero-copy.
 
-Backpressure is the profiler's ``backpressure`` policy, reported as
-per-frame dispositions and counters:
-
-* ``block`` — wait for the consumer to release space, periodically
-  invoking the ``liveness`` callback so a dead consumer raises
-  :class:`RingStalled` instead of hanging forever.
-* ``drop`` — a frame that does not fit is discarded and counted
-  (``dropped_batches``/``dropped_events``).
-* ``spill`` — overflow goes to an unbounded producer-side FIFO and is
-  re-offered ahead of new frames, preserving stream order; a sync
-  flushes the backlog first (blocking), so nothing spilled is lost.
+Backpressure has one form: the producer *blocks* until the consumer
+releases space, periodically invoking the ``liveness`` callback so a
+dead consumer raises :class:`RingStalled` instead of hanging forever.
+Every frame fits by construction: :meth:`RingProducer.write_frame`
+refuses one larger than :meth:`RingProducer.max_frame_bytes` with
+``ValueError``, and the profiler cuts its frames to
+:func:`max_frame_events` so none ever is. The consumer copies each
+frame out and releases it before taking the next, so a blocked
+producer always waits on progress the consumer can make.
 
 Determinism: the byte stream a consumer sees is a pure function of the
 producer's frame sequence (ring order = write order), so the worker's
@@ -68,12 +66,13 @@ metric dumps stay byte-for-byte reproducible without one.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..core.serialize import (
     FRAME_CBATCH,
+    FRAME_HEADER_BYTES,
     FRAME_SYNC,
     BinaryFrame,
     FrameError,
@@ -89,6 +88,7 @@ __all__ = [
     "RingConsumer",
     "RingProducer",
     "RingStalled",
+    "max_frame_events",
 ]
 
 #: Counter block at the start of the shared region: four u64s, one per
@@ -96,9 +96,9 @@ __all__ = [
 RING_HEADER_BYTES = 256
 
 #: Default shared region size per shard (header + data). 4 MiB of data
-#: comfortably holds several combining windows (2**17 uint64 events is
-#: 1 MiB), so a worker that defers releases until its flush never makes
-#: the producer wait at benchmark scales.
+#: holds several combining windows' worth of frames (2**17 uint64
+#: events is 1 MiB), so the producer runs that far ahead of a worker
+#: busy in a flush before it has to wait.
 DEFAULT_RING_BYTES = 1 << 22
 
 #: Smallest usable region: header plus enough data for a sync frame,
@@ -118,8 +118,6 @@ _RECORD_ALIGN = 8
 _SPIN_ROUNDS = 128
 _SLEEP_S = 0.0005
 _LIVENESS_EVERY = 32
-
-_POLICIES = ("block", "drop", "spill")
 
 
 class RingStalled(RuntimeError):
@@ -145,6 +143,28 @@ def _aligned(nbytes: int) -> int:
     return -(-nbytes // _RECORD_ALIGN) * _RECORD_ALIGN
 
 
+def _capacity(region_bytes: int) -> int:
+    """Data bytes of a ring region: a multiple of the record alignment,
+    so a record never ends at a misaligned position."""
+    return (region_bytes - RING_HEADER_BYTES) & ~(_RECORD_ALIGN - 1)
+
+
+def _max_frame_bytes(capacity: int) -> int:
+    # Worst case a frame needs a pad to the wrap point plus its own
+    # record; half the ring less two length words leaves room for both
+    # whatever the tail position, so a blocked producer always fits
+    # once the consumer has released everything.
+    return capacity // 2 - 2 * _LENGTH_BYTES
+
+
+def max_frame_events(region_bytes: int) -> int:
+    """Longest counted frame a ring region of ``region_bytes`` always
+    holds. A raw frame of that length is smaller, so it fits too."""
+    per_event = frame_nbytes(FRAME_CBATCH, 1) - FRAME_HEADER_BYTES
+    limit = _max_frame_bytes(_capacity(region_bytes))
+    return (limit - FRAME_HEADER_BYTES) // per_event
+
+
 class _RingEnd:
     """State shared by both ends: counter views plus the data window."""
 
@@ -157,13 +177,8 @@ class _RingEnd:
                 f"{MIN_RING_BYTES}-byte minimum"
             )
         self._counters = region[:RING_HEADER_BYTES].view(np.uint64)
-        self._data = region[RING_HEADER_BYTES:]
-        # Capacity is a multiple of the record alignment so a record
-        # never ends at a misaligned position.
-        self.capacity = (len(region) - RING_HEADER_BYTES) & ~(
-            _RECORD_ALIGN - 1
-        )
-        self._data = self._data[: self.capacity]
+        self.capacity = _capacity(len(region))
+        self._data = region[RING_HEADER_BYTES:][:self.capacity]
 
     # Counter accessors: each u64 sits alone on its cache line; a read
     # or write is one aligned 8-byte access.
@@ -203,27 +218,15 @@ class RingProducer(_RingEnd):
         self,
         region: np.ndarray,
         *,
-        policy: str = "block",
         liveness: Optional[Callable[[], bool]] = None,
         on_wake: Optional[Callable[[], None]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         super().__init__(region)
-        if policy not in _POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {policy!r}; "
-                f"expected one of {_POLICIES}"
-            )
-        self.policy = policy
         self._liveness = liveness
         self._on_wake = on_wake
         self._clock = clock
         self._tail = self.tail  # local mirror; the counter is ours
-        # FIFO overflow backlog under the spill policy: (kind, values,
-        # counts) triples re-offered ahead of any new frame.
-        self._spill: List[
-            Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]
-        ] = []
         self.sequence = self.committed_frames
         # True when the consumer caught up (and may have parked) but a
         # frame was written without a nudge; the next wake-worthy event
@@ -231,9 +234,6 @@ class RingProducer(_RingEnd):
         self._wake_owed = False
         self.stalls = 0
         self.stall_seconds = 0.0
-        self.dropped_batches = 0
-        self.dropped_events = 0
-        self.spilled_batches = 0
         self.peak_bytes = 0
 
     # -- space management ----------------------------------------------
@@ -254,10 +254,7 @@ class RingProducer(_RingEnd):
 
     def max_frame_bytes(self) -> int:
         """Largest single frame this ring can ever hold."""
-        # Worst case the frame needs a full pad to the wrap point plus
-        # its own record; keep a healthy margin so a max-size frame can
-        # always be placed regardless of the tail position.
-        return self.capacity // 2 - 2 * _LENGTH_BYTES
+        return _max_frame_bytes(self.capacity)
 
     def _wait_for(self, needed: int) -> None:
         """Block until ``needed`` bytes are free; liveness-checked."""
@@ -297,9 +294,10 @@ class RingProducer(_RingEnd):
         values: Optional[np.ndarray],
         counts: Optional[np.ndarray],
     ) -> None:
-        """Write one frame at the tail; caller guaranteed the space."""
+        """Block until the frame fits, then write it at the tail."""
         count = 0 if values is None else len(values)
         frame_bytes = frame_nbytes(kind, count)
+        self._wait_for(self._need_for(frame_bytes))
         record = self._record_bytes(frame_bytes)
         data = self._data
         at = self._tail % self.capacity
@@ -313,8 +311,8 @@ class RingProducer(_RingEnd):
         # has caught up — consumed every frame committed before this
         # one — and has not been nudged since (``_wake_owed`` carries
         # the caught-up-but-unnudged state across frames we chose not
-        # to wake for). The shared *head* is no park signal: deferred
-        # release keeps it behind the consumer's private cursor.
+        # to wake for). The shared *head* is no park signal: it trails
+        # the consumer's private cursor while a frame is copied out.
         # Checked before the commit below so the caught-up state is
         # the one the consumer parked from.
         possibly_parked = (
@@ -355,128 +353,36 @@ class RingProducer(_RingEnd):
             else:
                 self._wake_owed = True
 
-    def _split(
-        self,
-        kind: int,
-        values: Optional[np.ndarray],
-        counts: Optional[np.ndarray],
-    ) -> List[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]]:
-        """Halve oversized frames until each piece fits the ring.
-
-        The split is a pure function of the frame length, so flush
-        points downstream stay a function of the stream no matter how
-        small the ring is.
-        """
-        count = 0 if values is None else len(values)
-        if frame_nbytes(kind, count) <= self.max_frame_bytes() or count < 2:
-            return [(kind, values, counts)]
-        half = count // 2
-        lo = self._split(
-            kind, values[:half], None if counts is None else counts[:half]
-        )
-        hi = self._split(
-            kind, values[half:], None if counts is None else counts[half:]
-        )
-        return lo + hi
-
-    def _fits(
-        self,
-        pieces: List[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]],
-    ) -> bool:
-        """Exact free-space check for placing every piece, pads included."""
-        tail = self._tail
-        need = 0
-        for kind, values, _ in pieces:
-            count = 0 if values is None else len(values)
-            record = self._record_bytes(frame_nbytes(kind, count))
-            at = tail % self.capacity
-            if self.capacity - at < record:
-                pad = self.capacity - at
-                need += pad
-                tail += pad
-            need += record
-            tail += record
-        return self._free() >= need
-
-    def _place_all(
-        self,
-        pieces: List[Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]],
-        block: bool,
-    ) -> bool:
-        """Place every piece, or (non-blocking) nothing at all.
-
-        All-or-nothing keeps the drop/spill policies frame-atomic: a
-        frame that was split for size is never half-committed and then
-        dropped or re-queued, which would duplicate or lose events.
-        """
-        if not block and not self._fits(pieces):
-            return False
-        for kind, values, counts in pieces:
-            count = 0 if values is None else len(values)
-            if block:
-                self._wait_for(self._need_for(frame_nbytes(kind, count)))
-            self._place(kind, values, counts)
-        return True
-
-    def _drain_spill(self, block: bool) -> bool:
-        """Re-offer the spill backlog in FIFO order; True when empty."""
-        while self._spill:
-            kind, values, counts = self._spill[0]
-            if not self._place_all(self._split(kind, values, counts), block):
-                return False
-            self._spill.pop(0)
-        return True
-
     def write_frame(
         self,
         kind: int,
         values: Optional[np.ndarray] = None,
         counts: Optional[np.ndarray] = None,
-    ) -> str:
-        """Submit one data frame under this ring's backpressure policy.
+    ) -> None:
+        """Commit one data frame, waiting for ring space if need be.
 
-        Returns the disposition — ``"queued"``, ``"dropped"`` or
-        ``"spilled"``: ``block`` waits for space (raising
-        :class:`RingStalled` if the consumer dies meanwhile), ``drop``
-        discards-and-counts a frame that does not fit, ``spill`` sends
-        overflow to an unbounded FIFO that is re-offered ahead of new
-        frames.
+        Raises :class:`RingStalled` if the consumer dies meanwhile, and
+        ``ValueError`` for a frame over :meth:`max_frame_bytes`, which
+        no amount of waiting could place.
         """
-        if self.policy == "spill" and not self._drain_spill(block=False):
-            # FIFO: once a backlog exists, new frames queue behind it.
-            self._spill.append((kind, values, counts))
-            self.spilled_batches += 1
-            return "spilled"
-        pieces = self._split(kind, values, counts)
-        if self._place_all(pieces, block=self.policy == "block"):
-            return "queued"
-        if self.policy == "drop":
-            self.dropped_batches += 1
-            if values is not None:
-                if counts is not None:
-                    self.dropped_events += int(np.sum(counts))
-                else:
-                    self.dropped_events += len(values)
-            return "dropped"
-        self._spill.append((kind, values, counts))
-        self.spilled_batches += 1
-        return "spilled"
+        count = 0 if values is None else len(values)
+        frame_bytes = frame_nbytes(kind, count)
+        if frame_bytes > self.max_frame_bytes():
+            raise ValueError(
+                f"frame of {count} events is {frame_bytes} bytes; this "
+                f"ring holds at most {self.max_frame_bytes()}"
+            )
+        self._place(kind, values, counts)
 
     def write_sync(self) -> int:
-        """Flush any spill backlog, then commit a sync frame (blocking).
+        """Commit a sync frame (blocking); return its sequence number.
 
-        Returns the sync frame's sequence number; the worker echoes it
-        in its ``synced`` reply, proving the quiesce point it
-        acknowledged trails every frame written before this call.
+        The worker echoes it in its ``synced`` reply, proving the
+        quiesce point it acknowledged trails every frame written before
+        this call.
         """
-        self._drain_spill(block=True)
-        self._place_all([(FRAME_SYNC, None, None)], block=True)
+        self._place(FRAME_SYNC, None, None)
         return self.sequence
-
-    @property
-    def spill_backlog(self) -> int:
-        """Frames currently parked in the spill FIFO."""
-        return len(self._spill)
 
 
 class RingConsumer(_RingEnd):
@@ -484,19 +390,14 @@ class RingConsumer(_RingEnd):
 
     :meth:`try_next` parses the next committed frame into zero-copy
     views and advances a *private* cursor; the shared ``head`` — the
-    producer's free-space horizon — only moves on :meth:`release`, so
-    a worker can hold decoded views across many frames (its combining
-    buffer) and reclaim the bytes in one step after copying them out.
+    producer's free-space horizon — only moves on :meth:`release`,
+    which the worker calls as soon as its combining window has copied
+    the frame out.
     """
 
     def __init__(self, region: np.ndarray) -> None:
         super().__init__(region)
         self._cursor = self.head
-
-    @property
-    def bytes_held(self) -> int:
-        """Bytes consumed but not yet released (pinned by live views)."""
-        return self._cursor - self.head
 
     def try_next(self) -> Optional[BinaryFrame]:
         """Decode the next committed frame, or ``None`` if none is.

@@ -6,10 +6,16 @@ serial one. It buffers partitioned frames (raw values weigh 1 each,
 ``ingest_counted``'s sorted frames carry counts) and duplicate-combines
 them in one ``np.unique`` pass per flush: the paper's event-combining
 buffer (Section 3.3, stage 0) stretched across frames. Both executors
-push the same frames and flush at the same points — a full window, and
-every ``drain``/``snapshot``/``close`` — so they build byte-identical
-trees, as long as no frame exceeds half its ring (the ring would split
-it, and the worker checks the window after each half).
+cut frames to the same length, push the same frames and flush at the
+same points — a full window, and every ``drain``/``snapshot``/``close``
+— so they build byte-identical trees.
+
+The window owns what it buffers: :meth:`CombiningWindow.push` copies
+each frame, so its caller may release or overwrite the frame at once
+(the worker hands its ring bytes back to the producer right after the
+push). Raw frames are copied into one ``uint64`` buffer sized for a
+full window plus one frame, allocated at a window's first push and
+dropped at its flush; counted frames are copied whole.
 """
 
 from __future__ import annotations
@@ -29,28 +35,25 @@ _COMBINE_WINDOW = 1 << 17
 
 
 def _combine_frames(
-    raw: List[np.ndarray],
+    raw: np.ndarray,
     counted: List[Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Duplicate-combine buffered frames into one sorted counted frame.
 
-    ``raw`` frames weight each occurrence 1; ``counted`` frames carry
+    ``raw`` values weigh 1 per occurrence; ``counted`` frames carry
     explicit counts. The result is exactly ``np.unique`` with counts
     over the concatenated expansion — ascending values, summed
-    weights — without ever materializing the expansion. Dtypes pass
-    through untouched: ``add_counted_arrays`` owns validation, so
-    malformed values raise there exactly as they would have
-    frame by frame.
+    weights — without ever materializing the expansion. Malformed
+    values pass through: ``add_counted_arrays`` owns validation, so
+    they raise there exactly as they would have frame by frame.
     """
     if not counted:
-        uniques, counts = np.unique(
-            np.concatenate(raw), return_counts=True
-        )
+        uniques, counts = np.unique(raw, return_counts=True)
         return uniques, counts.astype(np.int64, copy=False)
-    parts = list(raw) + [values for values, _ in counted]
-    weights = [
-        np.ones(len(values), dtype=np.int64) for values in raw
-    ] + [counts for _, counts in counted]
+    parts = [raw] + [values for values, _ in counted]
+    weights = [np.ones(len(raw), dtype=np.int64)] + [
+        counts for _, counts in counted
+    ]
     uniques, inverse = np.unique(
         np.concatenate(parts), return_inverse=True
     )
@@ -60,12 +63,21 @@ def _combine_frames(
 
 
 class CombiningWindow:
-    """Buffered frames for one shard tree, combined once per flush."""
+    """Buffered frames for one shard tree, combined once per flush.
 
-    __slots__ = ("_raw", "_counted", "events")
+    ``frame_events`` is the longest frame the window will be pushed.
+    A window is flushed as soon as :meth:`push` reports it full, so
+    the raw buffer never holds more than ``_COMBINE_WINDOW - 1`` events
+    plus one frame.
+    """
 
-    def __init__(self) -> None:
-        self._raw: List[np.ndarray] = []
+    __slots__ = ("_frame_events", "_raw", "_held", "_counted", "events")
+
+    def __init__(self, frame_events: int) -> None:
+        self._frame_events = frame_events
+        self._raw: Optional[np.ndarray] = None
+        #: Raw values held at the front of ``_raw``.
+        self._held = 0
         self._counted: List[Tuple[np.ndarray, np.ndarray]] = []
         #: Events buffered since the last flush (counted frames weigh
         #: their counts).
@@ -74,28 +86,25 @@ class CombiningWindow:
     def push(
         self, values: np.ndarray, counts: Optional[np.ndarray] = None
     ) -> bool:
-        """Buffer one frame (held, not copied); ``True`` once full."""
+        """Buffer a copy of one frame; ``True`` once the window is full."""
         if counts is None:
-            self._raw.append(values)
+            if self._raw is None:
+                self._raw = np.empty(
+                    _COMBINE_WINDOW + self._frame_events, dtype=np.uint64
+                )
+            end = self._held + len(values)
+            self._raw[self._held:end] = values
+            self._held = end
             self.events += len(values)
         else:
-            self._counted.append((values, counts))
+            self._counted.append((np.array(values), np.array(counts)))
             self.events += int(np.sum(counts))
         return self.events >= _COMBINE_WINDOW
 
-    def materialize(self) -> None:
-        """Copy buffered arrays into window-owned memory (so a ring
-        consumer can release the bytes under its views); invisible to
-        the tree."""
-        self._raw = [np.array(part) for part in self._raw]
-        self._counted = [
-            (np.array(values), np.array(counts))
-            for values, counts in self._counted
-        ]
-
     def clear(self) -> None:
         """Drop everything buffered, unprocessed."""
-        self._raw = []
+        self._raw = None
+        self._held = 0
         self._counted = []
         self.events = 0
 
@@ -108,9 +117,12 @@ class CombiningWindow:
         window is emptied first, so a flush that raises leaves nothing
         behind.
         """
-        raw, counted = self._raw, self._counted
+        raw = np.empty(0, dtype=np.uint64)
+        if self._raw is not None:
+            raw = self._raw[:self._held]
+        counted = self._counted
         self.clear()
-        if not (raw or counted):
+        if not (len(raw) or counted):
             return
         values, counts = _combine_frames(raw, counted)
         if tree.config.backend != "columnar":

@@ -8,15 +8,15 @@ and consumes the partitioned event stream from a shared-memory SPSC
 ring (:class:`~repro.runtime.ring.RingConsumer`) the parent allocated.
 
 Data frames arrive as binary counted frames (:mod:`repro.core.serialize`),
-decoded as read-only ndarray *views* over ring memory — zero copies
-until the combining flush. Frames are *buffered*, not ingested one by
-one: the worker pushes them into the shard's
-:class:`~repro.runtime.window.CombiningWindow`, which duplicate-combines
-the whole buffered substream in one pass before feeding the tree. The
-window flushes when full and at every sync; the serial executor runs
-the same window at the same points, so its shard trees are
-byte-identical to the worker's. An ingest failure is remembered and
-surfaced on the next sync.
+decoded as read-only ndarray *views* over ring memory. Frames are
+*buffered*, not ingested one by one: the worker pushes each into the
+shard's :class:`~repro.runtime.window.CombiningWindow`, which copies
+it, and releases the frame's ring bytes at once; the window
+duplicate-combines the whole buffered substream in one pass before
+feeding the tree. The window flushes when full and at every sync; the
+serial executor runs the same window over the same frames at the same
+points, so its shard trees are byte-identical to the worker's. An
+ingest failure is remembered and surfaced on the next sync.
 
 Sync frames travel *in-band* through the ring, so they order behind
 every data frame by construction: a sync flushes the combining buffer,
@@ -48,11 +48,12 @@ heap it inherited from the parent under fork: walking that heap costs
 a forked child ~10 ms at exit and copy-on-write faults every page it
 touches.
 
-The worker never touches the parent's locks; backpressure lives
-entirely on the parent side, where the producer blocks/drops/spills
-against the ring itself. If the pipe dies (parent crash), the worker
-cleans up its segments and exits — the arena is unlinked on every path
-out of :func:`worker_main`.
+The worker never touches the parent's locks; flow control lives
+entirely on the parent side, where the producer blocks on the ring
+itself. Since the worker holds no ring bytes past a push, a producer
+blocked on space always waits on progress the worker can make. If the
+pipe dies (parent crash), the worker cleans up its segments and exits
+— the arena is unlinked on every path out of :func:`worker_main`.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _warm_ingest_path(config: RapConfig) -> None:
     """
     try:
         span = min(1 << 12, config.range_max)
-        window = CombiningWindow()
+        window = CombiningWindow(2048)
         window.push((np.arange(2048, dtype=np.uint64) * 7) % span)
         window.push(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))
         scratch = ColumnarRapTree(config.with_updates(range_max=span))
@@ -113,13 +114,15 @@ def worker_main(
     shard_index: int,
     shm_prefix: str,
     ring_table: Dict[str, Tuple[str, str, int, int]],
+    frame_events: int,
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
 
     ``conn`` is the worker end of a duplex pipe; ``config`` is the
     (epsilon-adjusted) shard tree configuration; ``shm_prefix`` names
     this worker's shared-memory namespace, where its tree columns live.
-    ``ring_table`` is the parent-allocated ring region's segment table.
+    ``ring_table`` is the parent-allocated ring region's segment table;
+    ``frame_events`` is the longest frame the parent writes into it.
     """
     # Everything alive now was inherited from the parent (under fork)
     # or built by the import (under spawn), and none of it is this
@@ -165,7 +168,7 @@ def worker_main(
         pass  # parent gone already; the loops below exit the same way
 
     failed: Optional[str] = None
-    window = CombiningWindow()
+    window = CombiningWindow(frame_events)
 
     def sync_payload(sync_seq: int) -> Dict[str, object]:
         arena.reap_retired()
@@ -178,37 +181,23 @@ def worker_main(
         # pipe is polled only when the ring runs empty, and then with a
         # timeout, so a "wake" nudge (or the backstop timeout) gets the
         # worker back onto the ring. Frames are *views* into ring
-        # memory: the ring bytes are released right after each flush
-        # copies them out, or copied aside (``materialize``) if the
-        # buffered window starts crowding the producer.
+        # memory: each is released as soon as the window has copied it.
         nonlocal failed
-        congested = consumer.capacity // 2
         while True:
             frame = consumer.try_next()
             if frame is not None:
                 if frame.kind == FRAME_SYNC:
-                    failed = _flush(window, tree, failed)
                     consumer.release()
+                    failed = _flush(window, tree, failed)
                     conn.send(("synced", sync_payload(frame.sequence)))
-                elif window.push(frame.values, frame.counts):
-                    failed = _flush(window, tree, failed)
+                else:
+                    full = window.push(frame.values, frame.counts)
                     consumer.release()
-                elif consumer.bytes_held > congested:
-                    window.materialize()
-                    consumer.release()
+                    if full:
+                        failed = _flush(window, tree, failed)
                 continue
             try:
                 if not conn.poll(_RING_IDLE_POLL):
-                    # Idle a full poll period with ring bytes still
-                    # pinned by buffered views: copy them aside and
-                    # free the space. Without this a producer whose
-                    # next frame needs more than the unpinned
-                    # remainder (large frame, small ring) would wait
-                    # on a consumer that is parked waiting for it —
-                    # a standoff neither side can break.
-                    if consumer.bytes_held:
-                        window.materialize()
-                        consumer.release()
                     continue
                 message = conn.recv()
             except (EOFError, OSError):

@@ -236,14 +236,16 @@ class TestCoherenceUnderChurn:
 
 
 class TestExtremeCounts:
-    """Exactness of the vectorized fit mask above 2**53.
+    """Exact split decisions for counters above 2**53.
 
-    float64 cannot represent 2**53 + 1, so a float-side mask rounds a
-    counter total of 2**53 + 1 down to 2**53 and wrongly proves a batch
-    inline against a threshold of exactly 2**53. The kernel now sums
-    deposits exactly in int64 (``_exact_bincount``) and compares against
-    ``floor`` of the threshold, so the vectorized path must agree with
-    the object backend's unbounded-int arithmetic at any magnitude.
+    float64 cannot represent 2**53 + 1, so comparing a counter total of
+    2**53 + 1 as a double rounds it down to 2**53 and wrongly keeps it
+    at a threshold of exactly 2**53. The compiled kernel
+    (``core/_kernel.c``) compares integers against the double threshold
+    exactly, as CPython does: it holds the integer side in 128 bits and
+    compares it against ``floor``/``ceil`` of the threshold, so the
+    columnar tree must agree with the object backend's unbounded-int
+    arithmetic at any magnitude.
     """
 
     def _trees(self):

@@ -127,14 +127,13 @@ class TestExecutorSelection:
         with pytest.raises(ValueError, match="'serial' or 'process'"):
             Profiler(RapConfig(256), executor="thread")
 
-    def test_profiler_has_eight_keyword_options(self):
+    def test_profiler_has_seven_keyword_options(self):
         parameters = inspect.signature(Profiler).parameters
         assert list(parameters)[1:] == [
             "shards",
             "executor",
             "partition",
             "shard_epsilon",
-            "backpressure",
             "batch_size",
             "ring_bytes",
             "clock",

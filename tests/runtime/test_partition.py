@@ -138,7 +138,7 @@ class TestRangePartitioner:
             "serve", "gcc", "value", "--shards", "2", "--partition",
             "range", "--events", "2000", "--seed", "7",
         ]) == 0
-        assert "[serial/range, block]" in capsys.readouterr().out
+        assert "[serial/range]" in capsys.readouterr().out
 
     def test_every_value_lands_somewhere(self):
         partitioner = RangePartitioner(3, 10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import RapConfig, find_hot_ranges
-from repro.runtime import MIN_RING_BYTES, Profiler
+from repro.runtime import MIN_RING_BYTES, HashPartitioner, Profiler
+from repro.runtime.ring import max_frame_events
 from repro.workloads.spec import benchmark
 
 UNIVERSE = 2**16
@@ -25,13 +26,13 @@ def config(**overrides) -> RapConfig:
     return RapConfig(UNIVERSE, **base)
 
 
-def tiny_ring_profiler(backpressure: str) -> Profiler:
-    """Two process shards behind minimum-size rings, so small frames
-    overflow them and the backpressure policy decides every time."""
+def tiny_ring_profiler(executor: str = "process") -> Profiler:
+    """Two shards behind minimum-size rings, so the ring, not
+    ``batch_size``, sets the frame length and the producer keeps
+    running into a full ring."""
     return Profiler(
-        config(backend="columnar"), shards=2, executor="process",
-        backpressure=backpressure, ring_bytes=MIN_RING_BYTES,
-        batch_size=128,
+        config(backend="columnar"), shards=2, executor=executor,
+        ring_bytes=MIN_RING_BYTES, batch_size=128,
     )
 
 
@@ -158,7 +159,7 @@ class TestSerialIngestion:
         # The ingest boundary rejects every input the shard trees would,
         # so the worker-side failure is injected into its flush.
         monkeypatch.setattr(window, "_combine_frames", poisoned_flush)
-        profiler = tiny_ring_profiler("block").open()
+        profiler = tiny_ring_profiler().open()
         with pytest.raises(RuntimeError, match="shard worker failed"):
             # The failure rides back on the next sync.
             profiler.ingest_counted([(5, 1)] * 8)
@@ -175,32 +176,29 @@ class TestSerialIngestion:
 
 
 class TestBackpressurePolicies:
-    """The ring policies, on rings too small for the stream."""
+    """The one policy, ``block``, on rings too small for the stream."""
 
     def test_block_loses_nothing(self):
         values = zipf_values(11, 30_000)
-        with tiny_ring_profiler("block") as profiler:
+        with tiny_ring_profiler() as profiler:
             profiler.ingest(values)
             assert profiler.snapshot().events == len(values)
-            assert profiler.metrics.dropped_events == 0
+            assert profiler.metrics.events == len(values)
 
-    def test_spill_loses_nothing_and_counts_spills(self):
-        values = zipf_values(13, 30_000)
-        with tiny_ring_profiler("spill") as profiler:
-            profiler.ingest(values)
-            metrics = profiler.metrics
-            assert profiler.snapshot().events == len(values)
-            assert metrics.dropped_events == 0
-            assert metrics.spilled_batches > 0
-
-    def test_drop_accounts_for_every_lost_event(self):
-        values = zipf_values(17, 30_000)
-        with tiny_ring_profiler("drop") as profiler:
-            profiler.ingest(values)
-            snapshot = profiler.snapshot()
-            metrics = profiler.metrics
-        assert snapshot.events + metrics.dropped_events == len(values)
-        assert snapshot.events == metrics.events
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_counted_bucket_larger_than_a_frame_is_cut_to_fit(
+        self, executor
+    ):
+        # 400 pairs for one shard make a counted frame 13x larger than
+        # a minimum ring holds: both executors cut it into the same
+        # frames of max_frame_events(ring_bytes) pairs.
+        shard_of = HashPartitioner(2).shard_of  # the profiler's partition
+        pairs = [(v, 2) for v in range(UNIVERSE) if shard_of(v) == 0][:400]
+        with tiny_ring_profiler(executor) as profiler:
+            profiler.ingest_counted(pairs)
+            shard = profiler.metrics.shards[0]
+            assert shard.batches == -(-400 // max_frame_events(MIN_RING_BYTES))
+            assert profiler.snapshot().events == shard.events == 800
 
 
 class TestMetrics:
@@ -254,8 +252,6 @@ class TestMetrics:
             payload = profiler.metrics.as_dict()
         assert set(payload) == {
             "events",
-            "dropped_events",
-            "spilled_batches",
             "node_count",
             "transport_stalls",
             "transport_stall_s",
@@ -269,9 +265,6 @@ class TestMetrics:
             "shard",
             "events",
             "batches",
-            "dropped_batches",
-            "dropped_events",
-            "spilled_batches",
             "transport_stalls",
             "transport_stall_s",
             "ring_peak_bytes",
@@ -413,6 +406,23 @@ class TestIngestBoundary:
             profiler.ingest_counted([(value, 40_000)])
             assert profiler.query(value, value) >= 100_000 * (1 - 0.01)
             assert profiler.query(2**60, 2**60) == 0  # never overcounts
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_ingest_counted_rejects_counts_past_int64_atomically(
+        self, executor
+    ):
+        # A count of 2**63 has no int64 representation; the pair on
+        # shard 0 before it must not be accepted either.
+        shard_of = HashPartitioner(2).shard_of  # the profiler's partition
+        a = next(v for v in range(UNIVERSE) if shard_of(v) == 0)
+        b = next(v for v in range(UNIVERSE) if shard_of(v) == 1)
+        with Profiler(
+            config(backend="columnar"), shards=2, executor=executor
+        ) as profiler:
+            with pytest.raises(ValueError, match="64-bit"):
+                profiler.ingest_counted([(a, 5), (b, 2**63)])
+            assert profiler.metrics.events == 0
+            assert profiler.close().events == 0
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_ingest_counted_rejects_non_integer_pairs(self, executor):

@@ -1,11 +1,12 @@
-"""SPSC ring transport: stress, backpressure, wrap, crash forensics.
+"""SPSC ring transport: stress, blocking, wrap, crash forensics.
 
 The ring is the process executor's data plane, so its tests are
 property-style rather than example-style: hundreds of random-sized
-frames pushed through a deliberately tiny ring must come out the other
-side byte-exact, in order, across many wrap boundaries, under every
-backpressure policy, with syncs interleaved at arbitrary points — and
-a malformed byte stream must always surface as a clean
+frames, up to the largest the ring holds, pushed through a
+deliberately tiny ring by a producer that blocks whenever it is full
+must come out the other side byte-exact, in order, across many wrap
+boundaries, with syncs interleaved at arbitrary points — and a
+malformed byte stream must always surface as a clean
 :class:`FrameError`, never a mis-parse or a crash.
 """
 
@@ -28,6 +29,7 @@ from repro.core.serialize import (
     FrameError,
     decode_frame,
     encode_frame,
+    frame_nbytes,
 )
 from repro.runtime import (
     MIN_RING_BYTES,
@@ -37,7 +39,7 @@ from repro.runtime import (
     ShmAttachment,
     sweep_prefix,
 )
-from repro.runtime.ring import RING_HEADER_BYTES
+from repro.runtime.ring import RING_HEADER_BYTES, max_frame_events
 
 
 def make_ring(data_bytes: int = 4096) -> np.ndarray:
@@ -55,11 +57,10 @@ def drain(consumer: RingConsumer) -> list:
         frames.append(frame)
 
 
-def concat_values(frames) -> np.ndarray:
-    parts = [f.values for f in frames if f.values is not None]
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate([np.asarray(p) for p in parts])
+def max_count(producer: RingProducer, kind: int) -> int:
+    """Most events a frame of ``kind`` may carry on this ring."""
+    per_event = frame_nbytes(kind, 1) - FRAME_HEADER_BYTES
+    return (producer.max_frame_bytes() - FRAME_HEADER_BYTES) // per_event
 
 
 class TestRegionValidation:
@@ -71,9 +72,25 @@ class TestRegionValidation:
         with pytest.raises(ValueError, match="uint8"):
             RingProducer(np.zeros(MIN_RING_BYTES, dtype=np.uint64))
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            RingProducer(make_ring(), policy="belay")
+    def test_frame_over_the_ring_limit_rejected(self):
+        region = make_ring(1024)
+        producer = RingProducer(region)
+        largest = max_count(producer, FRAME_CBATCH)
+        assert largest == max_frame_events(len(region))
+        with pytest.raises(ValueError, match="holds at most"):
+            producer.write_frame(
+                FRAME_CBATCH,
+                np.arange(largest + 1, dtype=np.uint64),
+                np.ones(largest + 1, dtype=np.int64),
+            )
+        assert producer.sequence == 0  # nothing was committed
+        producer.write_frame(
+            FRAME_CBATCH,
+            np.arange(largest, dtype=np.uint64),
+            np.ones(largest, dtype=np.int64),
+        )
+        (frame,) = drain(RingConsumer(region))
+        assert len(frame.values) == largest
 
 
 class TestSpscStress:
@@ -82,36 +99,51 @@ class TestSpscStress:
     def test_random_frames_across_wraps_are_byte_exact(self):
         rng = random.Random(2006)
         region = make_ring(16384)
-        producer = RingProducer(region, policy="spill")
         consumer = RingConsumer(region)
 
-        sent_batch, sent_cbatch_v, sent_cbatch_c = [], [], []
-        got_batch, got_cbatch_v, got_cbatch_c = [], [], []
-        syncs_seen = 0
+        sent_batch, sent_cbatch_v, sent_cbatch_c, sent_syncs = [], [], [], []
+        got_batch, got_cbatch_v, got_cbatch_c, got_syncs = [], [], [], []
+        produced = threading.Event()
+        failures = []
 
-        def pump(frames):
-            nonlocal syncs_seen
-            for frame in frames:
-                if frame.kind == FRAME_BATCH:
-                    # Zero-copy, read-only views over the ring itself.
-                    assert not frame.values.flags.writeable
-                    got_batch.append(np.asarray(frame.values).copy())
-                elif frame.kind == FRAME_CBATCH:
-                    got_cbatch_v.append(np.asarray(frame.values).copy())
-                    got_cbatch_c.append(np.asarray(frame.counts).copy())
-                else:
-                    syncs_seen += 1
+        def consume():
+            # Releases at a random cadence (and whenever the ring runs
+            # dry), so occupancy sweeps the whole range, the producer
+            # blocks on a full ring, and the tail wraps many times.
+            local = random.Random(7)
+            try:
+                while True:
+                    finished = produced.is_set()
+                    frame = consumer.try_next()
+                    if frame is None:
+                        consumer.release()
+                        if finished:
+                            return
+                        time.sleep(0.0001)
+                        continue
+                    if frame.kind == FRAME_BATCH:
+                        # Zero-copy, read-only views over the ring itself.
+                        assert not frame.values.flags.writeable
+                        got_batch.append(np.asarray(frame.values).copy())
+                    elif frame.kind == FRAME_CBATCH:
+                        got_cbatch_v.append(np.asarray(frame.values).copy())
+                        got_cbatch_c.append(np.asarray(frame.counts).copy())
+                    else:
+                        got_syncs.append(frame.sequence)
+                    if local.random() < 0.3:
+                        consumer.release()
+            except Exception as error:  # pragma: no cover
+                failures.append(error)
 
+        thread = threading.Thread(target=consume, daemon=True)
+        producer = RingProducer(region, liveness=thread.is_alive)
+        thread.start()
         for round_no in range(120):
             batch = rng.random() < 0.5
-            # Sized so a frame's split pieces (wrap pad included)
-            # always fit a fully drained ring together — the single-
-            # threaded quiesce below re-offers the spill backlog
-            # non-blocking, which is all-or-nothing per frame — while
-            # still forcing the oversized-frame split path for both
-            # kinds (cbatch payloads are twice as wide, hence the
-            # lower bound).
-            count = rng.randrange(0, 1200 if batch else 650)
+            kind = FRAME_BATCH if batch else FRAME_CBATCH
+            # Every tenth frame is the largest the ring holds.
+            largest = max_count(producer, kind)
+            count = largest if round_no % 10 == 9 else rng.randrange(largest)
             values = (
                 np.arange(count, dtype=np.uint64) * 2654435761
                 + round_no
@@ -124,42 +156,20 @@ class TestSpscStress:
                 sent_cbatch_v.append(values)
                 sent_cbatch_c.append(counts)
                 producer.write_frame(FRAME_CBATCH, values, counts)
-            # Consume at random cadence so occupancy sweeps the whole
-            # range and the tail wraps many times.
-            if rng.random() < 0.7:
-                pump(drain(consumer))
-                if rng.random() < 0.5:
-                    consumer.release()
             if round_no % 17 == 16:
-                # Quiesce, then interleave a sync and check its echo.
-                # (The backlog only re-offers on producer-side calls.)
-                while producer.spill_backlog:
-                    pump(drain(consumer))
-                    consumer.release()
-                    producer._drain_spill(block=False)  # noqa: SLF001
-                pump(drain(consumer))
-                consumer.release()
-                expected_seq = producer.write_sync()
-                (sync,) = drain(consumer)
-                assert sync.kind == FRAME_SYNC
-                assert sync.sequence == expected_seq
-                syncs_seen += 1
-                consumer.release()
+                sent_syncs.append(producer.write_sync())
+        produced.set()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive() and not failures
 
-        while producer.spill_backlog:
-            pump(drain(consumer))
-            consumer.release()
-            producer._drain_spill(block=False)  # noqa: SLF001
-        pump(drain(consumer))
-        consumer.release()
-
-        assert producer.tail > producer.capacity, "stream never wrapped"
-        assert syncs_seen == 120 // 17
+        assert producer.tail > 4 * producer.capacity, "stream barely wrapped"
+        assert got_syncs == sent_syncs and len(sent_syncs) == 120 // 17
         for sent, got in (
             (sent_batch, got_batch),
             (sent_cbatch_v, got_cbatch_v),
             (sent_cbatch_c, got_cbatch_c),
         ):
+            assert len(sent) == len(got)
             np.testing.assert_array_equal(
                 np.concatenate(sent) if sent else np.empty(0),
                 np.concatenate(got) if got else np.empty(0),
@@ -169,9 +179,7 @@ class TestSpscStress:
         """Full-ring backpressure under ``block``: a slow consumer
         must throttle, never lose, never deadlock."""
         region = make_ring(2048)
-        producer = RingProducer(
-            region, policy="block", liveness=lambda: True
-        )
+        producer = RingProducer(region, liveness=lambda: True)
         consumer = RingConsumer(region)
         total_frames = 60
         per_frame = 96  # 60 * (32 + 768) >> 2 KiB: guaranteed stalls
@@ -205,46 +213,6 @@ class TestSpscStress:
         # RAP-LINT005 discipline — no wall-clock reads by default).
         assert producer.stall_seconds == 0.0
 
-    def test_drop_policy_discards_and_counts(self):
-        region = make_ring(1024)
-        producer = RingProducer(region, policy="drop")
-        values = np.arange(24, dtype=np.uint64)
-        dispositions = set()
-        for _ in range(20):
-            dispositions.add(
-                producer.write_frame(FRAME_CBATCH, values,
-                                     np.full(24, 2, dtype=np.int64))
-            )
-        assert dispositions == {"queued", "dropped"}
-        assert producer.dropped_batches > 0
-        # Counted frames weigh their counts, not their lengths.
-        assert producer.dropped_events == producer.dropped_batches * 48
-
-    def test_spill_policy_preserves_order_through_backlog(self):
-        region = make_ring(1024)
-        producer = RingProducer(region, policy="spill")
-        consumer = RingConsumer(region)
-        for i in range(30):
-            producer.write_frame(
-                FRAME_BATCH, np.full(48, i, dtype=np.uint64)
-            )
-        assert producer.spilled_batches > 0
-        assert producer.spill_backlog > 0
-        seen = []
-        while len(seen) < 30:
-            frame = consumer.try_next()
-            if frame is None:
-                consumer.release()
-                # The backlog is re-offered on producer-side calls; a
-                # zero-length frame drives that without adding events.
-                producer.write_frame(
-                    FRAME_BATCH, np.empty(0, dtype=np.uint64)
-                )
-                continue
-            if len(frame.values):
-                seen.append(int(np.asarray(frame.values)[0]))
-        assert seen == list(range(30))
-
 
 def _hammer_child(table, conn, rounds):  # pragma: no cover - subprocess
     attachment = ShmAttachment(table)
@@ -255,13 +223,11 @@ def _hammer_child(table, conn, rounds):  # pragma: no cover - subprocess
         while syncs < rounds:
             frame = consumer.try_next()
             if frame is None:
-                # Checksums are folded immediately, so nothing pins
-                # the ring bytes: unpin before napping, exactly like
-                # the real worker's park path, so a producer waiting
-                # on space can always proceed.
-                consumer.release()
                 time.sleep(0.0002)
                 continue
+            # Checksums are folded at once, so each frame is released
+            # as soon as it is read, exactly like the real worker's
+            # window copy: a producer waiting on space always proceeds.
             if frame.kind == FRAME_SYNC:
                 syncs += 1
                 consumer.release()
@@ -270,8 +236,7 @@ def _hammer_child(table, conn, rounds):  # pragma: no cover - subprocess
                 checksum += int(np.asarray(frame.values).sum())
                 if frame.counts is not None:
                     checksum += int(np.asarray(frame.counts).sum())
-                if consumer.bytes_held > consumer.capacity // 2:
-                    consumer.release()
+                consumer.release()
     finally:
         conn.close()
         attachment.close()
@@ -296,16 +261,18 @@ class TestTwoProcessHammer:
         )
         child.start()
         child_conn.close()
-        producer = RingProducer(
-            region, policy="block", liveness=child.is_alive
-        )
+        producer = RingProducer(region, liveness=child.is_alive)
         try:
             expected = 0
             for epoch in range(rounds):
                 for _ in range(25):
-                    count = rng.randrange(0, 900)
+                    batch = rng.random() < 0.5
+                    largest = max_count(
+                        producer, FRAME_BATCH if batch else FRAME_CBATCH
+                    )
+                    count = rng.randrange(0, largest + 1)
                     values = np.arange(count, dtype=np.uint64) + epoch
-                    if rng.random() < 0.5:
+                    if batch:
                         producer.write_frame(FRAME_BATCH, values)
                         expected += int(values.sum())
                     else:
@@ -390,6 +357,19 @@ class TestFrameFuzz:
                 continue
             except Exception as error:  # pragma: no cover
                 pytest.fail(f"non-FrameError escape: {error!r}")
+
+    def test_only_uint64_values_are_framed(self):
+        for dtype in (np.int64, np.float64):
+            with pytest.raises(FrameError, match="uint64"):
+                encode_frame(FRAME_BATCH, np.arange(4, dtype=dtype))
+        # The retired int64/float64 tags no longer decode either.
+        good = bytearray(
+            encode_frame(FRAME_BATCH, np.arange(4, dtype=np.uint64))
+        )
+        for tag in (2, 3):
+            good[7] = tag
+            with pytest.raises(FrameError, match="dtype tag"):
+                decode_frame(bytes(good))
 
     def test_corrupt_length_word_raises_in_consumer(self):
         region = make_ring(1024)

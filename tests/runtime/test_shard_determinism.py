@@ -158,19 +158,20 @@ class TestProcessExecutorOracle:
             delta = abs(process.estimate(lo, hi) - serial.estimate(lo, hi))
             assert delta <= budget, (lo, hi)
 
-    @pytest.mark.parametrize("backpressure", ["block", "spill"])
+    @pytest.mark.parametrize("batch_size", [2048, 10_000])
     @pytest.mark.parametrize("partition", ["hash", "range"])
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     def test_serial_and_process_build_identical_trees(
-        self, shards, partition, backpressure
+        self, shards, partition, batch_size
     ):
         # One ingest semantics: the serial executor pushes the frames
         # the process executor writes into its rings into the same
         # combining windows and flushes them at the same points, so
         # every read is byte-identical. The first segment fills every
         # shard's window past _COMBINE_WINDOW; the small rings make the
-        # producer block or spill behind busy workers without ever
-        # splitting a frame.
+        # producer block behind busy workers. At batch_size=10_000 a
+        # chunk's frame would not fit a 64 KiB ring whole: the ring's
+        # limit sets the frame length, for both executors alike.
         from repro.core import dump_tree
         from repro.runtime.window import _COMBINE_WINDOW
 
@@ -190,8 +191,8 @@ class TestProcessExecutorOracle:
             config = RapConfig(UNIVERSE, epsilon=EPS, backend="columnar")
             with Profiler(
                 config, shards=shards, executor=executor,
-                partition=partition, backpressure=backpressure,
-                batch_size=2048, ring_bytes=1 << 16,
+                partition=partition, batch_size=batch_size,
+                ring_bytes=1 << 16,
             ) as profiler:
                 profiler.ingest(first)
                 profiler.ingest_counted(pairs)

@@ -27,7 +27,7 @@ class Recorder:
 def flushed_pairs(partitioner, values, chunk=1024):
     """Per-shard pairs after pushing the partitioner's frames chunk by
     chunk into one window per shard and flushing each."""
-    windows = [CombiningWindow() for _ in range(partitioner.shards)]
+    windows = [CombiningWindow(chunk) for _ in range(partitioner.shards)]
     for at in range(0, len(values), chunk):
         for window, part in zip(
             windows, partitioner.split(values[at:at + chunk])
@@ -66,7 +66,9 @@ class TestCombine:
         raw = [rng.integers(0, 50, size=n, dtype=np.uint64) for n in (30, 7)]
         values = np.unique(rng.integers(0, 50, size=20, dtype=np.uint64))
         counts = rng.integers(1, 9, size=values.size).astype(np.int64)
-        uniques, combined = _combine_frames(raw, [(values, counts)])
+        uniques, combined = _combine_frames(
+            np.concatenate(raw), [(values, counts)]
+        )
         expansion = np.concatenate(raw + [np.repeat(values, counts)])
         expected, expected_counts = np.unique(expansion, return_counts=True)
         assert uniques.tolist() == expected.tolist()
@@ -75,24 +77,45 @@ class TestCombine:
 
 class TestWindow:
     def test_push_reports_a_full_window(self):
-        window = CombiningWindow()
+        window = CombiningWindow(_COMBINE_WINDOW)
         assert not window.push(np.zeros(_COMBINE_WINDOW - 1, np.uint64))
         assert window.push(
             np.array([3], dtype=np.uint64), np.array([1], dtype=np.int64)
         )
         assert window.events == _COMBINE_WINDOW
 
+    def test_buffer_holds_a_full_window_plus_one_frame(self):
+        window = CombiningWindow(4096)
+        values = np.arange(_COMBINE_WINDOW - 1 + 4096, dtype=np.uint64)
+        assert not window.push(values[:_COMBINE_WINDOW - 1])
+        assert window.push(values[_COMBINE_WINDOW - 1:])
+        recorder = Recorder()
+        window.flush(recorder)
+        assert recorder.pairs == [(value, 1) for value in values.tolist()]
+
     @pytest.mark.parametrize("backend", ["object", "columnar"])
-    def test_materialize_changes_nothing_the_tree_sees(self, backend):
+    def test_overwritten_frames_change_nothing_the_tree_sees(self, backend):
+        # The window copies what it is pushed, so its caller may release
+        # the frame at once — the worker hands the ring bytes back to
+        # the producer, which overwrites them. Here every pushed frame
+        # is overwritten right after its push.
         rng = np.random.default_rng(9)
-        frames = [rng.zipf(1.4, size=800) % UNIVERSE for _ in range(3)]
+        frames = [
+            (rng.zipf(1.4, size=800) % UNIVERSE).astype(np.uint64)
+            for _ in range(3)
+        ]
+        values = np.unique(frames[0][:50])
+        counts = np.full(values.size, 3, dtype=np.int64)
         dumps = []
-        for materialize in (False, True):
-            window = CombiningWindow()
-            for frame in frames:
-                window.push(frame.astype(np.uint64))
-            if materialize:
-                window.materialize()
+        for overwrite in (False, True):
+            window = CombiningWindow(800)
+            pushed = [(frame.copy(),) for frame in frames]
+            pushed.append((values.copy(), counts.copy()))
+            for parts in pushed:
+                window.push(*parts)
+                if overwrite:
+                    for part in parts:
+                        part[:] = 1
             tree = RapTree.from_config(
                 RapConfig(UNIVERSE, epsilon=0.05, backend=backend)
             )
@@ -101,7 +124,7 @@ class TestWindow:
         assert dumps[0] == dumps[1]
 
     def test_failed_flush_leaves_the_window_empty(self):
-        window = CombiningWindow()
+        window = CombiningWindow(3)
         window.push(np.array([1, 2, 3], dtype=np.uint64))
         tree = RapTree.from_config(RapConfig(2))  # universe too small
         with pytest.raises(ValueError):
