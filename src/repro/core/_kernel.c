@@ -32,7 +32,7 @@ typedef struct {
     int64_t *counts;
     uint64_t *los, *his;
     int32_t *parents, *first_child, *next_sibling, *n_children, *depth;
-    uint8_t *is_item, *dirty, *live;
+    uint8_t *live;
     int32_t *free_slots;
     int64_t capacity, size, free_top, node_count, events, cached_slot;
     uint64_t root_hi;
@@ -137,14 +137,6 @@ static void observe(rap_tree *t, int64_t weight, int64_t updates, int sample)
 
 /* ---- Structure ----------------------------------------------------- */
 
-static void mark_dirty(rap_tree *t, int64_t slot)
-{
-    while (slot != NO_SLOT && !t->dirty[slot]) {
-        t->dirty[slot] = 1;
-        slot = t->parents[slot];
-    }
-}
-
 /* RapTree._locate: finger search up from the cached slot, then down
  * the sorted sibling chains. */
 static int64_t descend(rap_tree *t, uint64_t value)
@@ -227,7 +219,6 @@ static void split(rap_tree *t, int64_t slot)
             t->los[kid] = kid_lo;
             t->his[kid] = kid_hi;
             t->depth[kid] = kid_depth;
-            if (kid_lo == kid_hi) t->is_item[kid] = 1;
             created++;
         }
         t->parents[kid] = (int32_t)slot;
@@ -241,7 +232,6 @@ static void split(rap_tree *t, int64_t slot)
     t->next_sibling[prev] = NO_SLOT;
     t->n_children[slot] = (int32_t)cells;
     t->node_count += created;
-    mark_dirty(t, slot);
     t->st_splits++;
 }
 
@@ -276,7 +266,7 @@ static int absorb(rap_tree *t, uint64_t value)
 
         i128 m_split = 0;
         int64_t c0 = t->counts[slot];
-        if (!t->is_item[slot]
+        if (t->los[slot] != t->his[slot]
             && GT((i128)c0 + m, threshold(t, (i128)events + m))) {
             if (GT((i128)c0, threshold(t, (i128)events + 1))) {
                 /* Already over threshold before absorbing (merge churn
@@ -296,7 +286,6 @@ static int absorb(rap_tree *t, uint64_t value)
         t->counts[slot] = c0 + m;
         t->events = events + m;
         remaining -= m;
-        mark_dirty(t, slot);
         if (split_now) split(t, slot);
         observe(t, m, 0, 1);
 
@@ -360,14 +349,13 @@ int rap_ingest(rap_tree *t, const uint64_t *values, const int64_t *counts,
         if (!direct) {
             i128 landed = (i128)t->events + count;
             if (landed < merge_at
-                && (t->is_item[slot]
+                && (t->los[slot] == t->his[slot]
                     || LE((i128)t->counts[slot] + count,
                           threshold(t, landed)))) {
                 t->counts[slot] += count;
                 t->events += count;
                 pending_weight += count;
                 pending_updates++;
-                mark_dirty(t, slot);
                 continue;
             }
             if (pending_weight) {

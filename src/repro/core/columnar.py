@@ -15,10 +15,6 @@ column                    dtype         meaning
 ``_next_sibling``         int32         next sibling in ``lo`` order
 ``_n_children``           int32         chain length (avoids walks)
 ``_depth``                int32         node depth (root 0; level kernels)
-``_is_item``              bool          ``lo == hi``
-``_dirty``                bool          dirty-frontier flag (see tree.py)
-``_cached_weight``        int64         subtree weight at last merge visit
-``_cached_min``           int64         min subtree weight at last visit
 ``_live``                 bool          slot is an allocated node
 ``_free_slots``           int32         free stack (``_free_top`` entries)
 ========================  ============  ===================================
@@ -123,10 +119,6 @@ _ARRAY_COLUMNS: Tuple[str, ...] = (
     "_next_sibling",
     "_n_children",
     "_depth",
-    "_is_item",
-    "_dirty",
-    "_cached_weight",
-    "_cached_min",
     "_live",
 )
 
@@ -207,10 +199,6 @@ class ColumnarRapTree:
         "_next_sibling": np.dtype(np.int32),
         "_n_children": np.dtype(np.int32),
         "_depth": np.dtype(np.int32),
-        "_is_item": np.dtype(np.bool_),
-        "_dirty": np.dtype(np.bool_),
-        "_cached_weight": np.dtype(np.int64),
-        "_cached_min": np.dtype(np.int64),
         "_live": np.dtype(np.bool_),
         "_free_slots": np.dtype(np.int32),
     }
@@ -260,13 +248,11 @@ class ColumnarRapTree:
             )
         # Allocation-default pre-fill: fresh (never-allocated) slots
         # already hold the state a split writes — leaf chain head,
-        # dirty, live — and freed slots are restored to it in bulk when
-        # the merge pass recycles them, so a split only stores the
-        # per-node fields (bounds, depth, item flag). The live pre-fill
-        # is safe: every _live read is masked to the allocated prefix
-        # ``[:size]``.
+        # live — and freed slots are restored to it in bulk when the
+        # merge pass recycles them, so a split only stores the per-node
+        # fields (bounds, depth). The live pre-fill is safe: every
+        # _live read is masked to the allocated prefix ``[:size]``.
         self._first_child.fill(_NO_SLOT)
-        self._dirty.fill(True)
         self._live.fill(True)
         self._rebind_views()
         self._root_hi = config.range_max - 1
@@ -342,8 +328,7 @@ class ColumnarRapTree:
                     f"{self.COLUMN_DTYPES[name]} array of at least "
                     f"{self._capacity} slots"
                 )
-            if name not in ("_cached_weight", "_cached_min"):
-                setattr(kstate, name[1:], column.ctypes.data)
+            setattr(kstate, name[1:], column.ctypes.data)
 
     def _children_slots(self, slot: int) -> List[int]:
         """Direct children of ``slot`` in ``lo`` order."""
@@ -384,7 +369,6 @@ class ColumnarRapTree:
         # Restore the allocation-default pre-fill on the fresh tail
         # (see __init__) so splits can keep skipping those stores.
         self._first_child[old_capacity:] = _NO_SLOT
-        self._dirty[old_capacity:] = True
         self._live[old_capacity:] = True
         self._capacity = capacity
         self._rebind_views()
@@ -599,8 +583,8 @@ class ColumnarRapTree:
         Row 0 must be the root (parent ``-1``), and every node with
         children must carry *all* of its ``partition_range`` cells —
         the shape :func:`repro.core.combine.combine_many` expands to.
-        Every slot starts dirty, so the caller's :meth:`merge_now`
-        prunes and finalizes the tree like any fresh one.
+        The caller's :meth:`merge_now` then prunes it like any fresh
+        tree.
         """
         size = int(los.size)
         tree = cls(config)
@@ -610,14 +594,12 @@ class ColumnarRapTree:
             "_his": his,
             "_parents": parents,
             "_depth": depths,
-            "_is_item": los == his,
         }
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             column = np.zeros(size, dtype=cls.COLUMN_DTYPES[name])
             if name in columns:
                 column[:] = columns[name]
             setattr(tree, name, column)
-        tree._dirty.fill(True)
         tree._live.fill(True)
         tree._capacity = size
         tree._size = size
@@ -1026,8 +1008,6 @@ class ColumnarRapTree:
                 self._his[slots] = sel_hi
                 self._depth[slots] = depth
                 self._parents[slots] = parent_slots[parent_rows]
-                item = sel_lo == sel_hi
-                self._is_item[slots] = item
                 # Sibling chains: slots are handed out in row-major
                 # (parent, ascending-lo) order, so each parent's group
                 # is a contiguous ascending run — link the whole level
@@ -1041,7 +1021,7 @@ class ColumnarRapTree:
                 self._n_children[parent_slots] = group_sizes
                 self._size += spawned
                 created += spawned
-                leaf = item | (sel_mass <= floor_t)
+                leaf = (sel_lo == sel_hi) | (sel_mass <= floor_t)
                 leaf_slots = slots[leaf]
                 self._counts[leaf_slots] = sel_mass[leaf]
                 recurse = np.flatnonzero(~leaf)
@@ -1139,11 +1119,11 @@ class ColumnarRapTree:
     def merge_now(self) -> int:
         """Run one batched merge pass; returns the number of nodes removed.
 
-        Observably identical to ``RapTree.merge_now`` — the reference's
-        dirty-frontier walk is documented to produce exactly the tree a
-        full post-order pass would, and after either pass every node is
-        clean with exact cached values, so the vectorized full pass in
-        :meth:`_merge_frontier` lands on the same state.
+        Observably identical to ``RapTree.merge_now``: the reference's
+        incremental walk is documented to produce exactly the tree a
+        full post-order pass would, and :meth:`_merge_frontier` is that
+        full pass, vectorized. The columns keep no merge caches, so
+        every pass scans the whole live set.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -1164,17 +1144,14 @@ class ColumnarRapTree:
 
         Level-ordered array kernels replace the object backend's
         post-order frame walk: subtree weights bottom-up (exact int64
-        bincount), collapsibility top-down, chain rebuild and cache
-        finalization wholesale. Equivalent to the reference walk
-        because collapsing is closed under the maximal-subtree rule:
-        a subtree collapses iff its total weight is at or below the
-        threshold, wherever the walk encounters it. Returns the number
-        of slots examined (the whole live set, or 1 on the clean-root
-        early exit — this *is* a full scan, unlike the object walk,
+        indexed adds), collapsibility top-down, chain rebuild
+        wholesale. Equivalent to the reference walk because collapsing
+        is closed under the maximal-subtree rule: a subtree collapses
+        iff its total weight is at or below the threshold, wherever the
+        walk encounters it. Returns the number of slots examined: the
+        whole live set (this *is* a full scan, unlike the object walk,
         which is the price of doing it in constant Python overhead).
         """
-        if not self._dirty[0] and int(self._cached_min[0]) > threshold:
-            return 1
         size = self._size
         counts = self._counts
         parents = self._parents
@@ -1205,7 +1182,6 @@ class ColumnarRapTree:
         collapsible[0] = False
         collapsible_idx = np.flatnonzero(collapsible)
         if collapsible_idx.size == 0:
-            self._finalize_clean(by_depth, bounds, max_depth, subtree, None)
             return visited
         # A slot is removed when any ancestor-or-self collapses
         # (top-down propagation down the levels). Nothing above the
@@ -1224,54 +1200,19 @@ class ColumnarRapTree:
         # whole weight into the surviving parent.
         tops = removed_idx[survives[parents[removed_idx]]]
         np.add.at(counts, parents[tops], subtree[tops])
-        # Free the removed slots: reset counters/item flags so dead
-        # slots keep reading as zero, restore the allocation defaults
-        # a split relies on (leaf chain head, dirty), push onto the
-        # free stack.
+        # Free the removed slots: reset counters so dead slots keep
+        # reading as zero, restore the allocation defaults a split
+        # relies on (leaf chain head), push onto the free stack.
         counts[removed_idx] = 0
-        self._is_item[removed_idx] = False
         self._first_child[removed_idx] = _NO_SLOT
         self._n_children[removed_idx] = 0
-        self._dirty[removed_idx] = True
         live[removed_idx] = False
         freed = removed_idx.size
         self._free_slots[self._free_top : self._free_top + freed] = removed_idx
         self._free_top += int(freed)
         self._node_count -= int(freed)
-        surv_idx = np.flatnonzero(survives)
-        self._rebuild_chains(surv_idx)
-        self._finalize_clean(by_depth, bounds, max_depth, subtree, survives)
+        self._rebuild_chains(np.flatnonzero(survives))
         return visited
-
-    def _finalize_clean(
-        self,
-        by_depth: np.ndarray,
-        bounds: np.ndarray,
-        max_depth: int,
-        subtree: np.ndarray,
-        survives: Optional[np.ndarray],
-    ) -> None:
-        """Re-finalize surviving slots as clean with exact cached values.
-
-        ``cached_weight`` is the (collapse-invariant) subtree weight;
-        ``cached_min`` is the bottom-up minimum of subtree weights over
-        the surviving slots — exactly what the reference walk's
-        per-frame ``min`` accumulates.
-        """
-        parents = self._parents
-        minima = subtree.copy()
-        for level in range(max_depth, 0, -1):
-            slots = by_depth[bounds[level] : bounds[level + 1]]
-            if survives is not None:
-                slots = slots[survives[slots]]
-            np.minimum.at(minima, parents[slots], minima[slots])
-        if survives is None:
-            idx = by_depth
-        else:
-            idx = np.flatnonzero(survives)
-        self._cached_weight[idx] = subtree[idx]
-        self._cached_min[idx] = minima[idx]
-        self._dirty[idx] = False
 
     def _rebuild_chains(self, surv_idx: np.ndarray) -> None:
         """Rewire every surviving sibling chain in one lexsort.
@@ -1491,18 +1432,11 @@ class ColumnarRapTree:
         counts = self._counts[:size].tolist()
         first_child = self._first_child[:size].tolist()
         next_sibling = self._next_sibling[:size].tolist()
-        dirty = self._dirty[:size].tolist()
-        cached_weight = self._cached_weight[:size].tolist()
-        cached_min = self._cached_min[:size].tolist()
 
         def build(slot: int, parent: Optional[RapNode]) -> RapNode:
-            node = RapNode(
+            return RapNode(
                 los[slot], his[slot], count=counts[slot], parent=parent
             )
-            node.dirty = dirty[slot]
-            node.cached_weight = cached_weight[slot]
-            node.cached_min = cached_min[slot]
-            return node
 
         root = build(0, None)
         stack = [(0, root)]
@@ -1523,7 +1457,7 @@ class ColumnarRapTree:
     # ------------------------------------------------------------------
 
     def audit(self) -> None:
-        """Run the full structural auditor; raise ``AuditError`` if dirty."""
+        """Run the full structural auditor; raise ``AuditError`` on failure."""
         # Imported lazily: repro.checks imports repro.core.
         from ..checks.audit import TreeAuditor
 
@@ -1533,10 +1467,10 @@ class ColumnarRapTree:
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on any broken structural invariant.
 
-        Checks every property :meth:`repro.core.tree.RapTree.check_invariants`
-        checks of a linked tree, in array passes over the live slots
-        (no node view, no per-slot loop; ``combine_many`` runs this on
-        every fold):
+        Checks the structural properties
+        :meth:`repro.core.tree.RapTree.check_invariants` checks of a
+        linked tree, in array passes over the live slots (no node view,
+        no per-slot loop; ``combine_many`` runs this on every fold):
 
         * geometry: every child is a ``partition_range`` cell of its
           parent (the ``(base, extra)`` cell formula; the root's cells
@@ -1546,13 +1480,12 @@ class ColumnarRapTree:
           ``events``, and the live slots number ``node_count``;
         * pointers: parent pointers and depths agree, and
           ``first_child``/``next_sibling``/``n_children`` are exactly
-          the ``(parent, lo)`` ordering of the live slots;
-        * merge caches: no clean node has a dirty child, and every
-          clean node's ``cached_weight``/``cached_min`` equal the
-          bottom-up subtree sums and minima.
+          the ``(parent, lo)`` ordering of the live slots.
 
         Then the columnar bookkeeping: the free stack against the live
-        column, and the allocation defaults of freed slots.
+        column, and the allocation defaults of freed slots. The object
+        tree's merge-cache checks have no counterpart here: the columns
+        keep no merge caches.
         """
         size = self._size
         live = self._live[:size]
@@ -1567,7 +1500,6 @@ class ColumnarRapTree:
         his = self._his[:size]
         parents = self._parents[:size]
         depth = self._depth[:size]
-        dirty = self._dirty[:size]
 
         # Slot accounting: the free stack holds exactly the dead slots,
         # each restored to the allocation defaults a split relies on.
@@ -1586,10 +1518,8 @@ class ColumnarRapTree:
         )
         assert not (
             np.any(counts[free])
-            or np.any(self._is_item[free])
             or np.any(self._first_child[free] != _NO_SLOT)
             or np.any(self._n_children[free])
-            or not np.all(dirty[free])
         ), "a free slot was not reset to the allocation defaults"
 
         # Counts: non-negative, summed exactly (32-bit halves keep every
@@ -1603,12 +1533,9 @@ class ColumnarRapTree:
         assert weight == self._events, (
             f"tree weight {weight} != events {self._events}"
         )
-        live_los = los[live_idx]
-        live_his = his[live_idx]
-        assert np.all(live_los <= live_his), "a live slot has an empty range"
-        assert np.array_equal(
-            self._is_item[live_idx], live_los == live_his
-        ), "an item flag disagrees with its bounds"
+        assert np.all(los[live_idx] <= his[live_idx]), (
+            "a live slot has an empty range"
+        )
 
         # Pointers: every non-root live slot hangs one level below a
         # live parent (so the parent graph is a tree rooted at slot 0),
@@ -1692,31 +1619,6 @@ class ColumnarRapTree:
         assert not misfit.size, (
             f"child [{los[misfit[0]]}, {his[misfit[0]]}] is not a "
             f"partition cell of its parent slot {parents[misfit[0]]}"
-        )
-
-        # Merge caches: subtree sums and minima bottom-up by level.
-        assert not np.any(~dirty[up] & dirty[kids]), (
-            "a clean node has a dirty child"
-        )
-        by_depth = live_idx[np.argsort(depth[live_idx], kind="stable")]
-        bounds = np.searchsorted(
-            depth[by_depth], np.arange(int(depth[by_depth[-1]]) + 2)
-        )
-        up_by_depth = parents[by_depth]
-        subtree = counts.copy()
-        for level in range(bounds.size - 2, 0, -1):
-            rows = slice(bounds[level], bounds[level + 1])
-            np.add.at(subtree, up_by_depth[rows], subtree[by_depth[rows]])
-        minima = subtree.copy()
-        for level in range(bounds.size - 2, 0, -1):
-            rows = slice(bounds[level], bounds[level + 1])
-            np.minimum.at(minima, up_by_depth[rows], minima[by_depth[rows]])
-        clean = live_idx[~dirty[live_idx]]
-        assert np.array_equal(self._cached_weight[clean], subtree[clean]), (
-            "a clean node caches a stale subtree weight"
-        )
-        assert np.array_equal(self._cached_min[clean], minima[clean]), (
-            "a clean node caches a stale subtree minimum"
         )
 
     def __len__(self) -> int:

@@ -61,8 +61,7 @@ class KernelState(ctypes.Structure):
         (name, _PTR)
         for name in (
             "counts", "los", "his", "parents", "first_child",
-            "next_sibling", "n_children", "depth", "is_item", "dirty",
-            "live", "free_slots",
+            "next_sibling", "n_children", "depth", "live", "free_slots",
         )
     ] + [
         (name, _I64)

@@ -25,8 +25,9 @@ Hot-path engineering (see "Performance notes" in ``DESIGN.md``):
   subtrees untouched since the previous pass carry cached weight
   aggregates that let the walk skip or wholesale-collapse them without
   visiting their nodes;
-* ``extend``/``add_batch`` keep per-event work in a tight local loop and
-  only drop into the general ``add`` path around splits and merges.
+* ``extend``/``add_counted`` keep per-event work in a tight local loop
+  and only drop into the general ``add`` path around splits and merges
+  (``add_batch`` is ``add_counted`` over the sorted pairs).
 """
 
 from __future__ import annotations
@@ -492,13 +493,10 @@ class RapTree:
 
         This is the software analogue of the hardware event buffer that
         combines duplicate events before they reach the RAP engine
-        (Section 3.3, stage 0). Order is preserved; runs the same inline
-        fast path as :meth:`add_batch` minus the sort, so it is
-        observably identical to calling :meth:`add` per pair — which
-        also makes ``add_batch(pairs)`` and ``add_counted(sorted(pairs))``
-        interchangeable. For value-sorted batches prefer
-        :meth:`add_batch`, which shares descents between neighbouring
-        values.
+        (Section 3.3, stage 0). Order is preserved; the inline fast path
+        makes it observably identical to calling :meth:`add` per pair.
+        :meth:`add_batch` is this over the value-sorted pairs, whose
+        neighbouring values share descents.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -588,111 +586,14 @@ class RapTree:
                 self._generation += 1
 
     def add_batch(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Feed ``(value, count)`` pairs, sorted once and routed in runs.
+        """Feed ``(value, count)`` pairs, sorted once.
 
-        The batch kernel behind :meth:`add_stream`: pairs are sorted by
-        value so consecutive updates land in the same or a neighbouring
-        subtree, then each pair takes a tight inline path when it fits
-        entirely in the cached leaf below every threshold — splits,
-        merges and cache misses drop to the general :meth:`add` path,
-        whose finger search (:meth:`_locate`) re-routes through the
-        shared prefix instead of re-descending from the root. Observably
-        identical to ``add_counted(sorted(pairs))``.
+        The batch kernel behind :meth:`add_stream`: exactly
+        ``add_counted(sorted(pairs))``. Sorted order makes each finger
+        search a short hop through the previous pair's prefix rather
+        than a fresh root descent.
         """
-        if self._confined_ident is not None:
-            self._assert_owner()
-        items = sorted(pairs)
-        stats = self._stats
-        add = self.add
-        if stats.sample_every > 0 or self._audit_every:
-            for value, count in items:
-                add(value, count)
-            return
-        root = self._root
-        root_hi = root.hi
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        scheduler = self._scheduler
-        events = self._events
-        next_at = scheduler.next_at
-        node_count = self._node_count
-        cache = self._cached_node
-        pending_events = 0
-        pending_updates = 0
-        try:
-            for value, count in items:
-                if count > 0 and 0 <= value <= root_hi:
-                    # Finger search from the previous pair's node: sorted
-                    # order makes this a short hop through the shared
-                    # prefix rather than a fresh root descent.
-                    node = cache
-                    if node is None:
-                        node = root
-                    else:
-                        while value < node.lo or node.hi < value:
-                            node = node.parent
-                    kids = node.children
-                    while kids:
-                        low, high = 0, len(kids) - 1
-                        found = None
-                        while low <= high:
-                            mid = (low + high) // 2
-                            kid = kids[mid]
-                            if value < kid.lo:
-                                high = mid - 1
-                            elif value > kid.hi:
-                                low = mid + 1
-                            else:
-                                found = kid
-                                break
-                        if found is None:
-                            break
-                        node = found
-                        kids = node.children
-                    n = events + count
-                    if n < next_at:
-                        if node.lo == node.hi:
-                            fits = True
-                        else:
-                            # Endpoint check: if the last unit of the run
-                            # stays at or below its threshold, so does
-                            # every earlier unit (the margin only shrinks
-                            # as units arrive).
-                            threshold = eps_h * n
-                            if threshold < min_th:
-                                threshold = min_th
-                            fits = node.count + count <= threshold
-                        if fits:
-                            node.count += count
-                            events = n
-                            cache = node
-                            pending_events += count
-                            pending_updates += 1
-                            if not node.dirty:
-                                walker = node
-                                while walker is not None and not walker.dirty:
-                                    walker.dirty = True
-                                    walker = walker.parent
-                            continue
-                self._events = events
-                self._cached_node = cache
-                if pending_events:
-                    stats.observe_batch(
-                        pending_events, pending_updates, node_count
-                    )
-                    pending_events = 0
-                    pending_updates = 0
-                add(value, count)
-                events = self._events
-                next_at = scheduler.next_at
-                node_count = self._node_count
-                cache = self._cached_node
-        finally:
-            self._events = events
-            self._cached_node = cache
-            if pending_events:
-                stats.observe_batch(pending_events, pending_updates, node_count)
-                self._generation += 1
+        self.add_counted(sorted(pairs))
 
     def add_stream(self, values: Iterable[int], combine_chunk: int = 0) -> None:
         """Feed a stream, optionally combining duplicates per chunk.

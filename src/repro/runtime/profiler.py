@@ -690,9 +690,11 @@ class Profiler:
         Each shard's pairs are sorted by value and cut into counted
         frames of the frame length; its window treats the counts as
         weights. A value or count that is not an integer (floats,
-        bools, strings), a value outside the universe or a count
-        outside ``[1, 2**63 - 1]`` raises ``ValueError`` before any
-        pair is accepted, under every executor.
+        bools, strings), a value outside the universe, a count outside
+        ``[1, 2**63 - 1]``, or pairs that would take a shard's accepted
+        event total past ``2**63 - 1`` (what its int64 counters and
+        combining sums hold) raise ``ValueError`` before any pair is
+        accepted, under every executor.
         """
         self._check_ingestible()
         range_max = self._config.range_max
@@ -719,6 +721,15 @@ class Profiler:
             ]
             for value, count in items:
                 buckets[shard_of(value)].append((value, count))
+            for shard, bucket in enumerate(buckets):
+                total = self._shard_events[shard] + sum(
+                    count for _, count in bucket
+                )
+                if total >= 1 << 63:
+                    raise ValueError(
+                        f"shard {shard} would hold {total} events, past "
+                        "the 64-bit signed event total 2**63 - 1"
+                    )
             step = self._frame_events
             for shard, bucket in enumerate(buckets):
                 bucket.sort()

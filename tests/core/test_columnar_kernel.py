@@ -2,8 +2,10 @@
 
 Differential: a ``ColumnarRapTree`` and a ``RapTree`` take the same
 operations — ``add``, ``extend``, ``add_counted`` with unsorted pairs,
-and ``add_counted_arrays`` (``add_counted`` of the zipped columns on the
-object side) — over universes up to 2**64, counts up to 2**40, merges
+``add_batch``, ``add_counted_arrays`` (``add_counted`` of the zipped
+columns on the object side) and runs of back-to-back ``merge_now``
+calls (a second merge with no update between finds the object tree's
+root clean) — over universes up to 2**64, counts up to 2**40, merges
 that fire mid-run and column arrays that grow mid-ingest. The two must
 serialize identically and keep the same ``TreeStats``, field for field,
 including the float ``node_seconds``. One case drives counters and
@@ -58,6 +60,11 @@ def apply(tree, op) -> None:
         tree.extend(payload)
     elif kind == "add_counted":
         tree.add_counted(payload)
+    elif kind == "add_batch":
+        tree.add_batch(payload)
+    elif kind == "merge_now":
+        for _ in range(payload):
+            tree.merge_now()
     elif isinstance(tree, ColumnarRapTree):
         values, counts = payload
         tree.add_counted_arrays(
@@ -88,6 +95,8 @@ def sessions(draw, max_count: int = 2**40):
         st.tuples(st.just("add"), pair),
         st.tuples(st.just("extend"), st.lists(value, max_size=400)),
         st.tuples(st.just("add_counted"), st.lists(pair, max_size=200)),
+        st.tuples(st.just("add_batch"), st.lists(pair, max_size=200)),
+        st.tuples(st.just("merge_now"), st.integers(1, 3)),
         st.tuples(
             st.just("add_counted_arrays"),
             st.lists(pair, max_size=200).map(

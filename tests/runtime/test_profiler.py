@@ -424,6 +424,33 @@ class TestIngestBoundary:
             assert profiler.metrics.events == 0
             assert profiler.close().events == 0
 
+    @pytest.mark.parametrize(
+        "executor,backend",
+        [("serial", "object"), ("serial", "columnar"), ("process", "columnar")],
+    )
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 2**62), (2, 2**62)], [(5, 2**62), (5, 2**62)]],
+        ids=["two-values", "one-value"],
+    )
+    def test_ingest_counted_rejects_shard_totals_past_int64(
+        self, executor, backend, pairs
+    ):
+        # Every count fits int64, their sum on the shard does not: the
+        # flush would overflow the columnar event total, or wrap the
+        # window's int64 combining sum, after emptying the window.
+        with Profiler(
+            config(backend=backend), shards=1, executor=executor
+        ) as profiler:
+            profiler.ingest_counted([(9, 3)])
+            with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+                profiler.ingest_counted(pairs)
+            assert profiler.metrics.events == 3
+            assert profiler.snapshot().events == 3
+            # Up to the bound itself is accepted.
+            profiler.ingest_counted([(5, 2**62), (6, 2**62 - 4)])
+            assert profiler.snapshot().events == 2**63 - 1
+
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_ingest_counted_rejects_non_integer_pairs(self, executor):
         with Profiler(
