@@ -11,6 +11,8 @@
  * exact at any magnitude (counters past 2**53 included), int-to-double
  * conversions round to nearest, and the root's 2**64 width is held in
  * unsigned __int128. Build with -ffp-contract=off (no fused multiply-add).
+ * rap_bootstrap builds a fresh tree's first frame offline (the cold-start
+ * bulk build of ColumnarRapTree.bootstrap_counted_arrays).
  */
 #include <math.h>
 #include <stdint.h>
@@ -373,4 +375,105 @@ int rap_ingest(rap_tree *t, const uint64_t *values, const int64_t *counts,
     if (pending_weight) observe(t, pending_weight, pending_updates, 0);
     t->item = i;
     return code;
+}
+
+/* ---- Cold-start bootstrap ------------------------------------------ */
+
+/* The sorted frame, its prefix masses (slice [a, z) weighs cum[z] -
+ * cum[a]), the leaf threshold, the fill pass's fifo and the tallies. */
+typedef struct {
+    rap_tree *t;
+    const uint64_t *values;
+    const int64_t *cum;
+    int64_t floor_t, *fifo, tail, created, bursts;
+} boot;
+
+/* Burst [lo, hi], whose mass is the frame slice [a, z): its nonzero-mass
+ * cells of split()'s geometry, in ascending lo. A cell is a leaf when
+ * lo == hi or its mass is at most floor_t; any other cell bursts in
+ * turn. The counting pass (no fifo) recurses and writes nothing; the
+ * fill pass gives each cell the next slot (leaves hold their mass,
+ * bursts 0), links it under `slot` and queues the bursts. */
+static void burst(boot *b, int64_t slot, uint64_t lo, uint64_t hi,
+                  int64_t a, int64_t z)
+{
+    rap_tree *t = b->t;
+    u128 width = (u128)hi - lo + 1;
+    int64_t cells = width < (u128)t->branching ? (int64_t)width : t->branching;
+    u128 base = width / (u128)cells;
+    int64_t extra = (int64_t)(width % (u128)cells);
+    u128 cell_lo = lo;
+    int64_t prev = NO_SLOT;
+    b->bursts++;
+    for (int64_t index = 0; index < cells; index++) {
+        uint64_t kid_lo = (uint64_t)cell_lo;
+        cell_lo += base + (index < extra ? 1 : 0);
+        uint64_t kid_hi = (uint64_t)(cell_lo - 1);
+        int64_t start = a;
+        if (index + 1 == cells)
+            a = z;
+        else  /* a = first value past kid_hi */
+            for (int64_t stop = z; a < stop;) {
+                int64_t mid = a + (stop - a) / 2;
+                if (b->values[mid] <= kid_hi) a = mid + 1;
+                else stop = mid;
+            }
+        int64_t mass = b->cum[a] - b->cum[start];
+        int leaf = kid_lo == kid_hi || mass <= b->floor_t;
+        if (!mass) continue;
+        b->created++;
+        if (!b->fifo) {
+            if (!leaf) burst(b, NO_SLOT, kid_lo, kid_hi, start, a);
+            continue;
+        }
+        int64_t kid = t->size++;
+        t->los[kid] = kid_lo;
+        t->his[kid] = kid_hi;
+        t->depth[kid] = t->depth[slot] + 1;
+        t->parents[kid] = (int32_t)slot;
+        t->counts[kid] = leaf ? mass : 0;
+        if (prev == NO_SLOT)
+            t->first_child[slot] = (int32_t)kid;
+        else
+            t->next_sibling[prev] = (int32_t)kid;
+        prev = kid;
+        t->n_children[slot]++;
+        if (!leaf) {
+            b->fifo[b->tail++] = kid;
+            b->fifo[b->tail++] = start;
+            b->fifo[b->tail++] = a;
+        }
+    }
+    if (b->fifo) t->next_sibling[prev] = NO_SLOT;
+}
+
+/*
+ * Build a fresh tree (the root alone) from the sorted frame values[0, n)
+ * with prefix masses cum[0, n]: burst every range whose mass exceeds
+ * floor_t, breadth first, so slots are handed out in (parent, ascending
+ * lo) order. With fifo NULL this is the counting pass: it writes
+ * nothing and returns the slots the build creates, with the burst count
+ * in *bursts. The fill pass needs the columns to hold that many more
+ * slots and a fifo of 3 * bursts entries, (slot, a, z) per queued burst.
+ */
+int64_t rap_bootstrap(rap_tree *t, const uint64_t *values, const int64_t *cum,
+                      int64_t n, int64_t floor_t, int64_t *fifo,
+                      int64_t *bursts)
+{
+    boot b = { t, values, cum, floor_t, fifo, 0, 0, 0 };
+    if (t->root_hi == 0 || cum[n] <= floor_t) {
+        if (fifo) t->counts[0] = cum[n];
+    } else if (!fifo) {
+        burst(&b, NO_SLOT, 0, t->root_hi, 0, n);
+    } else {
+        fifo[b.tail++] = 0;
+        fifo[b.tail++] = 0;
+        fifo[b.tail++] = n;
+        for (int64_t head = 0; head < b.tail; head += 3)
+            burst(&b, fifo[head], t->los[fifo[head]], t->his[fifo[head]],
+                  fifo[head + 1], fifo[head + 2]);
+    }
+    if (fifo) t->node_count += b.created;
+    *bursts = b.bursts;
+    return b.created;
 }

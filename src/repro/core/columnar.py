@@ -51,8 +51,10 @@ operation sequences. The kernel contract:
 
 The kernel keeps the tree's scalar state (slot accounting, event total,
 finger) in its ``KernelState`` struct; the ``_size``/``_events``/...
-attributes read and write it. Merges, folds, estimates, hot ranges and
-``check_invariants`` stay numpy passes over the columns.
+attributes read and write it. A fresh tree's first frame may instead
+take the cold-start bulk build, one compiled breadth-first pass
+(:meth:`~ColumnarRapTree.bootstrap_counted_arrays`). Merges, folds,
+estimates, hot ranges and ``check_invariants`` stay numpy passes.
 
 Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 — importing this module's internals elsewhere is flagged by RAP-LINT012.
@@ -896,36 +898,36 @@ class ColumnarRapTree:
         """Cold-start bulk build from one sorted counted frame.
 
         Top-down offline construction of the adaptive partition for a
-        *fresh* tree: recursively burst every range whose frame mass
-        exceeds the split threshold at the final event count, working
-        level by level with array kernels (one ``searchsorted`` over
-        the frame per level) instead of replaying the per-event
-        cascade. The result is not the same shape the online kernel
-        would build — it is a *different reachable* RAP state with the
-        same contracts, because both guarantees are structural, not
-        historical: every counter is real mass from inside its range
-        (estimates stay exact lower bounds), and every non-item node
-        holds at most ``split_threshold(n)``, so a query's undercount —
-        mass on nodes straddling its boundary, at most one per level
-        per side — stays within ``epsilon * n`` exactly as Section 3.2
-        argues for the online tree. The build ends with the standard
-        catch-up merge, leaving the merge schedule where any online
-        ingest of ``n`` events would have left it.
+        *fresh* tree: burst every range whose frame mass exceeds the
+        split threshold at the final event count, instead of replaying
+        the per-event cascade. ``rap_bootstrap`` in ``_kernel.c`` does
+        it in one compiled breadth-first pass over the frame's prefix
+        masses (each cell's mass is one binary search inside its
+        parent's slice), after a counting pass that sizes the columns
+        for one :meth:`_grow`. Slots go out in (parent, ascending
+        ``lo``) order, only to nonzero-mass cells; a cell is a leaf
+        holding its mass when ``lo == hi`` or its mass is at most the
+        threshold, else a zero-count burst.
 
-        This is the process executor's first-flush path: a shard
-        worker's combining buffer hands the whole opening window to the
-        empty shard tree in one frame, and building that tree directly
-        is several times cheaper than cascading 30k+ deposits through
-        a cold tree that splits under nearly every one. Callers that
-        need the online shape (``add_counted_arrays`` is documented
-        observably identical to ``add_counted``) must not use this.
+        The result is not the shape the online kernel would build but a
+        *different reachable* RAP state with the same contracts, which
+        are structural, not historical: every counter is real mass from
+        inside its range (estimates stay exact lower bounds), and every
+        non-item node holds at most ``split_threshold(n)``, so a query's
+        undercount stays within ``epsilon * n`` as Section 3.2 argues
+        for the online tree. The build ends with the standard catch-up
+        merge, leaving the merge schedule where any online ingest of
+        ``n`` events would have left it.
 
-        Returns ``True`` when the bulk build ran. Returns ``False`` —
-        tree untouched — when a precondition fails: the tree is not
-        fresh, per-event hooks (timeline sampling, auditing) must see
-        every event, or the frame is not strictly-increasing in-range
-        values with positive int64 counts. Fall back to
-        :meth:`add_counted_arrays` in that case.
+        This is the first flush of every shard's combining window.
+        Callers that need the online shape (``add_counted_arrays`` is
+        documented observably identical to ``add_counted``) must not
+        use it. Returns ``True`` when the build ran. Returns ``False``
+        — tree untouched — when a precondition fails: the tree is not
+        fresh or wraps read-only columns, per-event hooks (timeline
+        sampling, auditing) must see every event, or the frame is not
+        strictly-increasing in-range values with positive int64 counts.
+        Fall back to :meth:`add_counted_arrays` in that case.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -934,6 +936,7 @@ class ColumnarRapTree:
             or self._node_count != 1
             or self._size != 1
             or self._free_top != 0
+            or not self._counts.flags.writeable
             or self._stats.sample_every > 0
             or self._audit_every
         ):
@@ -952,7 +955,7 @@ class ColumnarRapTree:
             return False
         if counts.dtype.kind == "u" and int(counts.max()) > _INT64_MAX:
             return False
-        varr = values.astype(np.uint64, copy=False)
+        varr = np.ascontiguousarray(values, dtype=np.uint64)
         carr = counts.astype(np.int64, copy=False)
         if (
             int(carr.min()) <= 0
@@ -966,128 +969,23 @@ class ColumnarRapTree:
         floor_t = min(
             math.floor(self._config.split_threshold(total)), _INT64_MAX
         )
-        branching = self._config.branching
         # Prefix masses: frame slice [i, j) weighs cum[j] - cum[i].
         cum = np.zeros(varr.size + 1, dtype=np.int64)
         np.cumsum(carr, out=cum[1:])
-
-        created = 0
-        bursts = 0
-        if total <= floor_t or self._root_hi == 0:
-            self._counts[0] = total
-        else:
-            # Root level in exact Python ints — the root's width (the
-            # whole universe) can overflow the uint64 cell arithmetic
-            # the deeper levels use; its cells never can.
-            bursts += 1
-            cells = partition_range(0, self._root_hi, branching)
-            cell_lo = np.array([lo for lo, _ in cells], dtype=np.uint64)
-            cell_hi = np.array([hi for _, hi in cells], dtype=np.uint64)
-            bounds = np.empty(len(cells) + 1, dtype=np.int64)
-            bounds[0] = 0
-            bounds[-1] = varr.size
-            bounds[1:-1] = np.searchsorted(varr, cell_lo[1:])
-            mass = cum[bounds[1:]] - cum[bounds[:-1]]
-            keep = np.flatnonzero(mass)
-            sel_lo = cell_lo[keep]
-            sel_hi = cell_hi[keep]
-            sel_mass = mass[keep]
-            sel_plo = bounds[:-1][keep]
-            sel_phi = bounds[1:][keep]
-            parent_rows = np.zeros(keep.size, dtype=np.int64)
-            parent_slots = np.zeros(1, dtype=np.int64)
-            group_sizes = np.array([keep.size], dtype=np.int64)
-            depth = 1
-            while True:
-                spawned = int(sel_lo.size)
-                if self._size + spawned > self._capacity:
-                    self._grow(self._size + spawned)
-                base_slot = self._size
-                slots = base_slot + np.arange(spawned, dtype=np.int64)
-                self._los[slots] = sel_lo
-                self._his[slots] = sel_hi
-                self._depth[slots] = depth
-                self._parents[slots] = parent_slots[parent_rows]
-                # Sibling chains: slots are handed out in row-major
-                # (parent, ascending-lo) order, so each parent's group
-                # is a contiguous ascending run — link the whole level
-                # with one shifted store, then cut at group ends.
-                group_ends = base_slot + np.cumsum(group_sizes) - 1
-                self._next_sibling[slots[:-1]] = slots[1:]
-                self._next_sibling[group_ends] = _NO_SLOT
-                self._first_child[parent_slots] = np.concatenate(
-                    (slots[:1], group_ends[:-1] + 1)
-                )
-                self._n_children[parent_slots] = group_sizes
-                self._size += spawned
-                created += spawned
-                leaf = (sel_lo == sel_hi) | (sel_mass <= floor_t)
-                leaf_slots = slots[leaf]
-                self._counts[leaf_slots] = sel_mass[leaf]
-                recurse = np.flatnonzero(~leaf)
-                if recurse.size == 0:
-                    break
-                bursts += int(recurse.size)
-                parent_slots = slots[recurse]
-                p_lo = sel_lo[recurse]
-                p_hi = sel_hi[recurse]
-                p_plo = sel_plo[recurse]
-                p_phi = sel_phi[recurse]
-                # One vectorized burst per surviving parent: the exact
-                # partition_range geometry, computed for all parents at
-                # once (cells = min(b, width), base + spread remainder).
-                width = p_hi - p_lo + np.uint64(1)
-                cells_n = np.minimum(
-                    width, np.uint64(branching)
-                ).astype(np.int64)
-                base = width // cells_n.astype(np.uint64)
-                extra = width - base * cells_n.astype(np.uint64)
-                j = np.arange(branching, dtype=np.uint64)[None, :]
-                starts = (
-                    p_lo[:, None]
-                    + j * base[:, None]
-                    + np.minimum(j, extra[:, None])
-                )
-                idx = np.empty(
-                    (starts.shape[0], branching + 1), dtype=np.int64
-                )
-                idx[:, 0] = p_plo
-                idx[:, -1] = p_phi
-                if branching > 1:
-                    idx[:, 1:-1] = np.searchsorted(varr, starts[:, 1:])
-                    # Columns past a narrow parent's cell count carry
-                    # garbage starts; pin them to the parent's end so
-                    # those cells read as empty.
-                    short = (
-                        np.arange(1, branching)[None, :] >= cells_n[:, None]
-                    )
-                    if short.any():
-                        idx[:, 1:-1][short] = np.broadcast_to(
-                            p_phi[:, None], short.shape
-                        )[short]
-                ends = np.empty_like(starts)
-                ends[:, :-1] = starts[:, 1:] - np.uint64(1)
-                ends[:, -1] = p_hi
-                narrow = np.flatnonzero(cells_n < branching)
-                if narrow.size:
-                    ends[narrow, cells_n[narrow] - 1] = p_hi[narrow]
-                mass = cum[idx[:, 1:]] - cum[idx[:, :-1]]
-                nonzero = mass > 0
-                flat = np.flatnonzero(nonzero.ravel())
-                rows = flat // branching
-                cols = flat - rows * branching
-                sel_lo = starts[rows, cols]
-                sel_hi = ends[rows, cols]
-                sel_mass = mass[rows, cols]
-                sel_plo = idx[rows, cols]
-                sel_phi = idx[rows, cols + 1]
-                parent_rows = rows
-                group_sizes = nonzero.sum(axis=1)
-                depth += 1
-        self._node_count += created
+        bootstrap = load_kernel().rap_bootstrap
+        bursts = ctypes.c_int64()
+        frame = (varr.ctypes.data, cum.ctypes.data, varr.size, floor_t)
+        # Counting pass, one grow to the final size, then the fill pass
+        # (whose fifo must be non-NULL even when the root is a leaf).
+        at, tally = self._kstate_at, ctypes.byref(bursts)
+        created = bootstrap(at, *frame, None, tally)
+        if self._size + created > self._capacity:
+            self._grow(self._size + created)
+        fifo = np.empty(3 * max(bursts.value, 1), dtype=np.int64)
+        bootstrap(at, *frame, fifo.ctypes.data, tally)
         self._events = total
         self._stats.observe_batch(total, int(varr.size), self._node_count)
-        self._stats.splits += bursts
+        self._stats.splits += bursts.value
         self._generation += 1
         self._cached_slot = 0
         if self._scheduler.due(self._events):

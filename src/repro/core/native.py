@@ -185,12 +185,8 @@ def load_kernel() -> ctypes.CDLL:
             f"expected {ctypes.sizeof(KernelState)})"
         )
     library.rap_ingest.restype = ctypes.c_int
-    library.rap_ingest.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int,
-    ]
+    library.rap_ingest.argtypes = [_PTR] * 3 + [_I64, ctypes.c_int]
+    library.rap_bootstrap.restype = ctypes.c_int64
+    library.rap_bootstrap.argtypes = [_PTR] * 3 + [_I64] * 2 + [_PTR] * 2
     _loaded = library
     return library

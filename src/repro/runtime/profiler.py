@@ -13,7 +13,7 @@ a worker *process* fed through a shared-memory ring:
         └─ chunk (frame length) → partition → one frame per shard
              ├─ serial:  window[i] → shard i                  (inline)
              └─ process: ring[i] ── worker i: window → shard i (shm)
-    flush       =  combine the window's frames (np.unique), then one
+    flush       =  combine the window's frames (one sort), then one
                    tree pass; when 2**17 events are buffered and at
                    every drain() / snapshot() / close()
     snapshot()  =  flush (serial) or sync (process) every shard, then

@@ -4,7 +4,7 @@ Every shard tree is fed through a :class:`CombiningWindow` — in the
 shard's worker under the process executor, next to the tree under the
 serial one. It buffers partitioned frames (raw values weigh 1 each,
 ``ingest_counted``'s sorted frames carry counts) and duplicate-combines
-them in one ``np.unique`` pass per flush: the paper's event-combining
+them in one sorting pass per flush: the paper's event-combining
 buffer (Section 3.3, stage 0) stretched across frames. Both executors
 cut frames to the same length, push the same frames and flush at the
 same points — a full window, and every ``drain``/``snapshot``/``close``
@@ -46,10 +46,17 @@ def _combine_frames(
     weights — without ever materializing the expansion. Malformed
     values pass through: ``add_counted_arrays`` owns validation, so
     they raise there exactly as they would have frame by frame.
+
+    Without counted frames ``raw`` is sorted in place and run-length
+    encoded (the window hands over a buffer nothing else holds), which
+    skips ``np.unique``'s copy of the input and its extra passes.
     """
     if not counted:
-        uniques, counts = np.unique(raw, return_counts=True)
-        return uniques, counts.astype(np.int64, copy=False)
+        raw.sort()
+        edges = np.ones(raw.size + 1, dtype=np.bool_)
+        np.not_equal(raw[1:], raw[:-1], out=edges[1:-1])
+        runs = np.flatnonzero(edges)
+        return raw[runs[:-1]], np.diff(runs)
     parts = [raw] + [values for values, _ in counted]
     weights = [np.ones(len(raw), dtype=np.int64)] + [
         counts for _, counts in counted

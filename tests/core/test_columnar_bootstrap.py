@@ -9,16 +9,32 @@ shape-equivalence: exact lower-bound estimates, undercount within
 online ingest afterwards. Preconditions are strict; anything unmet
 must leave the tree untouched and report ``False`` so callers fall
 back to ``add_counted_arrays``.
+
+The compiled builder is checked against a short pure-Python statement
+of the burst rule (``reference_bootstrap``), slot layout included, and
+against one column growth per build.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core import RapConfig, RapTree, dump_tree
+from repro.core import (
+    ColumnarRapTree,
+    RapConfig,
+    RapTree,
+    dump_tree,
+    load_tree,
+    partition_range,
+)
 
 from .test_tree_fastpath import zipf_stream
 
@@ -113,6 +129,18 @@ def test_bootstrap_refuses_per_event_hooks():
     assert sampled.events == 0
 
 
+def test_bootstrap_refuses_read_only_columns():
+    config = RapConfig(1 << 16, backend="columnar")
+    live = RapTree.from_config(config)
+    columns = {name: getattr(live, name) for name in live.COLUMN_DTYPES}
+    attached = ColumnarRapTree.attach_columns(
+        config, columns, live.column_state()
+    )
+    assert not attached.bootstrap_counted_arrays(*counted_frame([1, 2, 3]))
+    assert live.events == 0 and attached.events == 0
+    live.check_invariants()
+
+
 @pytest.mark.parametrize(
     "values,counts",
     [
@@ -158,3 +186,150 @@ def test_bootstrap_single_heavy_value_stays_exact():
     assert tree.events == 10_000
     tree.check_invariants()
     assert tree.estimate(123_456_789, 123_456_789) == 10_000
+
+
+def reference_bootstrap(config, values, counts):
+    """The burst rule over Python ints, breadth first.
+
+    Returns ``(rows, bursts)``: one ``[lo, hi, parent_row, depth,
+    count]`` row per node in slot order, before the catch-up merge.
+    A node bursts when ``lo < hi`` and its mass is past the threshold
+    at the frame's total; its nonzero-mass cells follow in ``lo``
+    order, leaves holding their mass and bursts 0.
+    """
+    cum = list(accumulate(counts, initial=0))
+    total = cum[-1]
+    floor_t = math.floor(config.split_threshold(total))
+    rows = [[0, config.range_max - 1, -1, 0, total]]
+    bursts = 0
+    for row, (lo, hi, _, depth, mass) in enumerate(rows):
+        if lo == hi or mass <= floor_t:
+            continue
+        rows[row][4] = 0
+        bursts += 1
+        for cell_lo, cell_hi in partition_range(lo, hi, config.branching):
+            cell = (
+                cum[bisect_right(values, cell_hi)]
+                - cum[bisect_left(values, cell_lo)]
+            )
+            if cell:
+                rows.append([cell_lo, cell_hi, row, depth + 1, cell])
+    return rows, bursts
+
+
+def reference_tree(config, rows, bursts, frame_size):
+    """An object ``RapTree`` holding ``rows``, stats and merge applied."""
+    kids = [[] for _ in rows]
+    for row, (_, _, parent, _, _) in enumerate(rows[1:], start=1):
+        kids[parent].append(row)
+    lines = dump_tree(RapTree(config)).splitlines()[:4]
+    lines[2] = f"events {sum(row[4] for row in rows)}"
+    stack = [0]
+    while stack:
+        row = stack.pop()
+        lo, hi, _, depth, count = rows[row]
+        lines.append(f"node {depth} {lo} {hi} {count}")
+        stack.extend(reversed(kids[row]))
+    tree = load_tree("\n".join(lines))
+    tree.stats.events = tree.events
+    tree.stats.updates = frame_size
+    tree.stats.splits = bursts
+    tree.stats.max_nodes = len(rows)
+    if tree.merge_scheduler.due(tree.events):
+        tree.merge_now()
+    return tree
+
+
+@st.composite
+def counted_frames(draw, universe):
+    values = draw(
+        st.one_of(
+            st.lists(st.integers(0, universe - 1), min_size=1, max_size=1),
+            st.lists(
+                st.integers(0, universe - 1), min_size=1, max_size=60,
+                unique=True,
+            ),
+        )
+    )
+    values.sort()
+    count = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    return values, [draw(count) for _ in values]
+
+
+def assert_same_profile(tree, ref):
+    assert dump_tree(tree) == dump_tree(ref)
+    assert (tree.node_count, tree.events) == (ref.node_count, ref.events)
+    for field in ("splits", "updates", "max_nodes"):
+        assert getattr(tree.stats, field) == getattr(ref.stats, field), field
+    tree.check_invariants()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_builder_matches_the_reference_burst_rule(data):
+    universe = data.draw(
+        st.one_of(
+            st.sampled_from([2, 3, 2**8, 2**32, 2**64]),
+            st.integers(2, 2**64),
+        )
+    )
+    config = RapConfig(
+        universe,
+        epsilon=data.draw(st.floats(0.01, 0.5)),
+        branching=data.draw(st.integers(2, 8)),
+        merge_initial_interval=data.draw(st.sampled_from([8, 1024])),
+        min_split_threshold=data.draw(st.sampled_from([0.0, 1.0, 64.0])),
+    )
+    values, counts = data.draw(counted_frames(universe))
+    rows, bursts = reference_bootstrap(config, values, counts)
+    tree = RapTree.from_config(config.with_updates(backend="columnar"))
+    assert tree.bootstrap_counted_arrays(
+        np.array(values, dtype=np.uint64), np.array(counts, dtype=np.int64)
+    )
+    # Slots in (parent, ascending lo) order: merges free slots in place.
+    size = len(rows)
+    assert tree._size == size
+    for at, column in enumerate(("_los", "_his", "_parents", "_depth")):
+        assert getattr(tree, column)[:size].tolist() == [
+            row[at] for row in rows
+        ], column
+    ref = reference_tree(config, rows, bursts, len(values))
+    assert_same_profile(tree, ref)
+
+    more_values, more_counts = data.draw(counted_frames(universe))
+    tree.add_counted_arrays(
+        np.array(more_values, dtype=np.uint64),
+        np.array(more_counts, dtype=np.int64),
+    )
+    ref.add_counted(list(zip(more_values, more_counts)))
+    assert_same_profile(tree, ref)
+
+
+def test_bootstrap_grows_each_column_at_most_once():
+    allocations = []
+
+    def allocator(name, dtype, capacity):
+        allocations.append(name)
+        return np.zeros(capacity, dtype=dtype)
+
+    tree = ColumnarRapTree(
+        RapConfig(2**64, epsilon=0.01, branching=4, backend="columnar"),
+        allocator=allocator,
+    )
+    constructed = len(allocations)
+    rng = random.Random(11)
+    assert tree.bootstrap_counted_arrays(
+        *counted_frame(zipf_stream(rng, 2**64, 40_000))
+    )
+    assert tree._size > 4 * 64  # past several doublings of 64 slots
+    grown = allocations[constructed:]
+    assert len(grown) == len(set(grown))
+    capacity = 64
+    while capacity < tree._size:
+        capacity *= 2
+    assert tree._capacity == capacity
+    tree.check_invariants()

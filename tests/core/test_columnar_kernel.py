@@ -16,6 +16,7 @@ Build: the kernel is compiled with the host's gcc and there is no
 Python fallback, so a missing compiler must fail columnar construction
 and ``Profiler.open()`` with a typed error (and leave no worker or
 shared-memory segment behind), while the object backend keeps working.
+The source must also compile cleanly under ``-Wall -Wextra -Werror``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import stat
+import subprocess
 
 import numpy as np
 import pytest
@@ -262,6 +264,20 @@ class TestBuild:
             for entry in os.listdir(native._CACHE_DIR)
             if entry.endswith(".tmp")
         ]
+
+    def test_kernel_source_compiles_without_warnings(self):
+        compiler = native._find_compiler()
+        if compiler is None:
+            pytest.skip("gcc is not on PATH")
+        result = subprocess.run(
+            [
+                compiler, "-std=gnu11", "-Wall", "-Wextra", "-Werror",
+                "-fsyntax-only", str(native._SOURCE),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_library_is_cached_by_source_hash(self):
         library = native.load_kernel()
