@@ -82,33 +82,16 @@ SERIAL_INGEST = "test_runtime_multi_shard_ingest[columnar]"
 PROCESS_SPEEDUP_FLOOR = 1.5
 PROCESS_GATE_MIN_EVENTS = 50_000
 
-#: The ring-transport value proposition (the zero-copy transport
-#: acceptance gate). ``test_runtime_process_shard_ingest[columnar]``
-#: rode the pickle-framed pipe transport until the ring landed; its
-#: last pipe-era lineage value — min_s at the 50k tier on the
-#: reference machine, frozen here from the pre-ring
-#: ``BENCH_core_throughput.json`` — is the denominator the ring row
-#: must stay >= 1.4x faster than. The pipe transport has since been
-#: deleted, so no live pipe row exists to divide against; the frozen
-#: figure is the only denominator left. Calibration-scaled like the
-#: mean comparisons; SKIP below 50k (same policy as the
-#: process-executor gate — transport cost drowns in spawn overhead at
-#: smoke scale).
-RING_INGEST = PROCESS_INGEST
-PIPE_ERA_BASELINE_MIN_S = 0.0485
-RING_SPEEDUP_FLOOR = 1.4
-RING_GATE_MIN_EVENTS = 50_000
-
 #: The array snapshot fold's value proposition: ``combine_many``
 #: (gather shard counter rows, expand the partition level by level,
 #: prune with the vectorized merge) must stay >= 3x faster than the
-#: reference per-counter descent fold timed on the *same* shards in
-#: the same run — a live intra-run min ratio per backend lineage, so
-#: machine calibration cancels out. SKIP-with-ratio below 50k, where
-#: the shards are too small for the fold's fixed numpy overhead to
+#: reference per-counter descent fold timed on the *same* columnar
+#: shards in the same run — a live intra-run min ratio, so machine
+#: calibration cancels out. SKIP-with-ratio below 50k, where the
+#: shards are too small for the fold's fixed numpy overhead to
 #: amortize.
-FOLD_ROW = "test_runtime_snapshot_fold"
-FOLD_DESCENT_ROW = "test_runtime_snapshot_fold_descent"
+FOLD_ROW = "test_runtime_snapshot_fold[columnar]"
+FOLD_DESCENT_ROW = "test_runtime_snapshot_fold_descent[columnar]"
 FOLD_SPEEDUP_FLOOR = 3.0
 FOLD_GATE_MIN_EVENTS = 50_000
 
@@ -292,67 +275,31 @@ def main(argv=None) -> int:
         if status == "FAIL":
             failures.append("process-executor-ingest-speedup")
 
-    # And the ring transport must keep the process ingest row >= 1.4x
-    # faster than its frozen pipe-era lineage value (the reason the
-    # shared-memory transport exists). Candidate min is calibration-
-    # scaled exactly like the mean comparisons so a slower runner is
-    # judged relatively, not absolutely.
-    ring_min = next(
-        (
-            row["min_s"]
-            for row in candidate["results"]
-            if row["name"] == RING_INGEST
-        ),
-        None,
-    )
-    if not ring_min:
-        print(f"SKIP ring-transport gate: no {RING_INGEST} row in candidate")
-    elif candidate["events"] < RING_GATE_MIN_EVENTS:
-        ratio = PIPE_ERA_BASELINE_MIN_S / (ring_min / speed)
-        print(
-            f"SKIP ring-transport gate: measured {ratio:.2f}x at "
-            f"{candidate['events']} events; the "
-            f"{RING_SPEEDUP_FLOOR:.1f}x floor applies from "
-            f"{RING_GATE_MIN_EVENTS} events up"
-        )
-    else:
-        ratio = PIPE_ERA_BASELINE_MIN_S / (ring_min / speed)
-        status = "OK" if ratio >= RING_SPEEDUP_FLOOR else "FAIL"
-        print(
-            f"{status:4s} ring-transport ingest speedup: {ratio:.2f}x the "
-            f"pipe-era baseline ({PIPE_ERA_BASELINE_MIN_S * 1e3:.1f} ms, "
-            f"floor {RING_SPEEDUP_FLOOR:.1f}x)"
-        )
-        if status == "FAIL":
-            failures.append("ring-transport-ingest-speedup")
-
     # And the array fold must keep beating the descent it replaced.
     mins = {row["name"]: row["min_s"] for row in candidate["results"]}
-    for backend in ("object", "columnar"):
-        fold = mins.get(f"{FOLD_ROW}[{backend}]")
-        descent = mins.get(f"{FOLD_DESCENT_ROW}[{backend}]")
-        if not fold or not descent:
-            print(
-                f"SKIP snapshot-fold gate ({backend}): missing "
-                f"{FOLD_ROW} / {FOLD_DESCENT_ROW} rows in candidate"
-            )
-            continue
+    fold = mins.get(FOLD_ROW)
+    descent = mins.get(FOLD_DESCENT_ROW)
+    if not fold or not descent:
+        print(
+            f"SKIP snapshot-fold gate: missing {FOLD_ROW} / "
+            f"{FOLD_DESCENT_ROW} rows in candidate"
+        )
+    elif candidate["events"] < FOLD_GATE_MIN_EVENTS:
+        print(
+            f"SKIP snapshot-fold gate: measured {descent / fold:.2f}x at "
+            f"{candidate['events']} events; the "
+            f"{FOLD_SPEEDUP_FLOOR:.1f}x floor applies from "
+            f"{FOLD_GATE_MIN_EVENTS} events up"
+        )
+    else:
         ratio = descent / fold
-        if candidate["events"] < FOLD_GATE_MIN_EVENTS:
-            print(
-                f"SKIP snapshot-fold gate ({backend}): measured "
-                f"{ratio:.2f}x at {candidate['events']} events; the "
-                f"{FOLD_SPEEDUP_FLOOR:.1f}x floor applies from "
-                f"{FOLD_GATE_MIN_EVENTS} events up"
-            )
-            continue
         status = "OK" if ratio >= FOLD_SPEEDUP_FLOOR else "FAIL"
         print(
-            f"{status:4s} snapshot-fold speedup ({backend}): {ratio:.2f}x "
-            f"the descent fold (floor {FOLD_SPEEDUP_FLOOR:.1f}x)"
+            f"{status:4s} snapshot-fold speedup: {ratio:.2f}x the "
+            f"descent fold (floor {FOLD_SPEEDUP_FLOOR:.1f}x)"
         )
         if status == "FAIL":
-            failures.append(f"snapshot-fold-speedup-{backend}")
+            failures.append("snapshot-fold-speedup")
 
     if failures:
         print(

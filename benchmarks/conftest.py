@@ -90,8 +90,9 @@ def pytest_sessionfinish(session, exitstatus):
         if stats is None:
             continue
         # Backend-parametrized rows ("...[columnar]") are separate
-        # regression lineages; un-parametrized benchmarks run the
-        # default object backend.
+        # regression lineages; un-parametrized benchmarks build object
+        # trees directly (``RapTree(config)``, ``_BareTree``) or model
+        # the hardware engine, so they stay on the "object" lineage.
         match = re.search(r"\[(object|columnar)\]", bench.name)
         results.append(
             {

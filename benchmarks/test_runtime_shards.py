@@ -58,7 +58,7 @@ class _BareTree:
 
     def __init__(self, universe):
         self.tree = RapTree.from_config(
-            RapConfig(range_max=universe, epsilon=EPSILON)
+            RapConfig(range_max=universe, epsilon=EPSILON, backend="object")
         )
 
     def open(self):
@@ -85,11 +85,11 @@ def _single_shard(values, universe):
     return _BareTree(universe)
 
 
-def _multi_shard(values, universe, backend="object"):
+def _multi_shard(values, universe):
     """The tentpole path: hash partition, 4 serial shards, equal node
     budget."""
     return Profiler(
-        RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
+        RapConfig(range_max=universe, epsilon=EPSILON),
         shards=SHARDS,
         executor="serial",
         shard_epsilon=SHARDS * EPSILON,
@@ -97,13 +97,13 @@ def _multi_shard(values, universe, backend="object"):
     )
 
 
-def _process_shard(values, universe, backend="columnar"):
+def _process_shard(values, universe):
     """The multiprocess path: same partition/budget, worker processes
     over shared-memory columnar trees fed raw partitioned frames that
     each worker duplicate-combines in its own combining buffer. The
     frames travel through one shared-memory ring per shard."""
     return Profiler(
-        RapConfig(range_max=universe, epsilon=EPSILON, backend=backend),
+        RapConfig(range_max=universe, epsilon=EPSILON),
         shards=SHARDS,
         executor="process",
         shard_epsilon=SHARDS * EPSILON,
@@ -147,44 +147,37 @@ def test_runtime_single_shard_ingest(benchmark, value_stream):
     _bench_ingest(benchmark, _single_shard, *value_stream)
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
+# The runtime rows keep a ``[columnar]`` parameter only so their
+# lineages keep their names: ``Profiler`` runs columnar shard trees
+# only.
+@pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_multi_shard_ingest(benchmark, backend, value_stream):
-    def make(values, universe):
-        return _multi_shard(values, universe, backend)
-
-    _bench_ingest(benchmark, make, *value_stream)
+    _bench_ingest(benchmark, _multi_shard, *value_stream)
 
 
-# Parametrized like the serial multi-shard row so the two lineages pair
-# by backend; only "columnar" exists — the process executor keeps shard
-# trees in shared-memory column arrays by construction.
 @pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_process_shard_ingest(benchmark, backend, value_stream):
-    def make(values, universe):
-        return _process_shard(values, universe, backend)
-
-    # This row feeds the ring gate, whose 1.4x floor leaves far less
-    # margin than the 30% tolerance band — so give its min estimator
-    # more samples to find the quiet-machine floor through scheduler
-    # noise.
-    _bench_ingest(benchmark, make, *value_stream, rounds=21)
+    # This row feeds the process-executor gate's min ratio — so give
+    # its min estimator more samples to find the quiet-machine floor
+    # through scheduler noise.
+    _bench_ingest(benchmark, _process_shard, *value_stream, rounds=21)
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
+@pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_snapshot_fold(benchmark, backend, value_stream):
     """Latency of folding 4 populated shards into one snapshot tree.
 
-    ``combine_many`` folds through array kernels; columnar shards hand
-    over their counter columns, object shards take one walk each."""
+    ``combine_many`` folds through array kernels over the shards'
+    counter columns."""
     values, universe = value_stream
-    with _multi_shard(values, universe, backend) as profiler:
+    with _multi_shard(values, universe) as profiler:
         profiler.ingest(values)
         profiler.drain()  # folds below then see quiesced shards
         folded = benchmark(combine_many, profiler.shard_trees())
     assert folded.events == EVENTS
 
 
-@pytest.mark.parametrize("backend", ["object", "columnar"])
+@pytest.mark.parametrize("backend", ["columnar"])
 def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
     """The reference per-counter descent fold, on shards built exactly
     like the row above (serial ingest is deterministic).
@@ -192,7 +185,7 @@ def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
     The live denominator of ``check_regression.py``'s fold gate: the
     array fold above must stay >= 3x faster than this row at 50k."""
     values, universe = value_stream
-    with _multi_shard(values, universe, backend) as profiler:
+    with _multi_shard(values, universe) as profiler:
         profiler.ingest(values)
         profiler.drain()
         shards = profiler.shard_trees()
@@ -268,9 +261,7 @@ def test_process_speedup_is_at_least_1_5x(value_stream):
                 assert profiler.snapshot().events == EVENTS
         return best
 
-    serial = timed_ingest(
-        lambda v, u: _multi_shard(v, u, backend="columnar")
-    )
+    serial = timed_ingest(_multi_shard)
     process = timed_ingest(_process_shard)
     speedup = serial / process
     print(

@@ -350,13 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             stream = spec.value_stream(args.events, seed=args.seed)
         else:
             stream = spec.narrow_operand_stream(args.events, seed=args.seed)
-        config = RapConfig(
-            stream.universe,
-            epsilon=args.epsilon,
-            # The process executor keeps shard trees in shared-memory
-            # column arrays, which only the columnar backend provides.
-            backend="columnar" if args.executor == "process" else "object",
-        )
+        config = RapConfig(stream.universe, epsilon=args.epsilon)
         profiler = Profiler.from_config(
             config,
             shards=args.shards,

@@ -5,7 +5,9 @@ The authors shipped a C++ library with three entry points —
 both online and for post-processing trace files. This module keeps that
 surface working, but since API v2 it is a thin shim over
 :class:`repro.runtime.Profiler` (single-shard, serial executor: one
-tree, fed through the same combining window as every other shard) and
+columnar tree, fed through the same combining window as every other
+shard, so ``rap_init`` needs gcc to build the compiled kernel and
+raises :class:`~repro.core.native.NativeKernelError` without it) and
 every call emits a ``DeprecationWarning`` with a migration hint:
 
 =========================  ============================================

@@ -63,21 +63,22 @@ class RapConfig:
         keep it off (``0``, the default) outside tests and bug hunts.
     backend:
         Which tree kernel :meth:`RapTree.from_config` constructs:
-        ``"object"`` (the linked ``RapNode`` graph, the reference
-        implementation) or ``"columnar"`` (the struct-of-arrays kernel in
-        :mod:`repro.core.columnar` with vectorized batch ingest). The two
-        are observably equivalent — identical serialized trees for
-        identical operation sequences — so this is purely a performance
-        knob; it is construction-time only and never serialized.
+        ``"columnar"`` (the default: the struct-of-arrays kernel in
+        :mod:`repro.core.columnar`, whose update and bootstrap kernels
+        are C compiled with gcc on first use) or ``"object"`` (the linked
+        ``RapNode`` graph: the reference implementation, which needs no
+        compiler). The two are observably equivalent — identical
+        serialized trees for identical operation sequences — so this is
+        purely a performance knob; it is construction-time only and never
+        serialized. A :class:`~repro.runtime.profiler.Profiler` runs
+        columnar shard trees only and rejects ``"object"``.
     executor:
         Which runtime a :class:`~repro.runtime.profiler.Profiler` built
         from this config uses to drive its shards: ``"serial"`` (the
         default: each shard's combining window flushed inline on the
-        calling thread — the oracle, and the only executor for
-        ``backend="object"``) or
-        ``"process"`` (one worker process per shard, each owning a
-        columnar tree in shared memory and fed through a shared-memory
-        ring — requires ``backend="columnar"``). Like ``backend`` it
+        calling thread — the oracle) or ``"process"`` (one worker
+        process per shard, each owning a columnar tree in shared memory
+        and fed through a shared-memory ring). Like ``backend`` it
         selects an observably-equivalent engine, is construction-time
         only, and is never serialized.
     shards:
@@ -105,7 +106,7 @@ class RapConfig:
     min_split_threshold: float = 1.0
     timeline_sample_every: int = 0
     audit_every: int = 0
-    backend: str = "object"
+    backend: str = "columnar"
     executor: str = "serial"
     shards: int = 1
     debug_sanitize: bool = False
@@ -152,15 +153,6 @@ class RapConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.executor == "process" and self.backend != "columnar":
-            raise ValueError(
-                "executor='process' requires backend='columnar': worker "
-                "processes keep their shard trees in shared-memory column "
-                "arrays, which the object backend's linked RapNode graph "
-                "cannot provide. Use RapConfig(..., backend='columnar', "
-                "executor='process'), or keep backend='object' with the "
-                "'serial' executor."
-            )
 
     @property
     def max_height(self) -> int:

@@ -137,7 +137,9 @@ def run(
 
     # --- merge policy ---------------------------------------------------
     merge_rows: List[MergePolicyRow] = []
-    batched = RapTree.from_config(config)
+    # The object tree: merge_scan_visits is its dirty-frontier walk's
+    # cost, compared against the object ContinuousMergeRap below.
+    batched = RapTree.from_config(config.with_updates(backend="object"))
     batched.extend(iter(stream))
     continuous = ContinuousMergeRap(config, merge_interval=256)
     continuous.extend(iter(stream))

@@ -25,18 +25,22 @@ The executor is selected uniformly through the config —
 constructor keywords as call-site overrides:
 
 * ``"serial"`` (default) flushes the windows inline on the calling
-  thread. Its columnar shard trees are byte-identical to the process
-  executor's, which makes it the oracle; it is also the only executor
-  for ``backend="object"``.
-* ``"process"`` runs one worker *process* per shard (requires
-  ``backend="columnar"``): each worker owns a columnar tree whose
-  columns live in shared memory (:mod:`repro.runtime.shm`). The
-  dispatching thread writes binary counted frames straight into a
+  thread. Its shard trees are byte-identical to the process
+  executor's, which makes it the oracle.
+* ``"process"`` runs one worker *process* per shard: each worker owns
+  a tree whose columns live in shared memory (:mod:`repro.runtime.shm`).
+  The dispatching thread writes binary counted frames straight into a
   per-shard shared-memory ring (:mod:`repro.runtime.ring`), waiting
   for space when a ring is full. Snapshots attach the quiesced
   workers' columns zero-copy and fold them in the parent. A host
   without usable shared memory for the rings or a worker's columns
   fails ``open()`` with an ``OSError``; nothing falls back.
+
+Shard trees are columnar only, so a profiler needs gcc for the
+compiled kernel (:class:`~repro.core.native.NativeKernelError` without
+it). The constructor rejects ``backend="object"`` and a universe past
+2**64 (frames carry ``uint64`` values) with a ``ValueError``, before
+any tree, ring or worker exists.
 
 Frames fit by construction: the constructor fixes one frame length,
 ``batch_size`` or the longest counted frame a ``ring_bytes`` ring
@@ -252,8 +256,7 @@ class Profiler:
         ``None`` (default) inherits ``config.executor``. ``"serial"``
         flushes every shard's combining window inline on the calling
         thread — no workers, deterministic, the oracle; ``"process"`` runs one
-        worker process per shard over shared-memory columnar trees
-        (requires ``backend="columnar"``).
+        worker process per shard over shared-memory columnar trees.
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.
@@ -297,9 +300,18 @@ class Profiler:
         if executor is None:
             executor = config.executor
         # Route the resolved knobs through the config's own validation
-        # so every executor/shards/backend combination fails with one
-        # message (notably executor='process' + backend='object').
+        # so every executor/shards combination fails with one message.
         config.with_updates(executor=executor, shards=shards)
+        if config.backend != "columnar":
+            raise ValueError(
+                "Profiler runs columnar shard trees only, got backend="
+                f'{config.backend!r}; use backend="columnar" (the default)'
+            )
+        if config.range_max > 1 << 64:
+            raise ValueError(
+                "range_max must be at most 2**64 (frames carry uint64 "
+                f"values), got {config.range_max}"
+            )
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if ring_bytes < MIN_RING_BYTES:
@@ -948,12 +960,10 @@ class Profiler:
         every worker with news (see :meth:`drain`), then folds the shard
         trees with :func:`~repro.core.combine.combine_many`, which
         builds the combined tree from the shards' counter rows with
-        array kernels. The snapshot's backend follows the config:
-        a ``ColumnarRapTree`` for ``backend="columnar"`` (every process
-        executor snapshot), a linked ``RapTree`` for ``"object"``.
-        The result is independent of the live shards (single-shard
-        profiles are cloned; process-executor shards are folded from
-        their attached shared-memory columns) and cached: repeated
+        array kernels into a ``ColumnarRapTree``. The result is
+        independent of the live shards (single-shard profiles are
+        cloned; process-executor shards are folded from their attached
+        shared-memory columns) and cached: repeated
         snapshots with no intervening ingest return the same tree
         without a sync round trip or a re-fold. A worker that died
         after the last sync is reported by the next ``drain()`` or
@@ -1020,9 +1030,9 @@ class Profiler:
         multiple shards fold through ``combine_many``, which copies each
         attached shard's nonzero counter rows out of its columns (no
         node view, no cover index) and builds fresh heap columns from
-        them. Either way the snapshot is a ``ColumnarRapTree`` (the
-        process executor requires ``backend="columnar"``), so reads of
-        it run on array paths and no column aliases worker memory.
+        them. Either way the snapshot is a ``ColumnarRapTree``, so
+        reads of it run on array paths and no column aliases worker
+        memory.
         """
         from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
 

@@ -118,11 +118,10 @@ class CombiningWindow:
     def flush(self, tree: RapTree) -> None:
         """One combining pass over everything buffered, one tree ingest.
 
-        A fresh columnar tree takes the cold-start bulk build when its
-        preconditions hold, any other flush the online counted kernel;
-        an object tree takes sorted pairs through ``add_counted``. The
-        window is emptied first, so a flush that raises leaves nothing
-        behind.
+        A fresh tree takes the cold-start bulk build when its
+        preconditions hold, any other flush the online counted kernel.
+        The window is emptied first, so a flush that raises leaves
+        nothing behind.
         """
         raw = np.empty(0, dtype=np.uint64)
         if self._raw is not None:
@@ -132,9 +131,7 @@ class CombiningWindow:
         if not (len(raw) or counted):
             return
         values, counts = _combine_frames(raw, counted)
-        if tree.config.backend != "columnar":
-            tree.add_counted(zip(values.tolist(), counts.tolist()))
-        elif not (
+        if not (
             tree.events == 0
             and tree.bootstrap_counted_arrays(values, counts)  # type: ignore[attr-defined]
         ):

@@ -65,7 +65,7 @@ def stable_seed(*parts) -> int:
 def both_trees(epsilon: float):
     config = RapConfig(UNIVERSE, epsilon=epsilon, merge_initial_interval=512)
     return (
-        RapTree.from_config(config),
+        RapTree.from_config(config.with_updates(backend="object")),
         RapTree.from_config(config.with_updates(backend="columnar")),
     )
 
@@ -256,7 +256,7 @@ class TestExtremeCounts:
             merge_initial_interval=2**62,
         )
         return (
-            RapTree.from_config(config),
+            RapTree.from_config(config.with_updates(backend="object")),
             RapTree.from_config(config.with_updates(backend="columnar")),
         )
 

@@ -118,7 +118,7 @@ class TestDifferential:
     @given(sessions())
     def test_same_tree_and_stats(self, session):
         config, ops = session
-        obj = RapTree.from_config(config)
+        obj = RapTree.from_config(config.with_updates(backend="object"))
         col = RapTree.from_config(config.with_updates(backend="columnar"))
         for op in ops:
             apply(obj, op)
@@ -143,7 +143,7 @@ class TestDifferential:
             )
             for _ in range(data.draw(st.integers(1, 24)))
         ]
-        obj = RapTree.from_config(config)
+        obj = RapTree.from_config(config.with_updates(backend="object"))
         col = RapTree.from_config(config.with_updates(backend="columnar"))
         for kind, (value, count) in ops:
             for tree in (obj, col):
@@ -163,7 +163,7 @@ class TestDifferential:
 
         config = RapConfig(2**64, epsilon=0.01, merge_initial_interval=64)
         col = ColumnarRapTree(config, allocator=allocator)
-        obj = RapTree.from_config(config)
+        obj = RapTree.from_config(config.with_updates(backend="object"))
         rng = np.random.default_rng(3)
         values = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
         counts = rng.integers(1, 2**20, size=3000, dtype=np.int64)
@@ -177,7 +177,7 @@ class TestDifferential:
         config = RapConfig(2**16, epsilon=0.05, merge_initial_interval=16)
         pairs = [(v * 37 % 2**16, 1 + v % 5) for v in range(300)]
         pairs[150] = bad
-        obj = RapTree.from_config(config)
+        obj = RapTree.from_config(config.with_updates(backend="object"))
         col = RapTree.from_config(config.with_updates(backend="columnar"))
         messages = []
         for tree in (obj, col):
@@ -244,12 +244,16 @@ class TestBuild:
         assert shm_segments() == before
 
     def test_object_backend_needs_no_compiler(self, no_compiler):
-        tree = RapTree.from_config(RapConfig(2**16))
+        tree = RapTree.from_config(RapConfig(2**16, backend="object"))
         tree.extend(range(1000))
-        with Profiler(RapConfig(2**16), shards=2) as profiler:
-            profiler.ingest(np.arange(1000, dtype=np.uint64))
-            assert profiler.snapshot().events == 1000
         assert tree.events == 1000
+
+    def test_default_profiler_fails_typed_without_compiler(self, no_compiler):
+        before = shm_segments()
+        with pytest.raises(native.NativeKernelError, match="no C compiler"):
+            Profiler(RapConfig(2**16))
+        assert multiprocessing.active_children() == []
+        assert shm_segments() == before
 
     def test_compiler_errors_are_reported(self, monkeypatch, tmp_path):
         compiler = tmp_path / "gcc"

@@ -30,7 +30,7 @@ def warmed_trees(merge_initial_interval: int = 1 << 20, ones: bool = False):
     config = RapConfig(
         UNIVERSE, epsilon=0.05, merge_initial_interval=merge_initial_interval
     )
-    obj = RapTree.from_config(config)
+    obj = RapTree.from_config(config.with_updates(backend="object"))
     col = RapTree.from_config(config.with_updates(backend="columnar"))
     rng = random.Random(5)
     if ones:

@@ -34,7 +34,7 @@ def both(**overrides):
     base.update(overrides)
     config = RapConfig(UNIVERSE, **base)
     return (
-        RapTree.from_config(config),
+        RapTree.from_config(config.with_updates(backend="object")),
         RapTree.from_config(config.with_updates(backend="columnar")),
     )
 

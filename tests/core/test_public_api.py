@@ -8,12 +8,15 @@ together — but it must never happen by accident.
 from __future__ import annotations
 
 import inspect
+import multiprocessing
 
 import pytest
 
 import repro
 import repro.runtime as runtime
 from repro import Profiler, RapConfig, RapTree
+
+from tests.core.test_columnar_kernel import shm_segments
 
 TOP_LEVEL_V2 = [
     "HotRange",
@@ -145,18 +148,36 @@ class TestExecutorSelection:
         )
         assert Profiler.from_config(config).executor == "process"
 
+    @staticmethod
+    def assert_rejects_object_backend(build):
+        # The object tree stays a library backend, but a Profiler runs
+        # columnar shard trees only: it refuses before any tree, ring or
+        # worker exists, and never overrides the config.
+        before = shm_segments()
+        with pytest.raises(ValueError, match='backend="columnar"'):
+            build()
+        assert multiprocessing.active_children() == []
+        assert shm_segments() == before
+
     def test_process_executor_rejects_object_backend_actionably(self):
-        with pytest.raises(ValueError) as excinfo:
-            RapConfig(256, executor="process")
-        message = str(excinfo.value)
-        assert "backend='columnar'" in message
-        assert "executor='process'" in message
+        config = RapConfig(256, backend="object", executor="process", shards=2)
+        self.assert_rejects_object_backend(lambda: Profiler.from_config(config))
 
     def test_profiler_rejects_object_backend_for_process_executor(self):
         # Same single validation path when the knob arrives as an
         # override rather than a config field.
-        with pytest.raises(ValueError, match="columnar"):
-            Profiler(RapConfig(256), executor="process")
+        self.assert_rejects_object_backend(
+            lambda: Profiler(
+                RapConfig(256, backend="object"), executor="process", shards=2
+            )
+        )
+
+    def test_serial_executor_rejects_object_backend_actionably(self):
+        self.assert_rejects_object_backend(
+            lambda: Profiler(
+                RapConfig(256, backend="object"), executor="serial", shards=2
+            )
+        )
 
     def test_unknown_executor_rejected_everywhere(self):
         with pytest.raises(ValueError, match="executor"):

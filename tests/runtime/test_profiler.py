@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ UNIVERSE = 2**16
 
 #: Every backend/executor pair the runtime ships.
 SHIPPED_CONFIGS = [
-    ("object", "serial"),
     ("columnar", "serial"),
     ("columnar", "process"),
 ]
@@ -390,6 +391,25 @@ class TestIngestBoundary:
             assert profiler.close().events == 3
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("universe", [2**64 + 1, 2**70])
+    def test_universe_past_2_64_is_rejected_at_construction(
+        self, executor, universe
+    ):
+        # Frames carry uint64 values, so no value past 2**64 - 1 could
+        # ever be ingested: refuse the universe before any tree, ring
+        # or worker exists, instead of an untyped OverflowError at the
+        # first ingest or workers dying in open().
+        with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+            Profiler(RapConfig(universe), shards=2, executor=executor)
+        assert multiprocessing.active_children() == []
+        with Profiler(
+            RapConfig(2**64, epsilon=0.01), shards=2, executor=executor
+        ) as profiler:
+            profiler.ingest([2**64 - 1])
+            profiler.ingest_counted([(2**64 - 1, 2)])
+            assert profiler.query(2**64 - 1, 2**64 - 1) == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("partition,shards", [("hash", 1), ("range", 2)])
     def test_list_and_counted_frames_combine_exactly_past_2_53(
         self, executor, partition, shards
@@ -426,7 +446,7 @@ class TestIngestBoundary:
 
     @pytest.mark.parametrize(
         "executor,backend",
-        [("serial", "object"), ("serial", "columnar"), ("process", "columnar")],
+        [("serial", "columnar"), ("process", "columnar")],
     )
     @pytest.mark.parametrize(
         "pairs",

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree
+from repro.core import RapConfig, RapTree, dump_tree
 from repro.runtime import Profiler
 
 from tests.core.test_tree_fastpath import phased_stream, shape, zipf_stream
@@ -50,10 +50,7 @@ def random_ranges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
 
 
 def profiled_snapshot(values: Sequence[int], shards: int, **options) -> RapTree:
-    # The process executor hosts shard trees in shared-memory columns,
-    # which only the columnar backend provides.
-    backend = "columnar" if options.get("executor") == "process" else "object"
-    config = RapConfig(UNIVERSE, epsilon=EPS, backend=backend)
+    config = RapConfig(UNIVERSE, epsilon=EPS)
     with Profiler(config, shards=shards, **options) as profiler:
         profiler.ingest(np.asarray(values, dtype=np.uint64))
         return profiler.snapshot()
@@ -82,7 +79,9 @@ class TestAccuracyBoundAcrossShardCounts:
         """Both are within eps*n of exact, so within eps*n of each other."""
         rng = random.Random(101)
         values = zipf_stream(rng, UNIVERSE, 30_000)
-        oracle = RapTree.from_config(RapConfig(UNIVERSE, epsilon=EPS))
+        oracle = RapTree.from_config(
+            RapConfig(UNIVERSE, epsilon=EPS, backend="object")
+        )
         oracle.extend(values)
         snapshot = profiled_snapshot(values, shards)
         budget = EPS * len(values)
@@ -99,7 +98,7 @@ class TestDeterminism:
         values = zipf_stream(rng, UNIVERSE, 15_000)
         first = profiled_snapshot(values, 4)
         second = profiled_snapshot(values, 4)
-        assert shape(first._root) == shape(second._root)  # noqa: SLF001
+        assert dump_tree(first) == dump_tree(second)
 
 
 class TestProcessExecutorOracle:
@@ -116,7 +115,9 @@ class TestProcessExecutorOracle:
         rng = random.Random(2006)
         values = zipf_stream(rng, UNIVERSE, 200_000)
         sorted_values = exact_counts(values)
-        oracle = RapTree.from_config(RapConfig(UNIVERSE, epsilon=EPS))
+        oracle = RapTree.from_config(
+            RapConfig(UNIVERSE, epsilon=EPS, backend="object")
+        )
         oracle.extend(values)
         snapshot = profiled_snapshot(values, 4, executor="process")
         assert snapshot.events == oracle.events == len(values)
@@ -236,7 +237,7 @@ class TestSanitizedRuns:
         assert report["trees_tracked"] == 4
         assert report["events_logged"] > 0
         # Instrumentation is observation-only: identical tree shape.
-        assert shape(sanitized._root) == shape(plain._root)  # noqa: SLF001 - shape oracle
+        assert dump_tree(sanitized) == dump_tree(plain)
 
     def test_sanitized_serial_run_is_clean(self):
         rng = random.Random(137)
@@ -272,7 +273,9 @@ class TestAcceptanceScenario:
         folded, report = snapshot
         budget = EPS * len(values)
 
-        oracle = RapTree.from_config(RapConfig(UNIVERSE, epsilon=EPS))
+        oracle = RapTree.from_config(
+            RapConfig(UNIVERSE, epsilon=EPS, backend="object")
+        )
         oracle.extend(values)
 
         assert folded.events == oracle.events == len(values)
