@@ -55,19 +55,3 @@ class ContinuousMergeRap(RapTree):
     @property
     def merge_interval(self) -> int:
         return self._scheduler.interval
-
-    def _merge_frontier(self, threshold: float) -> int:
-        """Full-tree merge walk, as the continuous design pays for it.
-
-        The design this baseline models has no change tracking — it
-        "continuously search[es] the tree for valid sets of nodes to be
-        merged" (Section 3.1). The dirty-frontier shortcut the batched
-        tree uses would hide exactly the scan cost the ablation is
-        measuring, so every node is re-dirtied before the walk and the
-        scan work is the full pre-merge tree size, as in the paper.
-        """
-        before = self._node_count
-        for node in self.nodes():
-            node.dirty = True
-        super()._merge_frontier(threshold)
-        return before

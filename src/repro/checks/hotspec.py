@@ -28,7 +28,7 @@ The production hot set mirrors the per-backend benchmark rows:
 * the columnar batch entry points that drive the compiled update
   kernel (``add_counted_arrays`` is the process workers' frame path),
 * the object backend's descent-cache fast paths (``_locate`` plus the
-  inline loops of ``extend``/``add_counted``/``add_batch``),
+  inline ``add_counted`` loop and ``add_batch`` over it),
 * the TCAM batch match (``search_batch``) the hardware pipeline leans
   on,
 * the hash partitioner's ``split``, which every event of a multi-shard
@@ -61,7 +61,6 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "core/tree.py": frozenset(
         {
             "RapTree._locate",
-            "RapTree.extend",
             "RapTree.add_counted",
             "RapTree.add_batch",
         }

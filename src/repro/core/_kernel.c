@@ -2,8 +2,8 @@
  * Compiled counted-update kernel for repro.core.columnar.ColumnarRapTree.
  *
  * A line-for-line port of RapTree's update path (tree.py: the inline
- * fast loops of add_counted/extend, _absorb and _split) onto the
- * tree's existing numpy columns. Python owns the columns, the merge
+ * fast loop of add_counted, _absorb and _split) onto the tree's
+ * existing numpy columns. Python owns the columns, the merge
  * pass and column growth: the kernel returns K_MERGE when a merge is
  * due and K_GROW when a split needs more free slots than the columns
  * hold, and the caller resumes it at the saved (item, remaining, slot)
@@ -315,7 +315,7 @@ static int absorb(rap_tree *t, uint64_t value)
  * Feed items [t->item, n): `counts` NULL means one unit each. With
  * `direct` every item takes _absorb (RapTree.add); otherwise an item
  * that lands below its node's threshold and the merge trigger is
- * deposited inline (the add_counted/extend fast loop), with its stats
+ * deposited inline (the add_counted fast loop), with its stats
  * batched until the next slow item. Returns K_DONE with t->item == n,
  * or stops at t->item: K_MERGE / K_GROW / K_TIMELINE (the caller acts,
  * then calls again), K_BAD (count <= 0 or value past the universe),

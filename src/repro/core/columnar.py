@@ -23,7 +23,7 @@ Updates run in C. ``_kernel.c`` (built and loaded by
 :mod:`repro.core.native`) is a line-for-line port of
 :class:`repro.core.tree.RapTree`'s update path onto these columns: the
 finger descent over the sibling chains, the inline fast loop of
-``add_counted``/``extend`` (a deposit that stays at or below its node's
+``add_counted`` (a deposit that stays at or below its node's
 threshold and short of the merge trigger), and ``_absorb``'s cascade —
 closed-form split crossing points with their ±1 fixups, the dry split
 of a counter that merge churn left over threshold, mid-count merge
@@ -1017,11 +1017,10 @@ class ColumnarRapTree:
     def merge_now(self) -> int:
         """Run one batched merge pass; returns the number of nodes removed.
 
-        Observably identical to ``RapTree.merge_now``: the reference's
-        incremental walk is documented to produce exactly the tree a
-        full post-order pass would, and :meth:`_merge_frontier` is that
-        full pass, vectorized. The columns keep no merge caches, so
-        every pass scans the whole live set.
+        Observably identical to ``RapTree.merge_now``: both are a full
+        post-order pass over the live tree (:meth:`_merge_frontier` is
+        that pass, vectorized), and both report the pre-merge node
+        count as the nodes scanned.
         """
         if self._confined_ident is not None:
             self._assert_owner()
@@ -1047,8 +1046,7 @@ class ColumnarRapTree:
         is closed under the maximal-subtree rule: a subtree collapses
         iff its total weight is at or below the threshold, wherever the
         walk encounters it. Returns the number of slots examined: the
-        whole live set (this *is* a full scan, unlike the object walk,
-        which is the price of doing it in constant Python overhead).
+        whole live set, as the object walk reports.
         """
         size = self._size
         counts = self._counts
@@ -1381,9 +1379,7 @@ class ColumnarRapTree:
           the ``(parent, lo)`` ordering of the live slots.
 
         Then the columnar bookkeeping: the free stack against the live
-        column, and the allocation defaults of freed slots. The object
-        tree's merge-cache checks have no counterpart here: the columns
-        keep no merge caches.
+        column, and the allocation defaults of freed slots.
         """
         size = self._size
         live = self._live[:size]

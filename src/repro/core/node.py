@@ -57,26 +57,9 @@ class RapNode:
         (a partial merge can leave gaps, which the parent then covers).
     parent:
         Parent node, or ``None`` for the root.
-    dirty:
-        Whether this subtree has gained weight (or new nodes) since the
-        last batched merge pass. Maintained by :class:`RapTree`; a clean
-        node's ``cached_weight``/``cached_min`` describe its subtree
-        exactly, which is what lets merge passes skip subtrees that
-        provably contain nothing collapsible.
-    cached_weight:
-        Subtree weight recorded by the last merge pass (valid iff
-        ``dirty`` is false).
-    cached_min:
-        Minimum subtree weight over this node and all of its descendants
-        recorded by the last merge pass (valid iff ``dirty`` is false).
-        If it exceeds the current merge threshold, no merge can fire
-        anywhere inside this subtree.
     """
 
-    __slots__ = (
-        "lo", "hi", "count", "children", "parent",
-        "dirty", "cached_weight", "cached_min",
-    )
+    __slots__ = ("lo", "hi", "count", "children", "parent")
 
     def __init__(
         self,
@@ -92,9 +75,6 @@ class RapNode:
         self.count = count
         self.children: List[RapNode] = []
         self.parent = parent
-        self.dirty = True
-        self.cached_weight = 0
-        self.cached_min = 0
 
     # ------------------------------------------------------------------
     # Range queries

@@ -118,6 +118,7 @@ def load_tree(text: str) -> RapTree:
             config_fields.get("timeline_sample_every", "0")
         ),
         audit_every=int(config_fields.get("audit_every", "0")),
+        backend="object",
     )
     events = int(lines[2].split()[1])
 

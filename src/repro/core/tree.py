@@ -16,18 +16,19 @@ Counters are never decremented: RAP merges data rather than sampling or
 filtering it, so every event is accounted for in *some* range, and every
 range estimate is a lower bound on the truth (Section 4.3).
 
-Hot-path engineering (see "Performance notes" in ``DESIGN.md``):
+This linked-node tree is the readable reference that the columnar
+backend and its compiled kernel are checked against. It keeps two pieces
+of hot-path engineering (see "Performance notes" in ``DESIGN.md``):
 
 * updates remember the last-hit node (*descent cache*) and re-validate it
   before falling back to a root descent, exploiting the temporal locality
   of profiled streams;
-* merge passes run an iterative post-order walk over a *dirty frontier* —
-  subtrees untouched since the previous pass carry cached weight
-  aggregates that let the walk skip or wholesale-collapse them without
-  visiting their nodes;
-* ``extend``/``add_counted`` keep per-event work in a tight local loop
-  and only drop into the general ``add`` path around splits and merges
-  (``add_batch`` is ``add_counted`` over the sorted pairs).
+* ``add_counted`` keeps per-pair work in a tight local loop and only
+  drops into the general ``add`` path around splits and merges;
+  ``extend`` is ``add_counted`` at count 1 and ``add_batch`` is
+  ``add_counted`` over the sorted pairs.
+
+A merge pass is a plain post-order walk over the whole tree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .config import MergeScheduler, RapConfig, split_crossing_point
 from .node import RapNode, partition_range
@@ -361,10 +363,6 @@ class RapTree:
             events += m
             remaining -= m
             self._events = events
-            walker: Optional[RapNode] = node
-            while walker is not None and not walker.dirty:
-                walker.dirty = True
-                walker = walker.parent
             split_now = m_split != 0 and m == m_split
             if split_now:
                 # The crossing unit always absorbs then splits: its
@@ -387,106 +385,8 @@ class RapTree:
                 assert node is not None, "split left the value uncovered"
 
     def extend(self, values: Iterable[int]) -> None:
-        """Feed a stream of single events.
-
-        Runs a tight inline loop for the common case — the event lands in
-        the cached leaf, no split or merge is due — and falls back to the
-        full :meth:`add` path otherwise. Observably identical to calling
-        ``add`` per value; with timeline sampling or self-audits enabled
-        the per-event path is used outright so those hooks see every
-        event.
-        """
-        if self._confined_ident is not None:
-            self._assert_owner()
-        stats = self._stats
-        add = self.add
-        if stats.sample_every > 0 or self._audit_every:
-            for value in values:
-                add(value)
-            return
-        root = self._root
-        root_hi = root.hi
-        eps_h = self._eps_over_height
-        min_th = self._min_threshold
-        scheduler = self._scheduler
-        events = self._events
-        next_at = scheduler.next_at
-        node_count = self._node_count
-        cache = self._cached_node
-        pending_events = 0
-        pending_updates = 0
-        try:
-            for value in values:
-                if 0 <= value <= root_hi:
-                    # Finger search: up from the last-hit node to a
-                    # covering ancestor, then the usual descent.
-                    node = cache
-                    if node is None:
-                        node = root
-                    else:
-                        while value < node.lo or node.hi < value:
-                            node = node.parent
-                    kids = node.children
-                    while kids:
-                        low, high = 0, len(kids) - 1
-                        found = None
-                        while low <= high:
-                            mid = (low + high) // 2
-                            kid = kids[mid]
-                            if value < kid.lo:
-                                high = mid - 1
-                            elif value > kid.hi:
-                                low = mid + 1
-                            else:
-                                found = kid
-                                break
-                        if found is None:
-                            break
-                        node = found
-                        kids = node.children
-                    n = events + 1
-                    if n < next_at:
-                        if node.lo == node.hi:
-                            fits = True
-                        else:
-                            threshold = eps_h * n
-                            if threshold < min_th:
-                                threshold = min_th
-                            fits = node.count + 1 <= threshold
-                        if fits:
-                            node.count += 1
-                            events = n
-                            cache = node
-                            pending_events += 1
-                            pending_updates += 1
-                            if not node.dirty:
-                                walker = node
-                                while walker is not None and not walker.dirty:
-                                    walker.dirty = True
-                                    walker = walker.parent
-                            continue
-                # Slow path (split or merge due, or out-of-universe value):
-                # sync deferred state, take the general add, then re-sync
-                # the loop-local mirrors.
-                self._events = events
-                self._cached_node = cache
-                if pending_events:
-                    stats.observe_batch(
-                        pending_events, pending_updates, node_count
-                    )
-                    pending_events = 0
-                    pending_updates = 0
-                add(value)
-                events = self._events
-                next_at = scheduler.next_at
-                node_count = self._node_count
-                cache = self._cached_node
-        finally:
-            self._events = events
-            self._cached_node = cache
-            if pending_events:
-                stats.observe_batch(pending_events, pending_updates, node_count)
-                self._generation += 1
+        """Feed a stream of single events: :meth:`add_counted` at count 1."""
+        self.add_counted(zip(values, repeat(1)))
 
     def add_counted(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Feed pre-combined ``(value, count)`` pairs in order.
@@ -520,6 +420,8 @@ class RapTree:
         try:
             for value, count in pairs:
                 if count > 0 and 0 <= value <= root_hi:
+                    # Finger search: up from the last-hit node to a
+                    # covering ancestor, then the usual descent.
                     node = cache
                     if node is None:
                         node = root
@@ -559,12 +461,10 @@ class RapTree:
                             cache = node
                             pending_events += count
                             pending_updates += 1
-                            if not node.dirty:
-                                walker = node
-                                while walker is not None and not walker.dirty:
-                                    walker.dirty = True
-                                    walker = walker.parent
                             continue
+                # Slow path (split or merge due, or an invalid pair):
+                # sync deferred state, take the general add, then
+                # re-sync the loop-local mirrors.
                 self._events = events
                 self._cached_node = cache
                 if pending_events:
@@ -632,10 +532,6 @@ class RapTree:
         Cells already occupied by surviving children (possible after a
         partial merge) are left alone — this is the paper's "identifying
         the new parent of the existing children" case from Section 3.3.
-
-        The chain up to the root is marked dirty: the new zero-count
-        children are trivially collapsible, so the next merge pass must
-        not skip this subtree on stale cached aggregates.
         """
         existing = {(child.lo, child.hi) for child in node.children}
         created = 0
@@ -645,10 +541,6 @@ class RapTree:
             node.attach_child(RapNode(lo, hi, count=0))
             created += 1
         self._node_count += created
-        walker: Optional[RapNode] = node
-        while walker is not None and not walker.dirty:
-            walker.dirty = True
-            walker = walker.parent
         self._stats.observe_split()
 
     # ------------------------------------------------------------------
@@ -663,92 +555,38 @@ class RapTree:
         weights are summed into the parent (a valid super-range), no
         event is ever lost (Section 2.2, "Merge").
 
-        The walk is iterative (no recursion limit on deep universes) and
-        incremental: subtrees untouched since the previous pass carry
-        cached aggregates — total subtree weight and the minimum subtree
-        weight over all their nodes — so a clean subtree is either
-        skipped outright (its minimum exceeds the threshold: nothing in
-        it can collapse, and thresholds only grow) or collapsed wholesale
-        without walking its interior. Produces exactly the tree a full
-        post-order walk would.
+        The walk visits every node once, children before parents
+        (reversed pre-order, so no recursion limit on deep universes), and
+        reports the pre-merge node count as the nodes it scanned. A child
+        at or below the threshold is a leaf by the time its parent is
+        reached: every one of its own children weighs no more than it
+        does, so they have already collapsed into it.
         """
         if self._confined_ident is not None:
             self._assert_owner()
         threshold = self._config.merge_threshold(self._events)
         before = self._node_count
-        visited = self._merge_frontier(threshold)
+        weights: Dict[int, int] = {}
+        for node in reversed(list(self._root.iter_subtree())):
+            total = node.count
+            kept = []
+            for child in node.children:
+                weight = weights.pop(id(child))
+                total += weight
+                if weight <= threshold:
+                    node.count += weight
+                    child.parent = None
+                    self._node_count -= 1
+                else:
+                    kept.append(child)
+            node.children = kept
+            weights[id(node)] = total
         removed = before - self._node_count
-        self._stats.observe_merge_batch(removed, nodes_scanned=visited)
+        self._stats.observe_merge_batch(removed, nodes_scanned=before)
         self._scheduler.fired(self._events)
         self._cached_node = None
         self._generation += 1
         return removed
-
-    def _merge_frontier(self, threshold: float) -> int:
-        """Dirty-frontier post-order merge; returns nodes examined.
-
-        Frames carry ``[node, next_child_index, weight_accumulator,
-        kept_children]``; the weight accumulator starts at the node's own
-        counter and collects each child's subtree weight, so on finalize
-        it equals the subtree weight — at which point the node's cached
-        aggregates are refreshed and it is marked clean.
-        """
-        root = self._root
-        if not root.dirty and root.cached_min > threshold:
-            return 1
-        visited = 1
-        frames: List[list] = [[root, 0, root.count, []]]
-        while frames:
-            frame = frames[-1]
-            node = frame[0]
-            kids = node.children
-            index = frame[1]
-            if index < len(kids):
-                frame[1] = index + 1
-                child = kids[index]
-                if not child.dirty:
-                    visited += 1
-                    child_weight = child.cached_weight
-                    if child_weight <= threshold:
-                        # Unchanged subtree at or below threshold:
-                        # collapse it wholesale without walking it.
-                        node.count += child_weight
-                        self._node_count -= child.subtree_size()
-                        child.parent = None
-                        frame[2] += child_weight
-                        continue
-                    if child.cached_min > threshold:
-                        # Nothing inside can collapse; keep as is.
-                        frame[2] += child_weight
-                        frame[3].append(child)
-                        continue
-                visited += 1
-                frames.append([child, 0, child.count, []])
-                continue
-            # All children resolved: finalize this node.
-            frames.pop()
-            weight = frame[2]
-            kept = frame[3]
-            node.children = kept
-            node.cached_weight = weight
-            minimum = weight
-            for child in kept:
-                if child.cached_min < minimum:
-                    minimum = child.cached_min
-            node.cached_min = minimum
-            node.dirty = False
-            if frames:
-                parent_frame = frames[-1]
-                parent_frame[2] += weight
-                if weight <= threshold:
-                    # By the same test every child already collapsed into
-                    # this node, so it is a leaf here (kept is empty).
-                    parent_frame[0].count += weight
-                    node.parent = None
-                    self._node_count -= 1
-                else:
-                    parent_frame[3].append(node)
-        return visited
 
     @property
     def merge_scheduler(self) -> MergeScheduler:
@@ -872,19 +710,14 @@ class RapTree:
         * children are sorted, disjoint cells of their parent's partition;
         * parent pointers are consistent;
         * all counters are non-negative and sum to ``events``;
-        * the cached node count matches the actual tree size;
-        * merge-frontier caches cohere: every clean node has only clean
-          descendants and its cached weight/minimum describe its live
-          subtree exactly.
+        * the cached node count matches the actual tree size.
         """
         seen = 0
         weight = 0
-        order: List[RapNode] = []
         stack = [self._root]
         branching = self._config.branching
         while stack:
             node = stack.pop()
-            order.append(node)
             seen += 1
             weight += node.count
             assert node.count >= 0, f"negative counter at {node!r}"
@@ -907,35 +740,6 @@ class RapTree:
         assert weight == self._events, (
             f"tree weight {weight} != events {self._events}"
         )
-        # Merge-frontier cache coherence. ``order`` is a pre-order, so
-        # reversing it visits children before parents.
-        weights: Dict[int, int] = {}
-        minima: Dict[int, int] = {}
-        for node in reversed(order):
-            subtree = node.count
-            minimum: Optional[int] = None
-            for child in node.children:
-                subtree += weights[id(child)]
-                child_min = minima[id(child)]
-                if minimum is None or child_min < minimum:
-                    minimum = child_min
-            if minimum is None or subtree < minimum:
-                minimum = subtree
-            weights[id(node)] = subtree
-            minima[id(node)] = minimum
-            if not node.dirty:
-                for child in node.children:
-                    assert not child.dirty, (
-                        f"clean node {node!r} has dirty child {child!r}"
-                    )
-                assert node.cached_weight == subtree, (
-                    f"clean node {node!r} caches weight "
-                    f"{node.cached_weight} != actual {subtree}"
-                )
-                assert node.cached_min == minimum, (
-                    f"clean node {node!r} caches min {node.cached_min} "
-                    f"!= actual {minimum}"
-                )
 
     def __len__(self) -> int:
         return self._node_count

@@ -137,9 +137,7 @@ def run(
 
     # --- merge policy ---------------------------------------------------
     merge_rows: List[MergePolicyRow] = []
-    # The object tree: merge_scan_visits is its dirty-frontier walk's
-    # cost, compared against the object ContinuousMergeRap below.
-    batched = RapTree.from_config(config.with_updates(backend="object"))
+    batched = RapTree.from_config(config)
     batched.extend(iter(stream))
     continuous = ContinuousMergeRap(config, merge_interval=256)
     continuous.extend(iter(stream))

@@ -11,8 +11,7 @@ so the assertion that fires is the one that owns the property; the
 
 Some properties exist on one backend only: the columnar root slot,
 ``n_children`` and depth columns, free stack, allocation defaults have
-no counterpart in a linked tree, and the linked tree's merge caches
-(``dirty``, ``cached_weight``, ``cached_min``) none in the columns.
+no counterpart in a linked tree.
 """
 
 from __future__ import annotations
@@ -272,18 +271,6 @@ def obj_events(tree: RapTree) -> None:
     tree._events += 1  # noqa: SLF001
 
 
-def obj_dirty_child(tree: RapTree) -> None:
-    node(tree, *deep_child(tree)).dirty = True
-
-
-def obj_stale_weight(tree: RapTree) -> None:
-    node(tree, *deep_child(tree)).cached_weight += 1
-
-
-def obj_stale_min(tree: RapTree) -> None:
-    tree.root.cached_min -= 1
-
-
 Seed = Optional[Callable[[RapTree], None]]
 
 #: defect -> (columnar seeding, object seeding, message pattern)
@@ -325,9 +312,6 @@ DEFECTS: Dict[str, Tuple[Seed, Seed, str]] = {
     ),
     "node_count off by one": (col_node_count, obj_node_count, "node_count"),
     "weight differs from events": (col_events, obj_events, "tree weight"),
-    "clean node over a dirty child": (None, obj_dirty_child, "dirty child"),
-    "stale cached_weight": (None, obj_stale_weight, "caches weight"),
-    "stale cached_min": (None, obj_stale_min, "caches min"),
     "duplicate free slot": (
         col_duplicate_free_slot, None, "free stack has duplicates"
     ),

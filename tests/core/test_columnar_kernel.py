@@ -40,6 +40,7 @@ STATS_FIELDS = (
     "updates",
     "splits",
     "merge_batches",
+    "merge_scan_visits",
     "max_nodes",
     "node_seconds",
     "merge_points",

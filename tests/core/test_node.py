@@ -196,5 +196,4 @@ class TestSlots:
     def test_slots_cover_every_used_attribute(self):
         assert set(RapNode.__slots__) == {
             "lo", "hi", "count", "children", "parent",
-            "dirty", "cached_weight", "cached_min",
         }

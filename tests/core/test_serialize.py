@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RapConfig, RapTree, dump_tree, load_tree
+from repro.core import RapConfig, RapTree, combine_many, dump_tree, load_tree
 from repro.core.serialize import dump_to_file, load_from_file
 
 
@@ -88,7 +88,7 @@ class TestLoad:
             load_tree(bad)
 
     def test_config_round_trips(self):
-        tree = RapTree(
+        tree = RapTree.from_config(
             RapConfig(
                 range_max=1024,
                 epsilon=0.013,
@@ -96,11 +96,19 @@ class TestLoad:
                 merge_initial_interval=77,
                 merge_growth=3.5,
                 min_split_threshold=2.5,
+                backend="object",
             )
         )
         tree.add(5)
         clone = load_tree(dump_tree(tree))
         assert clone.config == tree.config
+
+    def test_loaded_trees_fold_to_a_linked_tree(self):
+        loaded = load_tree(dump_tree(sample_tree()))
+        assert loaded.config.backend == "object"
+        folded = combine_many([loaded, load_tree(dump_tree(sample_tree()))])
+        assert type(folded) is RapTree
+        assert folded.events == 2 * loaded.events
 
 
 class TestSchedulerState:
@@ -126,12 +134,13 @@ class TestSchedulerState:
         assert clone.merge_scheduler.next_at > clone.events
 
     def test_full_config_round_trips(self):
-        tree = RapTree(
+        tree = RapTree.from_config(
             RapConfig(
                 range_max=1024,
                 epsilon=0.013,
                 timeline_sample_every=50,
                 audit_every=500,
+                backend="object",
             )
         )
         tree.add(5)

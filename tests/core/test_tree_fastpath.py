@@ -1,16 +1,16 @@
-"""Fast-path equivalence: descent cache, dirty-frontier merge, batch kernel.
+"""Fast-path equivalence: descent cache and the counted update loop.
 
-The hot-path layer (locality-aware descent cache, incremental merge
-walk, inline ``extend``/``add_batch`` loops, counted-add closed forms)
-must be *observationally identical* to the plain reference algorithm:
-root descent per event, one threshold evaluation per arriving unit, and
-a full recursive post-order merge walk. These tests pin that down on
-seeded zipf and phased streams by comparing, batch by batch:
+The hot-path layer (locality-aware descent cache, the inline
+``add_counted`` loop behind ``extend``/``add_batch``, counted-add closed
+forms) must be *observationally identical* to the plain reference
+algorithm: root descent per event, one threshold evaluation per
+arriving unit, and a full recursive post-order merge walk. These tests
+pin that down on seeded zipf and phased streams by comparing, batch by
+batch:
 
 * the exact tree shape (every node's range and counter, in pre-order);
 * ``estimate()`` on random query ranges;
-* ``check_invariants()`` on the fast tree (which also audits the
-  merge-frontier caches).
+* ``check_invariants()`` on the fast tree.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class ReferenceRapTree:
 
     Single-unit updates only: root descent, threshold checked for the
     one arriving unit, recursive full-tree merge on the same geometric
-    schedule. No descent cache, no dirty tracking, no batch kernels —
-    deliberately the simplest correct implementation.
+    schedule. No descent cache, no batch kernels — deliberately the
+    simplest correct implementation.
     """
 
     def __init__(self, config: RapConfig) -> None:
