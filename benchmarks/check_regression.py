@@ -35,9 +35,10 @@ must be at least ``SPEEDUP_FLOOR``x faster than its object mean, and
 on the batch kernel (pre-combined sorted chunks, the layout's home
 turf) columnar must be at least as fast as object even at smoke
 scale. Both ratios are intra-run, so machine calibration cancels out
-of them. So is the snapshot-fold gate: from 50k events up, the array
-fold (``combine_many``) must stay at least ``FOLD_SPEEDUP_FLOOR``x
-faster than the reference descent fold timed on the same shards.
+of them. So is the snapshot-fold gate: from the 10k smoke scale up,
+the compiled fold (``combine_many``) must stay at least
+``FOLD_SPEEDUP_FLOOR``x faster than the reference descent fold timed
+on the same shards.
 """
 
 from __future__ import annotations
@@ -82,18 +83,19 @@ SERIAL_INGEST = "test_runtime_multi_shard_ingest[columnar]"
 PROCESS_SPEEDUP_FLOOR = 1.5
 PROCESS_GATE_MIN_EVENTS = 50_000
 
-#: The array snapshot fold's value proposition: ``combine_many``
-#: (gather shard counter rows, expand the partition level by level,
-#: prune with the vectorized merge) must stay >= 3x faster than the
+#: The compiled snapshot fold's value proposition: ``combine_many``
+#: (gather and sort the shard counter rows, then ``rap_fold`` lays out
+#: the already-pruned partition in C) must stay >= 10x faster than the
 #: reference per-counter descent fold timed on the *same* columnar
 #: shards in the same run — a live intra-run min ratio, so machine
-#: calibration cancels out. SKIP-with-ratio below 50k, where the
-#: shards are too small for the fold's fixed numpy overhead to
-#: amortize.
+#: calibration cancels out. The compiled fold has no per-level numpy
+#: overhead left to amortize, so the gate holds from the 10k smoke
+#: scale up (it read 41-84x at 10k and 50k on a 2-core host, where the
+#: numpy fold it replaced read 8x).
 FOLD_ROW = "test_runtime_snapshot_fold[columnar]"
 FOLD_DESCENT_ROW = "test_runtime_snapshot_fold_descent[columnar]"
-FOLD_SPEEDUP_FLOOR = 3.0
-FOLD_GATE_MIN_EVENTS = 50_000
+FOLD_SPEEDUP_FLOOR = 10.0
+FOLD_GATE_MIN_EVENTS = 10_000
 
 
 def load_payload(path: pathlib.Path) -> dict:
@@ -275,7 +277,7 @@ def main(argv=None) -> int:
         if status == "FAIL":
             failures.append("process-executor-ingest-speedup")
 
-    # And the array fold must keep beating the descent it replaced.
+    # And the compiled fold must keep beating the reference descent.
     mins = {row["name"]: row["min_s"] for row in candidate["results"]}
     fold = mins.get(FOLD_ROW)
     descent = mins.get(FOLD_DESCENT_ROW)

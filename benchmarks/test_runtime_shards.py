@@ -167,8 +167,8 @@ def test_runtime_process_shard_ingest(benchmark, backend, value_stream):
 def test_runtime_snapshot_fold(benchmark, backend, value_stream):
     """Latency of folding 4 populated shards into one snapshot tree.
 
-    ``combine_many`` folds through array kernels over the shards'
-    counter columns."""
+    ``combine_many`` gathers the shards' counter columns and lays out
+    the pruned fold in one compiled pass (``rap_fold``)."""
     values, universe = value_stream
     with _multi_shard(values, universe) as profiler:
         profiler.ingest(values)
@@ -183,7 +183,8 @@ def test_runtime_snapshot_fold_descent(benchmark, backend, value_stream):
     like the row above (serial ingest is deterministic).
 
     The live denominator of ``check_regression.py``'s fold gate: the
-    array fold above must stay >= 3x faster than this row at 50k."""
+    compiled fold above must stay >= 10x faster than this row from the
+    10k smoke scale up."""
     values, universe = value_stream
     with _multi_shard(values, universe) as profiler:
         profiler.ingest(values)

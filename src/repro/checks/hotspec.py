@@ -34,7 +34,8 @@ The production hot set mirrors the per-backend benchmark rows:
 * the hash partitioner's ``split``, which every event of a multi-shard
   profiler passes through on the dispatching thread (perfbench's
   ``partition.self_s`` layer),
-* the snapshot fold: ``combine.py``'s array fold ``_fold_columns`` and
+* the snapshot fold: ``combine.py``'s ``_fold_columns``, which gathers
+  and sorts the shard counter rows for the compiled ``rap_fold``, and
   the columnar ``check_invariants`` it runs on every fold (perfbench's
   ``fold.self_s`` layer).
 """

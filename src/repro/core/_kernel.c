@@ -3,16 +3,18 @@
  *
  * A line-for-line port of RapTree's update path (tree.py: the inline
  * fast loop of add_counted, _absorb and _split) onto the tree's
- * existing numpy columns. Python owns the columns, the merge
- * pass and column growth: the kernel returns K_MERGE when a merge is
+ * existing numpy columns. Python owns the columns and their growth,
+ * and decides when to merge: the kernel returns K_MERGE when a merge is
  * due and K_GROW when a split needs more free slots than the columns
- * hold, and the caller resumes it at the saved (item, remaining, slot)
- * point. Arithmetic is CPython's: every int-vs-double comparison is
+ * hold, and the caller runs rap_merge or grows the columns, then
+ * resumes it at the saved (item, remaining, slot) point. Arithmetic is CPython's: every int-vs-double comparison is
  * exact at any magnitude (counters past 2**53 included), int-to-double
  * conversions round to nearest, and the root's 2**64 width is held in
  * unsigned __int128. Build with -ffp-contract=off (no fused multiply-add).
  * rap_bootstrap builds a fresh tree's first frame offline (the cold-start
- * bulk build of ColumnarRapTree.bootstrap_counted_arrays).
+ * bulk build of ColumnarRapTree.bootstrap_counted_arrays), rap_merge is
+ * RapTree.merge_now's post-order pass, and rap_fold lays out the pruned
+ * snapshot fold of shard counter rows (combine.py's _fold_columns).
  */
 #include <math.h>
 #include <stdint.h>
@@ -172,17 +174,59 @@ static int64_t child_covering(const rap_tree *t, int64_t slot, uint64_t value)
     return child;
 }
 
-/* partition_range cell count of a slot's range. */
-static int64_t cell_count(const rap_tree *t, int64_t slot)
+/* partition_range geometry: [lo, hi] has n = min(b, width) cells, and
+ * cell i starts at lo + i * base + min(i, extra). */
+typedef struct { u128 base, lo; int64_t n, extra, i; } cells;
+
+static int64_t cells_of(cells *c, const rap_tree *t, uint64_t lo, uint64_t hi)
 {
-    u128 width = (u128)t->his[slot] - t->los[slot] + 1;
-    return width < (u128)t->branching ? (int64_t)width : t->branching;
+    u128 width = (u128)hi - lo + 1;
+    c->n = width < (u128)t->branching ? (int64_t)width : t->branching;
+    c->base = width / (u128)c->n;
+    c->extra = (int64_t)(width % (u128)c->n);
+    c->lo = lo;
+    c->i = 0;
+    return c->n;
+}
+
+/* The next cell's bounds, in ascending lo; 0 past the last one. */
+static int next_cell(cells *c, uint64_t *lo, uint64_t *hi)
+{
+    if (c->i == c->n) return 0;
+    *lo = (uint64_t)c->lo;
+    c->lo += c->base + (c->i++ < c->extra ? 1 : 0);
+    *hi = (uint64_t)(c->lo - 1);
+    return 1;
+}
+
+/* Link `kid` into `slot`'s chain after `prev` (NO_SLOT: as its head);
+ * a kid of NO_SLOT ends the chain. */
+static void link_after(rap_tree *t, int64_t slot, int64_t prev, int64_t kid)
+{
+    if (prev == NO_SLOT)
+        t->first_child[slot] = (int32_t)kid;
+    else
+        t->next_sibling[prev] = (int32_t)kid;
+}
+
+/* First index of the sorted keys[a, z) past `hi`. */
+static int64_t first_past(const uint64_t *keys, uint64_t hi, int64_t a,
+                          int64_t z)
+{
+    while (a < z) {
+        int64_t mid = a + (z - a) / 2;
+        if (keys[mid] <= hi) a = mid + 1;
+        else z = mid;
+    }
+    return a;
 }
 
 /* True when splitting `slot` fits the free slots; else sets `need`. */
 static int room_to_split(rap_tree *t, int64_t slot)
 {
-    int64_t need = cell_count(t, slot) - t->n_children[slot];
+    cells c;
+    int64_t need = cells_of(&c, t, t->los[slot], t->his[slot])
+                   - t->n_children[slot];
     if (t->free_top + t->capacity - t->size >= need) return 1;
     t->need = need;
     return 0;
@@ -193,20 +237,14 @@ static int room_to_split(rap_tree *t, int64_t slot)
  * order, free stack first), and the chain is relinked in lo order. */
 static void split(rap_tree *t, int64_t slot)
 {
-    uint64_t lo = t->los[slot];
-    u128 width = (u128)t->his[slot] - lo + 1;
-    int64_t cells = cell_count(t, slot);
-    u128 base = width / (u128)cells;
-    int64_t extra = (int64_t)(width % (u128)cells);
+    cells c;
+    int64_t n = cells_of(&c, t, t->los[slot], t->his[slot]);
     int32_t kid_depth = t->depth[slot] + 1;
     int64_t existing = t->first_child[slot];
     int64_t prev = NO_SLOT;
     int64_t created = 0;
-    u128 cell_lo = lo;
-    for (int64_t index = 0; index < cells; index++) {
-        u128 cell_w = base + (index < extra ? 1 : 0);
-        uint64_t kid_lo = (uint64_t)cell_lo;
-        uint64_t kid_hi = (uint64_t)(cell_lo + cell_w - 1);
+    uint64_t kid_lo, kid_hi;
+    while (next_cell(&c, &kid_lo, &kid_hi)) {
         int64_t kid;
         if (existing != NO_SLOT && t->los[existing] == kid_lo) {
             kid = existing;
@@ -224,15 +262,11 @@ static void split(rap_tree *t, int64_t slot)
             created++;
         }
         t->parents[kid] = (int32_t)slot;
-        if (prev == NO_SLOT)
-            t->first_child[slot] = (int32_t)kid;
-        else
-            t->next_sibling[prev] = (int32_t)kid;
+        link_after(t, slot, prev, kid);
         prev = kid;
-        cell_lo += cell_w;
     }
-    t->next_sibling[prev] = NO_SLOT;
-    t->n_children[slot] = (int32_t)cells;
+    link_after(t, slot, prev, NO_SLOT);
+    t->n_children[slot] = (int32_t)n;
     t->node_count += created;
     t->st_splits++;
 }
@@ -398,26 +432,14 @@ static void burst(boot *b, int64_t slot, uint64_t lo, uint64_t hi,
                   int64_t a, int64_t z)
 {
     rap_tree *t = b->t;
-    u128 width = (u128)hi - lo + 1;
-    int64_t cells = width < (u128)t->branching ? (int64_t)width : t->branching;
-    u128 base = width / (u128)cells;
-    int64_t extra = (int64_t)(width % (u128)cells);
-    u128 cell_lo = lo;
+    cells c;
     int64_t prev = NO_SLOT;
+    uint64_t kid_lo, kid_hi;
+    cells_of(&c, t, lo, hi);
     b->bursts++;
-    for (int64_t index = 0; index < cells; index++) {
-        uint64_t kid_lo = (uint64_t)cell_lo;
-        cell_lo += base + (index < extra ? 1 : 0);
-        uint64_t kid_hi = (uint64_t)(cell_lo - 1);
+    while (next_cell(&c, &kid_lo, &kid_hi)) {
         int64_t start = a;
-        if (index + 1 == cells)
-            a = z;
-        else  /* a = first value past kid_hi */
-            for (int64_t stop = z; a < stop;) {
-                int64_t mid = a + (stop - a) / 2;
-                if (b->values[mid] <= kid_hi) a = mid + 1;
-                else stop = mid;
-            }
+        a = c.i == c.n ? z : first_past(b->values, kid_hi, a, z);
         int64_t mass = b->cum[a] - b->cum[start];
         int leaf = kid_lo == kid_hi || mass <= b->floor_t;
         if (!mass) continue;
@@ -432,10 +454,7 @@ static void burst(boot *b, int64_t slot, uint64_t lo, uint64_t hi,
         t->depth[kid] = t->depth[slot] + 1;
         t->parents[kid] = (int32_t)slot;
         t->counts[kid] = leaf ? mass : 0;
-        if (prev == NO_SLOT)
-            t->first_child[slot] = (int32_t)kid;
-        else
-            t->next_sibling[prev] = (int32_t)kid;
+        link_after(t, slot, prev, kid);
         prev = kid;
         t->n_children[slot]++;
         if (!leaf) {
@@ -444,7 +463,7 @@ static void burst(boot *b, int64_t slot, uint64_t lo, uint64_t hi,
             b->fifo[b->tail++] = a;
         }
     }
-    if (b->fifo) t->next_sibling[prev] = NO_SLOT;
+    if (b->fifo) link_after(t, slot, prev, NO_SLOT);
 }
 
 /*
@@ -476,4 +495,168 @@ int64_t rap_bootstrap(rap_tree *t, const uint64_t *values, const int64_t *cum,
     if (fifo) t->node_count += b.created;
     *bursts = b.bursts;
     return b.created;
+}
+
+/* ---- Merge pass ---------------------------------------------------- */
+
+/* RapTree.merge_now's post-order walk: collapse every child subtree of
+ * `slot` weighing at most floor_t into it and return the subtree's
+ * weight. A collapsible child is a leaf by then (its own children weigh
+ * no more than it does), so its count is its weight. It is unlinked,
+ * the chain keeping its lo order, and marked with count -1 for the
+ * sweep. The recursion is as deep as the tree (64 levels at most). */
+static int64_t merge_walk(rap_tree *t, int64_t slot, i128 floor_t)
+{
+    int64_t total = t->counts[slot];
+    int64_t prev = NO_SLOT, kept = 0;
+    for (int64_t kid = t->first_child[slot]; kid != NO_SLOT;
+         kid = t->next_sibling[kid]) {
+        int64_t weight = merge_walk(t, kid, floor_t);
+        total += weight;
+        if (weight <= floor_t) {
+            t->counts[slot] += weight;
+            t->counts[kid] = -1;
+            continue;
+        }
+        link_after(t, slot, prev, kid);
+        prev = kid;
+        kept++;
+    }
+    link_after(t, slot, prev, NO_SLOT);
+    t->n_children[slot] = (int32_t)kept;
+    return total;
+}
+
+/*
+ * One merge pass: collapse every non-root subtree of weight at most
+ * `threshold` into its surviving parent, then free the removed slots
+ * in one ascending sweep (count 0, leaf chain head, no children, not
+ * live, pushed onto the free stack in slot order). Their other columns
+ * keep their last values. Returns the number of nodes removed.
+ */
+int64_t rap_merge(rap_tree *t, double threshold)
+{
+    int64_t removed = 0;
+    merge_walk(t, 0, floor_i(threshold));
+    for (int64_t slot = 1; slot < t->size; slot++) {
+        if (t->counts[slot] >= 0) continue;
+        t->counts[slot] = 0;
+        t->first_child[slot] = NO_SLOT;
+        t->n_children[slot] = 0;
+        t->live[slot] = 0;
+        t->free_slots[t->free_top++] = (int32_t)slot;
+        removed++;
+    }
+    t->node_count -= removed;
+    return removed;
+}
+
+/* ---- Snapshot fold ------------------------------------------------- */
+
+/* rap_fold's error returns. */
+enum { F_OFF_PARTITION = -1, F_BELOW_ITEM = -2 };
+
+/* The shards' counter rows sorted by (lo, depth), their prefix masses
+ * (rows [a, z) weigh cum[z] - cum[a]), the merge threshold's floor, the
+ * fill pass's per-slot row spans and the tallies. */
+typedef struct {
+    rap_tree *t;
+    const uint64_t *los, *his;
+    const int64_t *depth, *cum;
+    i128 floor_t;
+    int64_t *spans, survivors, complete;
+} fold;
+
+/* The node [lo, hi] at depth d over rows [a, z). Its own rows are the
+ * head rows at its lo, which must sit at its depth with its hi, and no
+ * rows may be left below an item range. Any other rows give it every
+ * partition cell, and a cell survives the merge iff the node does and
+ * the cell's rows outweigh the threshold. The counting pass (slot
+ * NO_SLOT) tallies the cells and the survivors and recurses into every
+ * cell with rows (as deep as the partition, 64 levels at most); the fill
+ * pass gives each surviving cell the next slot, linked under `slot`, and
+ * keeps the other cells' mass in the node's count. Returns 0 or an F_
+ * code. */
+static int64_t fold_node(fold *f, int64_t slot, uint64_t lo, uint64_t hi,
+                         int64_t d, int64_t a, int64_t z, int survives)
+{
+    rap_tree *t = f->t;
+    int64_t own = a, prev = NO_SLOT, kids = 0;
+    for (; a < z && f->los[a] == lo && f->depth[a] <= d; a++)
+        if (f->depth[a] != d || f->his[a] != hi) return F_OFF_PARTITION;
+    if (a < z && lo == hi) return F_BELOW_ITEM;
+    int64_t count = f->cum[a] - f->cum[own];
+    int expand = a < z;
+    cells c;
+    uint64_t kid_lo, kid_hi;
+    if (expand) f->complete += cells_of(&c, t, lo, hi);
+    while (expand && next_cell(&c, &kid_lo, &kid_hi)) {
+        int64_t start = a;
+        a = c.i == c.n ? z : first_past(f->los, kid_hi, a, z);
+        int64_t mass = f->cum[a] - f->cum[start];
+        int kid_survives = survives && mass > f->floor_t;
+        if (slot == NO_SLOT) {
+            f->survivors += kid_survives;
+            int64_t code = start < a ? fold_node(f, NO_SLOT, kid_lo, kid_hi,
+                                                 d + 1, start, a, kid_survives)
+                                     : 0;
+            if (code) return code;
+        } else if (!kid_survives) {
+            count += mass;
+        } else {
+            int64_t kid = t->size++;
+            t->los[kid] = kid_lo;
+            t->his[kid] = kid_hi;
+            t->depth[kid] = (int32_t)(d + 1);
+            t->parents[kid] = (int32_t)slot;
+            f->spans[2 * kid] = start;
+            f->spans[2 * kid + 1] = a;
+            link_after(t, slot, prev, kid);
+            prev = kid;
+            kids++;
+        }
+    }
+    if (slot == NO_SLOT) return 0;
+    link_after(t, slot, prev, NO_SLOT);
+    t->counts[slot] = count;
+    t->n_children[slot] = (int32_t)kids;
+    t->live[slot] = 1;
+    return 0;
+}
+
+/*
+ * The snapshot fold, already pruned: the complete partition the rows
+ * los/his/depth[0, n) (sorted by (lo, depth), prefix masses cum[0, n])
+ * sit on, after one merge pass at `threshold`. With spans NULL this is
+ * the counting pass: it writes nothing and returns the survivor count, with
+ * the complete partition's size in *complete, or an F_ code. The fill
+ * pass lays the survivors out breadth first from slot 0, so slots go in
+ * (parent, ascending lo) order; it needs the columns and spans (2
+ * entries a slot) to hold that many slots.
+ */
+int64_t rap_fold(rap_tree *t, const uint64_t *los, const uint64_t *his,
+                 const int64_t *depth, const int64_t *cum, int64_t n,
+                 double threshold, int64_t *spans, int64_t *complete)
+{
+    fold f = { t, los, his, depth, cum, floor_i(threshold), spans, 1, 1 };
+    if (!spans) {
+        int64_t code = n && los[n - 1] > t->root_hi
+            ? F_OFF_PARTITION : fold_node(&f, NO_SLOT, 0, t->root_hi, 0, 0, n, 1);
+        *complete = f.complete;
+        return code ? code : f.survivors;
+    }
+    t->los[0] = 0;
+    t->his[0] = t->root_hi;
+    t->depth[0] = 0;
+    t->parents[0] = NO_SLOT;
+    t->next_sibling[0] = NO_SLOT;
+    spans[0] = 0;
+    spans[1] = n;
+    t->size = 1;
+    for (int64_t slot = 0; slot < t->size; slot++)
+        fold_node(&f, slot, t->los[slot], t->his[slot], t->depth[slot],
+                  spans[2 * slot], spans[2 * slot + 1], 1);
+    t->node_count = t->size;
+    t->free_top = 0;
+    return t->size;
 }

@@ -39,12 +39,13 @@ operation sequences. The kernel contract:
   count would take the event total past 2**63-1 raises
   ``OverflowError`` before it deposits anything (the object backend's
   Python ints keep going; the paper's ``n`` sits far below the bound).
-* **Return at merge and grow.** The kernel never allocates memory and
-  never merges. It returns when a merge is due, and Python runs the
-  numpy :meth:`merge_now`; it returns when a split needs more free
-  slots than the columns hold, and Python runs :meth:`_grow` (under
-  the shared-memory allocator hook, a remap). Either way the kernel
-  then resumes at the item and remaining count where it stopped.
+* **Return at merge and grow.** The update kernel never allocates
+  memory and never merges. It returns when a merge is due, and Python
+  runs :meth:`merge_now` (the compiled ``rap_merge`` pass); it returns
+  when a split needs more free slots than the columns hold, and Python
+  runs :meth:`_grow` (under the shared-memory allocator hook, a remap).
+  Either way the kernel then resumes at the item and remaining count
+  where it stopped.
 * **Per-event hooks.** With ``timeline_sample_every`` or
   ``audit_every`` set, every entry point feeds the kernel one item at a
   time through :meth:`add`, so the hooks see every update.
@@ -53,8 +54,11 @@ The kernel keeps the tree's scalar state (slot accounting, event total,
 finger) in its ``KernelState`` struct; the ``_size``/``_events``/...
 attributes read and write it. A fresh tree's first frame may instead
 take the cold-start bulk build, one compiled breadth-first pass
-(:meth:`~ColumnarRapTree.bootstrap_counted_arrays`). Merges, folds,
-estimates, hot ranges and ``check_invariants`` stay numpy passes.
+(:meth:`~ColumnarRapTree.bootstrap_counted_arrays`). The merge pass
+(:meth:`~ColumnarRapTree.merge_now`, ``rap_merge``) and the snapshot
+fold's layout (:meth:`~ColumnarRapTree.from_counter_rows`,
+``rap_fold``) are compiled too; estimates, hot ranges and
+``check_invariants`` stay numpy passes.
 
 Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 — importing this module's internals elsewhere is flagged by RAP-LINT012.
@@ -85,6 +89,8 @@ import numpy as np
 
 from .config import MergeScheduler, RapConfig
 from .native import (
+    F_BELOW_ITEM,
+    F_OFF_PARTITION,
     K_BAD,
     K_DONE,
     K_GROW,
@@ -184,8 +190,9 @@ class ColumnarRapTree:
     :class:`~repro.core.node.RapNode` view of the columns (cached per
     mutation generation) so serialization and auditing treat both
     backends identically. Mutating the view does not affect the tree.
-    Folds, estimates, hot ranges and ``check_invariants`` read the
-    columns directly and never build the view.
+    The compiled kernel (updates, bootstrap, merge, fold layout),
+    estimates, hot ranges and ``check_invariants`` read the columns
+    directly and never build the view.
     """
 
     #: dtype of every slot column plus the free stack, in
@@ -225,11 +232,8 @@ class ColumnarRapTree:
                 "the columnar backend holds ranges in uint64: range_max "
                 f"must be at most 2**64, got {config.range_max}"
             )
-        if config.backend == "columnar":
-            # Fail construction, not the first update, without a kernel.
-            # (The snapshot fold also lays out object-config trees in
-            # columns; those never update, and need no kernel.)
-            load_kernel()
+        # Fail construction, not the first update, without a kernel.
+        load_kernel()
         self._kstate = KernelState()
         self._kstate_at = ctypes.addressof(self._kstate)
         self._config = config
@@ -312,8 +316,8 @@ class ColumnarRapTree:
         """Point the kernel at the current column arrays.
 
         Must be called whenever a column array object is replaced
-        (``_grow``, ``clone``, ``attach_columns``, ``compact``), after
-        ``_capacity`` is set. The kernel indexes raw addresses, so each
+        (``_grow``, ``clone``, ``attach_columns``, ``from_counter_rows``),
+        after ``_capacity`` is set. The kernel indexes raw addresses, so each
         column must be a contiguous array of its dtype holding at least
         ``_capacity`` slots.
         """
@@ -569,78 +573,67 @@ class ColumnarRapTree:
         return tree
 
     @classmethod
-    def from_complete_partition(
+    def from_counter_rows(
         cls,
         config: RapConfig,
         los: np.ndarray,
         his: np.ndarray,
-        depths: np.ndarray,
-        parents: np.ndarray,
         counts: np.ndarray,
+        depths: np.ndarray,
     ) -> "ColumnarRapTree":
-        """Heap-backed tree over a laid-out partition, before any merge.
+        """The pruned fold of counter rows, as a fresh heap-backed tree.
 
-        Row ``i`` becomes slot ``i``: ``[los[i], his[i]]`` at depth
-        ``depths[i]`` under slot ``parents[i]`` holding ``counts[i]``.
-        Row 0 must be the root (parent ``-1``), and every node with
-        children must carry *all* of its ``partition_range`` cells —
-        the shape :func:`repro.core.combine.combine_many` expands to.
-        The caller's :meth:`merge_now` then prunes it like any fresh
-        tree.
+        The rows are every shard's nonzero counters (:meth:`counter_rows`).
+        The result is the complete partition they sit on (see
+        :mod:`repro.core.combine`) after one :meth:`merge_now` at the
+        rows' total, already compacted: with the rows sorted by
+        ``(lo, depth)``, ``rap_fold`` counts the survivors, every column
+        is sized to them once, and a second pass lays them out breadth
+        first in ``(parent, lo)`` order. The statistics record that
+        merge batch.
+        Raises ``ValueError`` when a row is not a partition range of the
+        universe at its depth, or lies below an item range.
         """
-        size = int(los.size)
+        if los.ndim != 1 or not (
+            los.shape == his.shape == counts.shape == depths.shape
+        ):
+            raise ValueError("counter rows must be matching 1-D arrays")
         tree = cls(config)
-        columns = {
-            "_counts": counts,
-            "_los": los,
-            "_his": his,
-            "_parents": parents,
-            "_depth": depths,
-        }
+        order = np.lexsort((depths, los))
+        los = np.ascontiguousarray(los[order], dtype=np.uint64)
+        his = np.ascontiguousarray(his[order], dtype=np.uint64)
+        depths = np.ascontiguousarray(depths[order], dtype=np.int64)
+        cum = np.zeros(los.size + 1, dtype=np.int64)
+        np.cumsum(counts[order], out=cum[1:])
+        total = int(cum[-1])
+        fold = load_kernel().rap_fold
+        complete = ctypes.c_int64()
+        rows = (los.ctypes.data, his.ctypes.data, depths.ctypes.data)
+        rows += (cum.ctypes.data, los.size, config.merge_threshold(total))
+        at = tree._kstate_at
+        survivors = fold(at, *rows, None, ctypes.byref(complete))
+        if survivors == F_OFF_PARTITION:
+            raise ValueError(
+                "a shard counter is not a partition range of this universe "
+                "at its depth"
+            )
+        if survivors == F_BELOW_ITEM:
+            raise ValueError("a shard counter lies below an item range")
         for name in _ARRAY_COLUMNS + ("_free_slots",):
-            column = np.zeros(size, dtype=cls.COLUMN_DTYPES[name])
-            if name in columns:
-                column[:] = columns[name]
-            setattr(tree, name, column)
-        tree._live.fill(True)
-        tree._capacity = size
-        tree._size = size
-        tree._node_count = size
-        tree._events = int(counts.sum())
+            setattr(
+                tree, name, np.zeros(survivors, dtype=cls.COLUMN_DTYPES[name])
+            )
+        tree._capacity = survivors
         tree._rebind_views()
-        tree._rebuild_chains(np.arange(size, dtype=np.int64))
+        spans = np.empty(2 * survivors, dtype=np.int64)
+        fold(at, *rows, spans.ctypes.data, ctypes.byref(complete))
+        tree._events = total
+        tree._stats.observe_merge_batch(
+            complete.value - survivors, nodes_scanned=complete.value
+        )
+        tree._scheduler.fired(total)
+        tree._generation += 1
         return tree
-
-    def compact(self) -> None:
-        """Drop freed slots: renumber the live slots densely, in order.
-
-        Every column shrinks to ``node_count`` slots (the root stays
-        slot 0), pointers are remapped, and the free
-        stack empties. The profile is unchanged (same ``dump_tree``,
-        estimates and merge state); slot-space scans (``estimate``,
-        hot ranges, ``check_invariants``) then cost ``node_count``,
-        not the high-water slot count. The array fold compacts its
-        result: pruning a complete partition frees most of its slots.
-        Heap-backed trees only; a tree on a column allocator keeps its
-        slots where the allocator put them.
-        """
-        if self._allocator is not None:
-            raise ValueError("compact() needs heap-backed columns")
-        size = self._size
-        live_idx = np.flatnonzero(self._live[:size])
-        # One spare entry maps _NO_SLOT (index -1) to itself.
-        renumber = np.full(size + 1, _NO_SLOT, dtype=np.int64)
-        renumber[live_idx] = np.arange(live_idx.size)
-        for name in _ARRAY_COLUMNS:
-            column = getattr(self, name)[live_idx]
-            if name in ("_parents", "_first_child", "_next_sibling"):
-                column = renumber[column].astype(column.dtype)
-            setattr(self, name, column)
-        self._free_slots = np.zeros(live_idx.size, dtype=np.int32)
-        self._free_top = 0
-        self._size = self._capacity = int(live_idx.size)
-        self._cached_slot = 0
-        self._rebind_views()
 
     def counter_rows(
         self,
@@ -815,6 +808,15 @@ class ColumnarRapTree:
                 None if counts is None else counts[stop + 1 :],
             )
 
+    def _require_writable(self) -> None:
+        """Refuse read-only (attached) columns: the kernel writes through
+        raw addresses, past numpy's read-only flag."""
+        if not self._counts.flags.writeable:
+            raise ValueError(
+                "the tree wraps read-only columns (attach_columns); "
+                "update a clone() instead"
+            )
+
     def _run(
         self,
         values_at: int,
@@ -830,13 +832,7 @@ class ColumnarRapTree:
         which run here, and then resumes where it stopped; a malformed
         item or an event total past int64 raises.
         """
-        if not self._counts.flags.writeable:
-            # The kernel writes through raw addresses, past numpy's
-            # read-only flag: refuse here instead.
-            raise ValueError(
-                "the tree wraps read-only columns (attach_columns); "
-                "update a clone() instead"
-            )
+        self._require_writable()
         kstate = self._kstate
         stats = self._stats
         kstate.st_events = stats.events
@@ -1017,130 +1013,28 @@ class ColumnarRapTree:
     def merge_now(self) -> int:
         """Run one batched merge pass; returns the number of nodes removed.
 
-        Observably identical to ``RapTree.merge_now``: both are a full
-        post-order pass over the live tree (:meth:`_merge_frontier` is
-        that pass, vectorized), and both report the pre-merge node
-        count as the nodes scanned.
+        Observably identical to ``RapTree.merge_now``: ``rap_merge`` in
+        ``_kernel.c`` is the same post-order pass over the sibling
+        chains, collapsing every non-root subtree that weighs at most
+        the merge threshold into its parent, and both report the
+        pre-merge node count as the nodes scanned. The removed slots
+        are freed in one ascending sweep (count 0, no children, not
+        live) and pushed onto the free stack in slot order. Like the
+        update path, it refuses read-only (attached) columns.
         """
         if self._confined_ident is not None:
             self._assert_owner()
+        self._require_writable()
         threshold = self._config.merge_threshold(self._events)
         before = self._node_count
-        visited = self._merge_frontier(threshold)
-        removed = before - self._node_count
-        self._stats.observe_merge_batch(removed, nodes_scanned=visited)
+        removed = load_kernel().rap_merge(self._kstate_at, threshold)
+        self._stats.observe_merge_batch(removed, nodes_scanned=before)
         self._scheduler.fired(self._events)
         self._generation += 1
         if removed:
             # Recycled slots may be anywhere; park the finger at the root.
             self._cached_slot = 0
         return removed
-
-    def _merge_frontier(self, threshold: float) -> int:
-        """One vectorized merge pass over the level structure.
-
-        Level-ordered array kernels replace the object backend's
-        post-order frame walk: subtree weights bottom-up (exact int64
-        indexed adds), collapsibility top-down, chain rebuild
-        wholesale. Equivalent to the reference walk because collapsing
-        is closed under the maximal-subtree rule: a subtree collapses
-        iff its total weight is at or below the threshold, wherever the
-        walk encounters it. Returns the number of slots examined: the
-        whole live set, as the object walk reports.
-        """
-        size = self._size
-        counts = self._counts
-        parents = self._parents
-        live = self._live
-        live_idx = np.flatnonzero(live[:size])
-        visited = int(live_idx.size)
-        levels = self._depth[live_idx]
-        order = np.argsort(levels, kind="stable")
-        by_depth = live_idx[order]
-        level_of = levels[order]
-        max_depth = int(level_of[-1])
-        bounds = np.searchsorted(level_of, np.arange(max_depth + 2))
-        # Subtree weights, bottom-up by level. ``np.add.at`` is an
-        # unbuffered indexed add straight in int64 — exact at any
-        # magnitude (a ``weights=`` bincount would accumulate in float64)
-        # and, on the shallow per-level slot groups of a deep tree, several
-        # times cheaper than two bincounts over the whole slot space.
-        subtree = counts[:size].copy()
-        for level in range(max_depth, 0, -1):
-            slots = by_depth[bounds[level] : bounds[level + 1]]
-            np.add.at(subtree, parents[slots], subtree[slots])
-        # Integral weights: w <= threshold iff w <= floor(threshold).
-        if threshold < 0:
-            floor_t = -1
-        else:
-            floor_t = min(math.floor(threshold), _INT64_MAX)
-        collapsible = (subtree <= floor_t) & live[:size]
-        collapsible[0] = False
-        collapsible_idx = np.flatnonzero(collapsible)
-        if collapsible_idx.size == 0:
-            return visited
-        # A slot is removed when any ancestor-or-self collapses
-        # (top-down propagation down the levels). Nothing above the
-        # shallowest collapsible slot can inherit a removal, so the
-        # walk starts one level below it — on a deep tree collapses
-        # are usually confined to the fresh camps near the bottom.
-        removed = collapsible.copy()
-        start_level = int(self._depth[collapsible_idx].min()) + 1
-        for level in range(start_level, max_depth + 1):
-            slots = by_depth[bounds[level] : bounds[level + 1]]
-            removed[slots] |= removed[parents[slots]]
-        removed_idx = np.flatnonzero(removed)
-        survives = live[:size] & ~removed
-        # Maximal collapsed subtrees (removed slots whose parent
-        # survives — necessarily collapsible themselves) fold their
-        # whole weight into the surviving parent.
-        tops = removed_idx[survives[parents[removed_idx]]]
-        np.add.at(counts, parents[tops], subtree[tops])
-        # Free the removed slots: reset counters so dead slots keep
-        # reading as zero, restore the allocation defaults a split
-        # relies on (leaf chain head), push onto the free stack.
-        counts[removed_idx] = 0
-        self._first_child[removed_idx] = _NO_SLOT
-        self._n_children[removed_idx] = 0
-        live[removed_idx] = False
-        freed = removed_idx.size
-        self._free_slots[self._free_top : self._free_top + freed] = removed_idx
-        self._free_top += int(freed)
-        self._node_count -= int(freed)
-        self._rebuild_chains(np.flatnonzero(survives))
-        return visited
-
-    def _rebuild_chains(self, surv_idx: np.ndarray) -> None:
-        """Rewire every surviving sibling chain in one lexsort.
-
-        Children are grouped by parent and ordered by ``lo`` — the same
-        order every chain already had, so surviving structure is
-        preserved and collapsed children simply vanish.
-        """
-        parents = self._parents
-        first_child = self._first_child
-        next_sibling = self._next_sibling
-        n_children = self._n_children
-        first_child[surv_idx] = _NO_SLOT
-        next_sibling[surv_idx] = _NO_SLOT
-        n_children[surv_idx] = 0
-        kids = surv_idx[surv_idx != 0]
-        if not kids.size:
-            return
-        kid_parents = parents[kids]
-        order = np.lexsort((self._los[kids], kid_parents))
-        kids = kids[order]
-        kid_parents = kid_parents[order]
-        heads = np.empty(kids.size, dtype=np.bool_)
-        heads[0] = True
-        np.not_equal(kid_parents[1:], kid_parents[:-1], out=heads[1:])
-        head_at = np.flatnonzero(heads)
-        first_child[kid_parents[head_at]] = kids[head_at]
-        tail = ~heads[1:]
-        next_sibling[kids[:-1][tail]] = kids[1:][tail]
-        n_children[kid_parents[head_at]] = np.diff(
-            np.append(head_at, kids.size)
-        )
 
     # ------------------------------------------------------------------
     # Queries

@@ -18,37 +18,40 @@ then merge the trees into one summary whose guarantees still hold:
 * memory is re-pruned with a final merge batch, so the result obeys the
   same worst-case bound.
 
-The fold is arithmetic, not a search. Every counter of every shard sits
-on a cell of the same deterministic b-ary partition, so the combined
-tree before pruning is fixed by the shards' ``(lo, hi, count, depth)``
-rows alone: a node has children iff some deeper row starts inside its
-range, and then it has *all* of its ``partition_range`` cells. The
-fold gathers the rows (straight from the columns for columnar shards,
-shared-memory attachments included; one walk for object shards),
-expands that partition top-down one level per pass with a vectorized
-``(base, extra)`` cell formula, deposits the counts with
-``np.add.at``, lays the result out as columns and prunes it with the
-columnar kernel's vectorized merge pass. All shards go into one
-accumulator and each shard is read once (a pairwise fold re-copies the
-accumulated tree per shard, quadratic in the number of shards). The
-pruned columns pass the columnar ``check_invariants`` (array passes)
-and are the result when the shards' config says
-``backend="columnar"``, so reads of a columnar profile stay on array
-paths; object-config shards get the same tree as a linked
-:class:`~repro.core.tree.RapTree`. The result's backend follows the
-config, as ``RapTree.from_config`` does.
+How the fold works. The fold is arithmetic, not a search. Every
+counter of every shard sits on a cell of the same deterministic b-ary
+partition, so the combined tree before pruning is fixed by the shards'
+``(lo, hi, count, depth)`` rows alone: a node has children iff some
+deeper row starts inside its range, and then it has *all* of its
+``partition_range`` cells. The fold gathers the rows (straight from
+the columns for columnar shards, shared-memory attachments included;
+one walk for object shards) and sorts them by ``(lo, depth)``. Then
+each cell's mass is a prefix-sum difference over the sorted rows, and
+a cell survives the final merge batch iff its parent survives and its
+mass exceeds the merge threshold. So the compiled ``rap_fold``
+(:meth:`~repro.core.columnar.ColumnarRapTree.from_counter_rows`)
+counts the survivors in one pass over the partition and lays them out,
+already pruned, in a second: the complete partition is never built.
+All shards go into one accumulator and each shard is read once (a
+pairwise fold re-copies the accumulated tree per shard, quadratic in
+the number of shards). The result passes the columnar
+``check_invariants`` (array passes), so reads of a columnar profile
+stay on array paths.
 
-Columns hold 64-bit bounds and counters, so universes above ``2**64``
-(or totals above ``2**63 - 1``) take the reference fold instead:
+Object-config shards, universes above ``2**64`` and totals above
+``2**63 - 1`` (columns hold 64-bit bounds and counters) take the
+reference fold instead, which needs no compiler:
 :func:`combine_by_descent` adds each counter at its exact range by a
 descent from the root, creating the missing partition cells on the
-way. The two folds build byte-identical trees (``dump_tree``), which
+way, and returns a linked :class:`~repro.core.tree.RapTree`. The
+result's backend thus follows the config, as ``RapTree.from_config``
+does. The two folds build byte-identical trees (``dump_tree``), which
 the test suite checks property by property.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -95,9 +98,9 @@ def combine_many(
     snapshots — should :meth:`~repro.core.tree.RapTree.clone` it).
     Otherwise the result is a new tree of the backend the combined
     config names (a :class:`~repro.core.columnar.ColumnarRapTree` for
-    ``backend="columnar"``, a linked :class:`RapTree` for ``"object"``
-    and for every fold above ``2**64``), and it passed
-    ``check_invariants``.
+    ``backend="columnar"``, a linked :class:`RapTree` by
+    :func:`combine_by_descent` for ``"object"`` and for every fold
+    above ``2**64``), and it passed ``check_invariants``.
 
     Error bound: each shard ``i`` undercounts any range by at most
     ``epsilon_i * n_i``, and the fold deposits every shard counter at
@@ -111,7 +114,11 @@ def combine_many(
     if len(trees) == 1:
         return trees[0]
     total_events = sum(tree.events for tree in trees)
-    if config.range_max > 2**64 or total_events > _INT64_MAX:
+    if (
+        config.backend != "columnar"
+        or config.range_max > 2**64
+        or total_events > _INT64_MAX
+    ):
         return _fold_by_descent(trees, config)
     return _fold_columns(trees, config)
 
@@ -124,8 +131,9 @@ def combine_by_descent(
     """The reference fold: one root descent per shard counter.
 
     Same contract and same result as :func:`combine_many`, at any
-    universe size; ``combine_many`` uses it above ``2**64``. Kept as the
-    oracle the array fold is tested and benchmarked against.
+    universe size, without the compiled kernel; ``combine_many`` uses it
+    for object-config shards and above ``2**64``. Kept as the oracle the
+    compiled fold is tested and benchmarked against.
     """
     trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
     if len(trees) == 1:
@@ -157,9 +165,16 @@ def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
     total_events = 0
     for source in trees:
         total_events += source.events
-        for node in source.nodes():
-            if node.count:
-                _add_at_range(combined, node.lo, node.hi, node.count)
+        for lo, hi, count, depth in _counters(source):
+            found = _add_at_range(combined, lo, hi, count)
+            if found != depth:
+                # Only an item's range repeats down the partition.
+                if lo == hi and found < depth:
+                    raise ValueError("a shard counter lies below an item range")
+                raise ValueError(
+                    "a shard counter is not a partition range of this "
+                    "universe at its depth"
+                )
     combined._events = total_events  # noqa: SLF001 - fold owns the new tree
     if combined.events:
         combined.merge_now()
@@ -169,97 +184,27 @@ def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
 
 # rap: hot
 def _fold_columns(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
-    """The array fold: gather, expand, deposit, merge (module docstring)."""
+    """The compiled fold: gather the rows, then ``rap_fold``."""
     row_lo, row_hi, row_count, row_depth = (
         np.concatenate(column) for column in zip(*map(_counter_rows, trees))
     )
     if not row_count.size:
         return RapTree.from_config(config)
-    by_depth = np.argsort(row_depth, kind="stable")
-    row_lo, row_hi, row_count, row_depth = (
-        column[by_depth] for column in (row_lo, row_hi, row_count, row_depth)
+    folded = ColumnarRapTree.from_counter_rows(
+        config, row_lo, row_hi, row_count, row_depth
     )
-    max_depth = int(row_depth[-1])
-    bounds = np.searchsorted(row_depth, np.arange(max_depth + 2))
-    branching = config.branching
-
-    # Row starts in lo order; each level drops the rows at its depth,
-    # which leaves the starts of the deeper rows, still sorted.
-    by_lo = np.argsort(row_lo, kind="stable")
-    deeper_lo = row_lo[by_lo]
-    deeper_depth = row_depth[by_lo]
-    level_lo = np.zeros(1, dtype=np.uint64)
-    level_hi = np.full(1, config.range_max - 1, dtype=np.uint64)
-    level_parent = np.full(1, -1, dtype=np.int64)
-    lo_parts: List[np.ndarray] = []
-    hi_parts: List[np.ndarray] = []
-    parent_parts: List[np.ndarray] = []
-    slot_parts: List[np.ndarray] = []
-    base_slot = 0
-    for depth in range(max_depth + 1):
-        # Find each of this level's rows a node: the level is sorted by
-        # lo and its ranges are disjoint, so one binary search per row
-        # does it (checked against the row's bounds after the loop).
-        at = np.searchsorted(
-            level_lo, row_lo[bounds[depth] : bounds[depth + 1]]
-        )
-        slot_parts.append(base_slot + np.minimum(at, level_lo.size - 1))
-        lo_parts.append(level_lo)
-        hi_parts.append(level_hi)
-        parent_parts.append(level_parent)
-        if depth == max_depth:
-            break
-        # Expand a node iff some deeper row starts inside it.
-        deeper = deeper_depth > depth
-        deeper_lo = deeper_lo[deeper]
-        deeper_depth = deeper_depth[deeper]
-        inside = np.searchsorted(
-            deeper_lo, level_hi, side="right"
-        ) - np.searchsorted(deeper_lo, level_lo, side="left")
-        expand = np.flatnonzero(inside)
-        level_lo, level_hi, rows_of = _partition_cells(
-            level_lo[expand], level_hi[expand], branching, root=depth == 0
-        )
-        level_parent = base_slot + expand[rows_of]
-        base_slot += lo_parts[-1].size
-
-    los = np.concatenate(lo_parts)
-    his = np.concatenate(hi_parts)
-    parents = np.concatenate(parent_parts)
-    row_slot = np.concatenate(slot_parts)
-    if not (
-        np.array_equal(los[row_slot], row_lo)
-        and np.array_equal(his[row_slot], row_hi)
-    ):
-        raise ValueError(
-            "a shard counter is not a partition range of this universe "
-            "at its depth"
-        )
-    if np.any(los[parents[1:]] == his[parents[1:]]):
-        raise ValueError("a shard counter lies below an item range")
-    counts = np.zeros(los.size, dtype=np.int64)
-    np.add.at(counts, row_slot, row_count)
-    depths = np.repeat(
-        np.arange(len(lo_parts)), [part.size for part in lo_parts]
-    )
-    folded = ColumnarRapTree.from_complete_partition(
-        config, los, his, depths, parents, counts
-    )
-    folded.merge_now()
-    folded.compact()
     folded.check_invariants()
-    if config.backend == "columnar":
-        return folded  # type: ignore[return-value]
-    # Object-config shards get the object backend: the columnar view
-    # *is* a linked RapNode tree, and the fold owns both trees.
-    combined = RapTree(config)
-    combined._root = folded.root  # noqa: SLF001 - fold owns it
-    combined._node_count = folded.node_count  # noqa: SLF001 - fold owns it
-    combined._events = folded.events  # noqa: SLF001 - fold owns it
-    combined._scheduler = folded.merge_scheduler  # noqa: SLF001 - fold owns it
-    combined._stats = folded.stats  # noqa: SLF001 - fold owns it
-    combined._generation = folded.mutation_generation  # noqa: SLF001 - fold owns it
-    return combined
+    return folded  # type: ignore[return-value]
+
+
+def _counters(tree: RapTree) -> Iterator[Tuple[int, int, int, int]]:
+    """A tree's nonzero counters as ``(lo, hi, count, depth)``, pre-order."""
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.count:
+            yield node.lo, node.hi, node.count, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def _counter_rows(
@@ -268,57 +213,14 @@ def _counter_rows(
     """A shard's nonzero counters as ``(lo, hi, count, depth)`` arrays."""
     if isinstance(tree, ColumnarRapTree):
         return tree.counter_rows()
-    los: List[int] = []
-    his: List[int] = []
-    counts: List[int] = []
-    depths: List[int] = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.count:
-            los.append(node.lo)
-            his.append(node.hi)
-            counts.append(node.count)
-            depths.append(depth)
-        stack.extend((child, depth + 1) for child in node.children)
+    rows = list(_counters(tree))
+    los, his, counts, depths = zip(*rows) if rows else ((),) * 4
     return (
         np.array(los, dtype=np.uint64),
         np.array(his, dtype=np.uint64),
         np.array(counts, dtype=np.int64),
         np.array(depths, dtype=np.int64),
     )
-
-
-def _partition_cells(
-    lo: np.ndarray, hi: np.ndarray, branching: int, *, root: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``partition_range`` of every ``[lo[i], hi[i]]`` at once.
-
-    Returns the cells' bounds in ``(parent, lo)`` order and each cell's
-    parent row. Cell ``j`` of a width-``w`` range with ``c = min(b, w)``
-    cells starts at ``lo + j * (w // c) + min(j, w % c)``. The root's
-    width can be ``2**64``, which uint64 cannot hold, so the root (one
-    range) goes through ``partition_range`` in Python ints.
-    """
-    if root:
-        cells = partition_range(int(lo[0]), int(hi[0]), branching)
-        return (
-            np.array([cell[0] for cell in cells], dtype=np.uint64),
-            np.array([cell[1] for cell in cells], dtype=np.uint64),
-            np.zeros(len(cells), dtype=np.int64),
-        )
-    width = hi - lo + np.uint64(1)
-    cells_n = np.minimum(width, np.uint64(branching))
-    base = width // cells_n
-    extra = width % cells_n
-    j = np.arange(branching, dtype=np.uint64)[None, :]
-    starts = lo[:, None] + j * base[:, None] + np.minimum(j, extra[:, None])
-    ends = np.empty_like(starts)
-    ends[:, :-1] = starts[:, 1:] - np.uint64(1)
-    ends[np.arange(lo.size), cells_n.astype(np.int64) - 1] = hi
-    valid = j < cells_n[:, None]
-    rows, cols = np.nonzero(valid)
-    return starts[rows, cols], ends[rows, cols], rows.astype(np.int64)
 
 
 def _check_compatible(
@@ -350,17 +252,19 @@ def _check_compatible(
         )
 
 
-def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
-    """Add ``count`` onto the node for exactly ``[lo, hi]``.
+def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> int:
+    """Add ``count`` onto the node for exactly ``[lo, hi]``; its depth.
 
     Descends the deterministic partition from the root, materializing
-    the (at most ``log_b R``) missing siblings along the way; raises if
-    ``[lo, hi]`` is not a valid partition range of the universe (it
-    always is when the source is a compatible RAP tree).
+    the (at most ``log_b R``) missing siblings along the way, to the
+    shallowest node of that range; raises if ``[lo, hi]`` is not a valid
+    partition range of the universe (it always is when the source is a
+    compatible RAP tree).
     """
     node = tree.root
     branching = tree.config.branching
     created = 0
+    depth = 0
     while not (node.lo == lo and node.hi == hi):
         if node.is_leaf:
             for cell in partition_range(node.lo, node.hi, branching):
@@ -382,11 +286,13 @@ def _add_at_range(tree: RapTree, lo: int, hi: int, count: int) -> None:
                     f"[{lo}, {hi}] is not a partition range of this universe"
                 )
         node = child
+        depth += 1
     # Combination deposits a source tree's range weight wholesale; the
     # destination re-establishes conservation once every range lands.
     node.count += count  # noqa: RAP-LINT003 - fold re-establishes conservation
     tree._node_count += created  # noqa: SLF001 - fold owns the new tree
     tree._generation += 1  # noqa: SLF001 - fold owns the new tree
+    return depth
 
 
 def split_stream_profile(

@@ -44,6 +44,8 @@ _loaded: Optional[ctypes.CDLL] = None
 
 # rap_ingest return codes (see _kernel.c).
 K_DONE, K_MERGE, K_GROW, K_BAD, K_OVERFLOW, K_TIMELINE, K_UNCOVERED = range(7)
+# rap_fold error returns.
+F_OFF_PARTITION, F_BELOW_ITEM = -1, -2
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -188,5 +190,11 @@ def load_kernel() -> ctypes.CDLL:
     library.rap_ingest.argtypes = [_PTR] * 3 + [_I64, ctypes.c_int]
     library.rap_bootstrap.restype = ctypes.c_int64
     library.rap_bootstrap.argtypes = [_PTR] * 3 + [_I64] * 2 + [_PTR] * 2
+    library.rap_merge.restype = ctypes.c_int64
+    library.rap_merge.argtypes = [_PTR, ctypes.c_double]
+    library.rap_fold.restype = ctypes.c_int64
+    library.rap_fold.argtypes = (
+        [_PTR] * 5 + [_I64, ctypes.c_double] + [_PTR] * 2
+    )
     _loaded = library
     return library

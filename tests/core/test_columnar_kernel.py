@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree
 from repro.core import native
+from repro.core.combine import combine_by_descent, combine_many
 from repro.runtime import Profiler
 
 STATS_FIELDS = (
@@ -201,10 +202,41 @@ class TestDifferential:
         before = dump_tree(live)
         with pytest.raises(ValueError, match="read-only"):
             attached.add(5)
+        with pytest.raises(ValueError, match="read-only"):
+            attached.merge_now()
         assert dump_tree(live) == before
+        assert attached.stats.merge_batches == 0
+        assert attached.merge_scheduler.batches_fired == (
+            live.merge_scheduler.batches_fired
+        )
         copy = attached.clone()
         copy.add(5)
         assert copy.events == live.events + 1
+
+    def test_merge_frees_slots_in_ascending_order(self):
+        config = RapConfig(2**64, epsilon=0.02, merge_initial_interval=2**40)
+        col = RapTree.from_config(config.with_updates(backend="columnar"))
+        rng = np.random.default_rng(5)
+        col.add_counted_arrays(
+            rng.integers(0, 2**64, size=4000, dtype=np.uint64),
+            rng.integers(1, 50, size=4000, dtype=np.int64),
+        )
+        # Two heavy items raise the merge threshold past the weight of
+        # most subtrees the early splits grew.
+        col.add_counted_arrays(
+            np.array([3, 2**63], dtype=np.uint64),
+            np.array([10**6, 10**6], dtype=np.int64),
+        )
+        size = col._size  # noqa: SLF001
+        was_live = col._live[:size].copy()  # noqa: SLF001
+        top = col._free_top  # noqa: SLF001
+        removed = col.merge_now()
+        freed = col._free_slots[top : col._free_top]  # noqa: SLF001
+        assert removed == freed.size > 100
+        assert np.all(np.diff(freed) > 0)
+        gone = was_live & ~col._live[:size]  # noqa: SLF001
+        assert np.array_equal(freed, np.flatnonzero(gone))
+        col.check_invariants()
 
     def test_event_total_past_int64_raises(self):
         col = RapTree.from_config(RapConfig(2**16, backend="columnar"))
@@ -248,6 +280,21 @@ class TestBuild:
         tree = RapTree.from_config(RapConfig(2**16, backend="object"))
         tree.extend(range(1000))
         assert tree.events == 1000
+
+    def test_object_fold_needs_no_compiler(self, no_compiler):
+        config = RapConfig(2**64, epsilon=0.05, backend="object")
+        shards = []
+        for seed in (1, 2, 3):
+            tree = RapTree.from_config(config)
+            rng = np.random.default_rng(seed)
+            tree.extend(rng.integers(0, 2**64, 800, dtype=np.uint64).tolist())
+            tree.extend([seed] * 300)
+            shards.append(tree)
+        folded = combine_many(shards)
+        assert type(folded) is RapTree
+        folded.check_invariants()
+        assert dump_tree(folded) == dump_tree(combine_by_descent(shards))
+        assert native._loaded is None
 
     def test_default_profiler_fails_typed_without_compiler(self, no_compiler):
         before = shm_segments()

@@ -248,6 +248,16 @@ class TestArrayFoldMatchesDescent:
         )
         assert dump_tree(folded) == dump_tree(reference)
         folded.check_invariants()
+        # Both folds run one merge batch over the same complete
+        # partition (a single shard passes through as itself).
+        for field in ("merge_batches", "nodes_merged", "merge_scan_visits"):
+            assert getattr(folded.stats, field) == getattr(
+                reference.stats, field
+            ), field
+        if len(trees) > 1 and isinstance(folded, ColumnarRapTree):
+            # The compiled fold lays out the survivors only.
+            assert folded._size == folded.node_count  # noqa: SLF001
+            assert folded._free_top == 0  # noqa: SLF001
 
     @given(
         universe=st.sampled_from([u for u in UNIVERSES if u <= 2**64]),
@@ -318,15 +328,18 @@ class TestArrayFoldMatchesDescent:
         clone.check_invariants()
 
     # The two tamper tests edit tree nodes in place, so they pin the
-    # object backend: a columnar tree's nodes are a read-only view
-    # that the fold never reads.
+    # object backend (whose folds go by descent): a columnar tree's
+    # nodes are a read-only view. Each runs both fold entry points;
+    # their columnar twins below edit the columns the compiled fold
+    # reads.
     def test_counter_off_the_partition_is_rejected(self):
         config = RapConfig(range_max=1024, epsilon=0.05, backend="object")
         first = shard_of(config, 7, 500)
         second = shard_of(config, 8, 500)
         second.root.children[0].lo += 1  # no longer a partition cell
-        with pytest.raises(ValueError, match="partition range"):
-            combine_many([first, second])
+        for fold in (combine_many, combine_by_descent):
+            with pytest.raises(ValueError, match="partition range"):
+                fold([first, second])
 
     def test_counter_below_an_item_is_rejected(self):
         config = RapConfig(range_max=1024, epsilon=0.05, backend="object")
@@ -338,49 +351,87 @@ class TestArrayFoldMatchesDescent:
         )
         item.attach_child(RapNode(item.lo, item.hi, count=item.count))
         item.count = 0
+        for fold in (combine_many, combine_by_descent):
+            with pytest.raises(ValueError, match="below an item range"):
+                fold([first, second])
+
+    @staticmethod
+    def _columnar_pair():
+        config = RapConfig(range_max=1024, epsilon=0.05, backend="columnar")
+        return shard_of(config, 7, 500), shard_of(config, 8, 500)
+
+    def test_columnar_counter_off_the_partition_is_rejected(self):
+        first, second = self._columnar_pair()
+        lo, hi, count, depth = second.counter_rows()
+        row = np.flatnonzero((lo < hi) & (depth > 0))[0]
+        slot = np.flatnonzero(
+            (second._los == lo[row]) & (second._depth == depth[row])  # noqa: SLF001
+        )[0]
+        second._los[slot] += np.uint64(1)  # noqa: SLF001 - tamper
+        with pytest.raises(ValueError, match="partition range"):
+            combine_many([first, second])
+
+    def test_columnar_counter_below_an_item_is_rejected(self):
+        first, second = self._columnar_pair()
+        size = second._size  # noqa: SLF001
+        item = np.flatnonzero(
+            (second._los[:size] == second._his[:size])  # noqa: SLF001
+            & (second._counts[:size] > 0)  # noqa: SLF001
+        )[0]
+        second._depth[item] += 1  # noqa: SLF001 - tamper
         with pytest.raises(ValueError, match="below an item range"):
             combine_many([first, second])
 
-    def test_complete_partition_tree_is_valid_before_and_after_merge(self):
+    def test_fold_layout_of_hand_rows(self):
         # Root [0, 15] with all four cells, the second cell expanded
-        # again: the layout the array fold hands to the columnar kernel.
+        # again. Threshold 0.3 * 16 / 2 = 2.4: the complete partition's
+        # 9 nodes prune to the root, [4, 7] (2 of its own plus the
+        # collapsed [7, 7]), [12, 15] and [4, 4].
         config = RapConfig(range_max=16, epsilon=0.3, branching=4)
-        los = np.array([0, 0, 4, 8, 12, 4, 5, 6, 7], dtype=np.uint64)
-        his = np.array([15, 3, 7, 11, 15, 4, 5, 6, 7], dtype=np.uint64)
-        depths = np.array([0, 1, 1, 1, 1, 2, 2, 2, 2])
-        parents = np.array([-1, 0, 0, 0, 0, 2, 2, 2, 2])
-        counts = np.array([1, 0, 2, 0, 3, 9, 0, 0, 1], dtype=np.int64)
-        tree = ColumnarRapTree.from_complete_partition(
-            config, los, his, depths, parents, counts
+        tree = ColumnarRapTree.from_counter_rows(
+            config,
+            np.array([0, 4, 4, 7, 12], dtype=np.uint64),
+            np.array([15, 7, 4, 7, 15], dtype=np.uint64),
+            np.array([1, 2, 9, 1, 3], dtype=np.int64),
+            np.array([0, 1, 2, 2, 1], dtype=np.int64),
         )
-        assert tree.events == 16 and tree.node_count == 9
         tree.check_invariants()
-        tree.merge_now()
-        tree.check_invariants()
-        assert tree.estimate(4, 4) == 9 and tree.total_weight() == 16
+        assert tree._los.tolist() == [0, 4, 12, 4]  # noqa: SLF001
+        assert tree._his.tolist() == [15, 7, 15, 4]  # noqa: SLF001
+        assert tree._counts.tolist() == [1, 3, 3, 9]  # noqa: SLF001
+        assert tree._parents.tolist() == [-1, 0, 0, 1]  # noqa: SLF001
+        assert tree._first_child.tolist() == [1, 3, -1, -1]  # noqa: SLF001
+        assert tree._next_sibling.tolist() == [-1, 2, -1, -1]  # noqa: SLF001
+        assert tree._n_children.tolist() == [2, 1, 0, 0]  # noqa: SLF001
+        assert tree._depth.tolist() == [0, 1, 1, 2]  # noqa: SLF001
+        assert tree._capacity == tree._size == 4  # noqa: SLF001
+        stats = tree.stats
+        assert (stats.merge_batches, stats.nodes_merged) == (1, 5)
+        assert stats.merge_scan_visits == 9
+        assert tree.events == 16 and tree.mutation_generation == 1
 
-    def test_compact_keeps_the_profile(self):
+    def test_tiny_fold_is_valid_before_and_after_merge(self):
         config = RapConfig(
-            range_max=2**64, epsilon=0.02, merge_initial_interval=64,
+            range_max=16, epsilon=0.3, branching=4, merge_initial_interval=4,
             backend="columnar",
         )
-        tree = shard_of(config, 5, 4000)
-        tree.merge_now()
-        assert tree._free_top  # noqa: SLF001 - the merge freed slots
-        twin = tree.clone()
-        tree.compact()
-        assert tree._size == tree.node_count  # noqa: SLF001
-        assert tree._free_top == 0  # noqa: SLF001
-        tree.check_invariants()
-        assert dump_tree(tree) == dump_tree(twin)
-        # Further ingest lands on the same tree as the uncompacted twin.
-        more = shard_of(config, 6, 3000)
-        values = [node.lo for node in more.nodes() if node.lo == node.hi]
-        for target in (tree, twin):
-            target.extend(values * 3)
-            target.merge_now()
-        tree.check_invariants()
-        assert dump_tree(tree) == dump_tree(twin)
+        shards = []
+        for values in ([4] * 9 + [7, 13], [0, 4, 5, 14, 14], [15] * 6):
+            shard = RapTree.from_config(config)
+            shard.extend(values)
+            shards.append(shard)
+        folded = combine_many(shards)
+        assert dump_tree(folded) == dump_tree(combine_by_descent(shards))
+        assert folded.events == 22
+        # The fold's result is a working tree: it grows past its
+        # survivor-sized columns, and merges again.
+        folded.extend([5, 6, 7] * 30 + [4] * 20)
+        folded.check_invariants()
+        folded.merge_now()
+        folded.check_invariants()
+        assert folded.total_weight() == folded.events == 132
+        exact = 9 + 1 + 2 + 90 + 20  # events in [4, 7]
+        assert exact - 0.3 * 132 <= folded.estimate(4, 7) <= exact
 
     def test_fold_result_is_compact(self):
         config = RapConfig(range_max=2**64, epsilon=0.02, backend="columnar")
