@@ -46,10 +46,15 @@ class FixedIntervalScheduler:
 
 
 class ContinuousMergeRap(RapTree):
-    """RAP with (near-)continuous merging for the batching ablation."""
+    """RAP with (near-)continuous merging for the batching ablation.
+
+    A linked tree by inheritance, so its config names the object
+    backend whatever ``config`` says: a fold of these trees follows
+    the config, as for any other tree, and needs no compiler.
+    """
 
     def __init__(self, config: RapConfig, merge_interval: int = 256) -> None:
-        super().__init__(config)
+        super().__init__(config.with_updates(backend="object"))
         self._scheduler = FixedIntervalScheduler(interval=merge_interval)
 
     @property

@@ -508,10 +508,9 @@ class ColumnarRapTree:
 
         Everything :meth:`attach_columns` needs beyond the column
         arrays themselves: slot accounting, event totals and the
-        merge-schedule position. A shard worker sends this dict (plain
-        ints/floats/bools — trivially picklable) alongside its
-        shared-memory segment table; the parent reconstructs an
-        equivalent tree without copying a single column.
+        merge-schedule position, as plain ints and floats (trivially
+        picklable). A lone process-executor shard sends it, through
+        :meth:`compact_columns`, with its compact columns.
         """
         return {
             "capacity": self._capacity,
@@ -533,9 +532,9 @@ class ColumnarRapTree:
     ) -> "ColumnarRapTree":
         """Wrap already-populated column arrays as a read-only tree.
 
-        The process executor's zero-copy fold path: the parent maps a
-        quiesced worker's shared-memory segments as numpy arrays and
-        wraps them here without copying. ``columns`` maps every name in
+        Copies nothing: the parent wraps a lone process-executor
+        shard's compact columns, decoded from its sync reply, then
+        clones them into its snapshot. ``columns`` maps every name in
         ``_ARRAY_COLUMNS + ("_free_slots",)`` to an array of the
         :attr:`COLUMN_DTYPES` dtype; ``state`` is the owning tree's
         :meth:`column_state`. All reads work as usual — estimates,
@@ -636,22 +635,51 @@ class ColumnarRapTree:
         return tree
 
     def counter_rows(
-        self,
+        self, into: Optional[Callable[[int], np.ndarray]] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every nonzero counter as ``(lo, hi, count, depth)`` columns.
 
         Fresh arrays (one fancy-index gather per column), so they stay
         valid after an attached tree's shared memory is unmapped. Dead
         slots hold zero, so the nonzero mask needs no liveness mask.
+        With ``into``, a function of the row count returning a
+        ``(4, n)`` ``uint64`` block, the rows are gathered into that
+        block instead and returned as views of it (``count`` and
+        ``depth`` as ``int64``): a shard worker's sync reply.
         """
         counts = self._counts[: self._size]
         slots = np.flatnonzero(counts)
-        return (
-            self._los[slots],
-            self._his[slots],
-            counts[slots],
-            self._depth[slots],
-        )
+        if into is None:
+            return (
+                self._los[slots],
+                self._his[slots],
+                counts[slots],
+                self._depth[slots],
+            )
+        block = into(slots.size)
+        np.take(self._los, slots, out=block[0])
+        np.take(self._his, slots, out=block[1])
+        np.take(counts, slots, out=block[2].view(np.int64))
+        block[3] = self._depth[slots]
+        return (block[0], block[1], *block[2:].view(np.int64))
+
+    def compact_columns(
+        self,
+    ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+        """Slots ``[0, size)`` of every column, and their state.
+
+        Views, not copies; the state is :meth:`column_state` with the
+        capacity cut to the size, so :meth:`attach_columns` wraps the
+        columns as an equivalent tree. Every allocated slot, free-list
+        slack included, lies below the size.
+        """
+        size = self._size
+        columns = {
+            name: getattr(self, name)[:size] for name in self.COLUMN_DTYPES
+        }
+        state = self.column_state()
+        state["capacity"] = size
+        return columns, state
 
     # ------------------------------------------------------------------
     # Updates (the compiled kernel)

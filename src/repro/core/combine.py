@@ -23,9 +23,12 @@ counter of every shard sits on a cell of the same deterministic b-ary
 partition, so the combined tree before pruning is fixed by the shards'
 ``(lo, hi, count, depth)`` rows alone: a node has children iff some
 deeper row starts inside its range, and then it has *all* of its
-``partition_range`` cells. The fold gathers the rows (straight from
-the columns for columnar shards, shared-memory attachments included;
-one walk for object shards) and sorts them by ``(lo, depth)``. Then
+``partition_range`` cells. So a shard may come as its rows alone
+(:class:`CounterRows`): a process-executor worker sends them with each
+sync reply, and the parent folds them without ever seeing the tree.
+The fold gathers the rows of every tree (straight from the columns for
+columnar shards, one walk for object shards) and sorts them by
+``(lo, depth)``. Then
 each cell's mass is a prefix-sum difference over the sorted rows, and
 a cell survives the final merge batch iff its parent survives and its
 mass exceeds the merge threshold. So the compiled ``rap_fold``
@@ -51,7 +54,15 @@ the test suite checks property by property.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -61,6 +72,36 @@ from .node import RapNode, partition_range
 from .tree import RapTree
 
 _INT64_MAX = 2**63 - 1
+
+
+class CounterRows(NamedTuple):
+    """A shard profile as its nonzero counter rows: a fold input.
+
+    The rows are all a fold reads of a shard, so a shard that lives
+    elsewhere (a process-executor worker) ships these instead of its
+    tree. ``node_count`` is the shard tree's, for accounting; the
+    columns are ``uint64`` ``los``/``his`` and ``int64``
+    ``counts``/``depths``, in any order, so the universe is at most
+    ``2**64``.
+    """
+
+    config: RapConfig
+    events: int
+    node_count: int
+    los: np.ndarray
+    his: np.ndarray
+    counts: np.ndarray
+    depths: np.ndarray
+
+    @classmethod
+    def of(cls, tree: RapTree) -> "CounterRows":
+        """``tree``'s rows (copies; the tree may change afterwards)."""
+        rows = _counter_rows(tree)
+        return cls(tree.config, tree.events, tree.node_count, *rows)
+
+
+#: What :func:`combine_many` folds: shard trees, shard rows, or a mix.
+FoldInput = Union[RapTree, CounterRows]
 
 
 def combine_trees(
@@ -85,7 +126,7 @@ def combine_trees(
 
 
 def combine_many(
-    trees: Iterable[RapTree],
+    trees: Iterable[FoldInput],
     *,
     allow_mismatched_epsilon: bool = False,
 ) -> RapTree:
@@ -93,9 +134,11 @@ def combine_many(
 
     Every shard's counters are gathered once and folded into one fresh
     tree, unlike a pairwise :func:`combine_trees` fold, which would
-    re-copy the accumulated tree per shard. A single tree is returned
+    re-copy the accumulated tree per shard. A shard is a tree or its
+    :class:`CounterRows`. A single tree is returned
     as-is (callers that must not alias the input — e.g. runtime
-    snapshots — should :meth:`~repro.core.tree.RapTree.clone` it).
+    snapshots — should :meth:`~repro.core.tree.RapTree.clone` it); a
+    single :class:`CounterRows` is folded like any other input.
     Otherwise the result is a new tree of the backend the combined
     config names (a :class:`~repro.core.columnar.ColumnarRapTree` for
     ``backend="columnar"``, a linked :class:`RapTree` by
@@ -111,8 +154,8 @@ def combine_many(
     single epsilon for which the bound still reads ``epsilon * n``.
     """
     trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
-    if len(trees) == 1:
-        return trees[0]
+    if _lone_tree(trees):
+        return trees[0]  # type: ignore[return-value]
     total_events = sum(tree.events for tree in trees)
     if (
         config.backend != "columnar"
@@ -124,7 +167,7 @@ def combine_many(
 
 
 def combine_by_descent(
-    trees: Iterable[RapTree],
+    trees: Iterable[FoldInput],
     *,
     allow_mismatched_epsilon: bool = False,
 ) -> RapTree:
@@ -136,14 +179,19 @@ def combine_by_descent(
     compiled fold is tested and benchmarked against.
     """
     trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
-    if len(trees) == 1:
-        return trees[0]
+    if _lone_tree(trees):
+        return trees[0]  # type: ignore[return-value]
     return _fold_by_descent(trees, config)
 
 
+def _lone_tree(trees: Sequence[FoldInput]) -> bool:
+    """Whether the fold's one input is a tree, returned as is."""
+    return len(trees) == 1 and not isinstance(trees[0], CounterRows)
+
+
 def _fold_inputs(
-    trees: Iterable[RapTree], allow_mismatched_epsilon: bool
-) -> Tuple[List[RapTree], RapConfig]:
+    trees: Iterable[FoldInput], allow_mismatched_epsilon: bool
+) -> Tuple[List[FoldInput], RapConfig]:
     """Validate the shards; return them and the combined config."""
     trees = list(trees)
     if not trees:
@@ -160,7 +208,9 @@ def _fold_inputs(
     return trees, config
 
 
-def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
+def _fold_by_descent(
+    trees: Sequence[FoldInput], config: RapConfig
+) -> RapTree:
     combined = RapTree(config)
     total_events = 0
     for source in trees:
@@ -183,7 +233,7 @@ def _fold_by_descent(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
 
 
 # rap: hot
-def _fold_columns(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
+def _fold_columns(trees: Sequence[FoldInput], config: RapConfig) -> RapTree:
     """The compiled fold: gather the rows, then ``rap_fold``."""
     row_lo, row_hi, row_count, row_depth = (
         np.concatenate(column) for column in zip(*map(_counter_rows, trees))
@@ -197,8 +247,17 @@ def _fold_columns(trees: Sequence[RapTree], config: RapConfig) -> RapTree:
     return folded  # type: ignore[return-value]
 
 
-def _counters(tree: RapTree) -> Iterator[Tuple[int, int, int, int]]:
-    """A tree's nonzero counters as ``(lo, hi, count, depth)``, pre-order."""
+def _counters(tree: FoldInput) -> Iterator[Tuple[int, int, int, int]]:
+    """A shard's nonzero counters as ``(lo, hi, count, depth)`` ints:
+    a tree's in pre-order, rows in their own order."""
+    if isinstance(tree, CounterRows):
+        yield from zip(
+            tree.los.tolist(),
+            tree.his.tolist(),
+            tree.counts.tolist(),
+            tree.depths.tolist(),
+        )
+        return
     stack = [(tree.root, 0)]
     while stack:
         node, depth = stack.pop()
@@ -208,9 +267,11 @@ def _counters(tree: RapTree) -> Iterator[Tuple[int, int, int, int]]:
 
 
 def _counter_rows(
-    tree: RapTree,
+    tree: FoldInput,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A shard's nonzero counters as ``(lo, hi, count, depth)`` arrays."""
+    if isinstance(tree, CounterRows):
+        return tree.los, tree.his, tree.counts, tree.depths
     if isinstance(tree, ColumnarRapTree):
         return tree.counter_rows()
     rows = list(_counters(tree))
@@ -224,8 +285,8 @@ def _counter_rows(
 
 
 def _check_compatible(
-    first: RapTree,
-    second: RapTree,
+    first: FoldInput,
+    second: FoldInput,
     *,
     allow_mismatched_epsilon: bool = False,
 ) -> None:

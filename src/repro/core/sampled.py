@@ -39,7 +39,7 @@ class SampledRapTree:
     def __init__(self, config: RapConfig, rate: float, seed: int = 0) -> None:
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {rate}")
-        self._tree = RapTree(config)
+        self._tree = RapTree.from_config(config)
         self.rate = rate
         self._rng = np.random.default_rng(seed)
         self._events_seen = 0

@@ -36,7 +36,7 @@ the dumped stream must already have passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -433,3 +433,114 @@ def decode_frame(buffer: FrameBuffer) -> BinaryFrame:
         counts = data[at:at + span].view(_COUNTS_DTYPE)
         counts.flags.writeable = False
     return BinaryFrame(kind, sequence, values, counts, total)
+
+
+# ----------------------------------------------------------------------
+# Sync blocks (shard worker → parent, after each ``synced`` reply)
+# ----------------------------------------------------------------------
+#
+# At every sync a process-executor worker follows its ``synced`` payload
+# with one raw block on its control pipe (``send_bytes``, never
+# pickled), decoded here as views:
+#
+# * a shard of a multi-shard profile sends its nonzero counter rows,
+#   one C-contiguous ``(4, n)`` little-endian ``uint64`` block whose
+#   rows are ``lo``, ``hi``, ``count`` (int64 bits) and ``depth`` —
+#   the whole input of the snapshot fold;
+# * a lone shard sends its compact columns instead: slots
+#   ``[0, size)`` of every tree column, back to back, widest dtype
+#   first, so a block placed at an 8-byte-aligned address has every
+#   column aligned too.
+#
+# An empty profile sends an empty block of either kind.
+
+ROW_FIELDS = 4
+_ROW_DTYPE = np.dtype("<u8")
+
+
+class BlockBuffer:
+    """Reusable ``uint64`` words a worker gathers its sync block into.
+
+    Grows by doubling and never shrinks, so a worker allocates it a
+    logarithmic number of times over its life, not once per sync.
+    """
+
+    def __init__(self) -> None:
+        self._words = np.empty(0, dtype=_ROW_DTYPE)
+
+    def words(self, count: int) -> np.ndarray:
+        """The first ``count`` words, regrown when too short."""
+        if self._words.size < count:
+            self._words = np.empty(
+                max(count, 2 * self._words.size), dtype=_ROW_DTYPE
+            )
+        return self._words[:count]
+
+    def rows(self, count: int) -> np.ndarray:
+        """A C-contiguous ``(4, count)`` counter-row block."""
+        return self.words(ROW_FIELDS * count).reshape(ROW_FIELDS, count)
+
+
+def decode_counter_rows(
+    data: FrameBuffer,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, count, depth)`` views over a counter-row block.
+
+    ``lo``/``hi`` are ``uint64``, ``count``/``depth`` ``int64``; all
+    four are read-only when ``data`` is ``bytes``. Raises
+    :class:`FrameError` when the block is not whole rows.
+    """
+    words = np.frombuffer(data, dtype=np.uint8)
+    if words.size % (ROW_FIELDS * _ROW_DTYPE.itemsize):
+        raise FrameError(
+            f"counter-row block of {words.size} bytes is not whole "
+            f"{ROW_FIELDS}-word rows"
+        )
+    block = words.view(_ROW_DTYPE).reshape(ROW_FIELDS, -1)
+    return block[0], block[1], block[2].view("<i8"), block[3].view("<i8")
+
+
+def _column_layout(
+    dtypes: Mapping[str, np.dtype],
+) -> List[Tuple[str, np.dtype]]:
+    """Column order in a column block: widest dtype first (stable)."""
+    return sorted(
+        ((name, np.dtype(dtype)) for name, dtype in dtypes.items()),
+        key=lambda item: -item[1].itemsize,
+    )
+
+
+def encode_columns(
+    columns: Mapping[str, np.ndarray], buffer: BlockBuffer
+) -> np.ndarray:
+    """Pack equal-length columns into one ``uint8`` block over ``buffer``."""
+    layout = _column_layout({name: c.dtype for name, c in columns.items()})
+    nbytes = sum(columns[name].nbytes for name, _ in layout)
+    block = buffer.words(-(-nbytes // 8)).view(np.uint8)[:nbytes]
+    at = 0
+    for name, dtype in layout:
+        span = columns[name].nbytes
+        block[at:at + span].view(dtype)[:] = columns[name]
+        at += span
+    return block
+
+
+def decode_columns(
+    data: FrameBuffer, dtypes: Mapping[str, np.dtype], size: int
+) -> Dict[str, np.ndarray]:
+    """Views of the ``size``-slot columns packed by :func:`encode_columns`."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    layout = _column_layout(dtypes)
+    expected = size * sum(dtype.itemsize for _, dtype in layout)
+    if raw.size != expected:
+        raise FrameError(
+            f"column block of {raw.size} bytes; {size} slots need "
+            f"{expected}"
+        )
+    columns: Dict[str, np.ndarray] = {}
+    at = 0
+    for name, dtype in layout:
+        span = size * dtype.itemsize
+        columns[name] = raw[at:at + span].view(dtype)
+        at += span
+    return columns

@@ -18,7 +18,8 @@ a worker *process* fed through a shared-memory ring:
                    every drain() / snapshot() / close()
     snapshot()  =  flush (serial) or sync (process) every shard, then
                    fold the shards' counter rows with ``combine_many``
-                   (array kernels) into one consistent tree
+                   (compiled) into one consistent tree; a worker sends
+                   its rows with every sync reply
 
 The executor is selected uniformly through the config —
 ``RapConfig(executor="serial"|"process", shards=N)`` — with the
@@ -31,8 +32,10 @@ constructor keywords as call-site overrides:
   a tree whose columns live in shared memory (:mod:`repro.runtime.shm`).
   The dispatching thread writes binary counted frames straight into a
   per-shard shared-memory ring (:mod:`repro.runtime.ring`), waiting
-  for space when a ring is full. Snapshots attach the quiesced
-  workers' columns zero-copy and fold them in the parent. A host
+  for space when a ring is full. Each worker answers a sync with its
+  shard's counter rows (a lone shard: its compact columns) as one raw
+  block on its control pipe, and snapshots fold those in the parent,
+  mapping no worker memory. A host
   without usable shared memory for the rings or a worker's columns
   fails ``open()`` with an ``OSError``; nothing falls back.
 
@@ -97,9 +100,14 @@ from typing import (
 import numpy as np
 
 from ..core.config import RapConfig
-from ..core.combine import combine_many
+from ..core.combine import CounterRows, combine_many
 from ..core.hot_ranges import DEFAULT_HOT_FRACTION, HotRange, find_hot_ranges
-from ..core.serialize import FRAME_BATCH, FRAME_CBATCH
+from ..core.serialize import (
+    FRAME_BATCH,
+    FRAME_CBATCH,
+    decode_columns,
+    decode_counter_rows,
+)
 from ..core.native import load_kernel
 from ..core.tree import RapTree
 from .metrics import RuntimeMetrics, ShardMetrics
@@ -111,7 +119,7 @@ from .ring import (
     RingStalled,
     max_frame_events,
 )
-from .shm import ShmArena, ShmAttachment, sweep_prefix
+from .shm import ShmArena, sweep_prefix
 from .window import CombiningWindow
 
 Clock = Callable[[], float]
@@ -537,19 +545,23 @@ class Profiler:
         # necessarily names the columnar kernel.
         from .worker import worker_main
 
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if fork else "spawn")
         try:
             for shard in range(self._shards):
                 parent_conn, worker_conn = ctx.Pipe(duplex=True)
+                # A forked worker inherits the parent end of every pipe
+                # made so far, its own included, and closes them; a
+                # spawned one inherits none.
+                parent_ends = [*self._conns, parent_conn] if fork else []
                 process = ctx.Process(
                     target=worker_main,
                     args=(
                         worker_conn,
+                        parent_ends,
                         self._shard_config,
                         shard,
+                        self._shards == 1,
                         self._shm_prefix,
                         self._ring_tables[shard],
                         self._frame_events,
@@ -644,8 +656,11 @@ class Profiler:
             try:
                 while waited < _EXIT_GRACE:
                     if conn.poll(_POLL_INTERVAL):
-                        if conn.recv()[0] == "bye":
+                        kind = conn.recv()[0]
+                        if kind == "bye":
                             break
+                        if kind == "synced":
+                            conn.recv_bytes()  # an uncollected reply's block
                     elif not process.is_alive():
                         break
                     else:
@@ -833,21 +848,25 @@ class Profiler:
             consumed=consumed,
         )
 
-    def _recv_reply(self, shard: int, expected: str):
-        """Receive one protocol reply, failing fast on a dead worker."""
+    def _receive(self, shard: int, expected: str, raw: bool = False):
+        """Receive one message from a worker (a raw block when ``raw``),
+        failing fast on a dead worker instead of hanging."""
         conn = self._conns[shard]
         process = self._processes[shard]
         while True:
             try:
                 if conn.poll(_POLL_INTERVAL):
-                    reply = conn.recv()
-                    break
+                    return conn.recv_bytes() if raw else conn.recv()
             except (EOFError, OSError):
                 raise self._worker_crashed(
                     shard, f"answering {expected!r}"
                 ) from None
             if not process.is_alive():
                 raise self._worker_crashed(shard, f"answering {expected!r}")
+
+    def _recv_reply(self, shard: int, expected: str):
+        """Receive one protocol reply, failing fast on a dead worker."""
+        reply = self._receive(shard, expected)
         if reply[0] != expected:
             raise RuntimeError(
                 f"shard {shard} worker protocol error: expected "
@@ -862,7 +881,11 @@ class Profiler:
         sync travels *in-band* — a sync frame written behind the
         shard's data frames — so a ``synced`` reply proves the worker
         applied every accepted frame. Worker ingest failures and
-        sanitizer reports ride back on the reply.
+        sanitizer reports ride back on the reply. Each reply is
+        followed by one raw block, the shard's fold input: its counter
+        rows, or a lone shard's compact columns (see
+        :mod:`repro.core.serialize`). It is kept with the payload, so a
+        fold maps no worker memory.
 
         Only a shard with news gets a sync frame: one whose ring
         committed a frame since its last acknowledged sync. A worker's
@@ -895,6 +918,7 @@ class Profiler:
                 ) from None
         for shard, sequence in expected.items():
             payload = self._recv_reply(shard, "synced")
+            payload["block"] = self._receive(shard, "synced", raw=True)
             if payload.get("sync_seq") != sequence:
                 raise RuntimeError(
                     f"shard {shard} worker protocol error: sync reply "
@@ -962,8 +986,8 @@ class Profiler:
         builds the combined tree from the shards' counter rows with
         array kernels into a ``ColumnarRapTree``. The result is
         independent of the live shards (single-shard profiles are
-        cloned; process-executor shards are folded from their attached
-        shared-memory columns) and cached: repeated
+        cloned; process-executor shards are folded from the rows their
+        workers sent at sync) and cached: repeated
         snapshots with no intervening ingest return the same tree
         without a sync round trip or a re-fold. A worker that died
         after the last sync is reported by the next ``drain()`` or
@@ -989,7 +1013,7 @@ class Profiler:
         try:
             if self._executor == "process":
                 epoch = tuple(
-                    int(state["state"]["generation"])  # type: ignore[index]
+                    int(state["generation"])  # type: ignore[index]
                     for state in self._shard_states
                 )
             else:
@@ -1020,46 +1044,43 @@ class Profiler:
                 self._sanitizer.end_fold()
 
     def _fold_process_locked(self) -> RapTree:
-        """Fold synced worker shards from their attached columns.
+        """Fold the synced worker shards from their sync blocks.
 
         Every worker is quiesced (``_sync_workers`` ran under this
-        lock), so each shard's shared-memory columns are attached
-        read-only and wrapped via ``ColumnarRapTree.attach_columns`` —
-        the fold walks them without copying a column. The result is
-        always independent of worker state: a single shard is cloned,
-        multiple shards fold through ``combine_many``, which copies each
-        attached shard's nonzero counter rows out of its columns (no
-        node view, no cover index) and builds fresh heap columns from
-        them. Either way the snapshot is a ``ColumnarRapTree``, so
-        reads of it run on array paths and no column aliases worker
-        memory.
+        lock), and each shard's last reply left its block with its
+        payload, so the fold maps no worker memory. Multiple shards
+        fold their counter rows (decoded as views of the blocks)
+        through ``combine_many``. A lone shard has nothing to fold: its
+        compact columns are wrapped by ``ColumnarRapTree.attach_columns``
+        and cloned, exactly as the serial executor clones its lone
+        tree. Either way the snapshot is a fresh ``ColumnarRapTree``.
         """
-        from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the fold attaches worker column segments; the attach protocol is columnar-only by design
+        from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - a lone shard syncs its columns; the attach protocol is columnar-only by design
 
-        trees: List[RapTree] = []
-        attachments: List[ShmAttachment] = []
-        try:
-            for payload in self._shard_states:
-                assert payload is not None, "fold before first sync"
-                attachment = ShmAttachment(payload["table"])  # type: ignore[arg-type]
-                attachments.append(attachment)
-                trees.append(
-                    ColumnarRapTree.attach_columns(
-                        self._shard_config,
-                        attachment.arrays,
-                        payload["state"],  # type: ignore[arg-type]
-                    )
+        payloads = self._shard_states
+        assert None not in payloads, "fold before first sync"
+        if len(payloads) == 1:
+            (payload,) = payloads
+            state: Dict[str, object] = payload["column_state"]  # type: ignore
+            columns = decode_columns(
+                payload["block"],  # type: ignore[arg-type]
+                ColumnarRapTree.COLUMN_DTYPES,
+                int(state["capacity"]),  # type: ignore[arg-type]
+            )
+            return ColumnarRapTree.attach_columns(
+                self._shard_config, columns, state
+            ).clone()
+        return combine_many(
+            [
+                CounterRows(
+                    self._shard_config,
+                    int(payload["events"]),  # type: ignore[arg-type]
+                    int(payload["node_count"]),  # type: ignore[arg-type]
+                    *decode_counter_rows(payload["block"]),  # type: ignore
                 )
-            if len(trees) == 1:
-                return trees[0].clone()
-            return combine_many(trees)
-        finally:
-            # Attached trees (and their memoryview rebinds) must die
-            # before the mappings close; the fold result never aliases
-            # worker memory.
-            del trees
-            for attachment in attachments:
-                attachment.close()
+                for payload in payloads
+            ]
+        )
 
     def query(self, lo: int, hi: int) -> int:
         """Lower-bound estimate of events in ``[lo, hi]`` (snapshot sugar).

@@ -1,13 +1,21 @@
-"""Shared-memory column arena for the process executor.
+"""Shared-memory arenas for the process executor: rings and columns.
 
-Every :class:`~repro.core.columnar.ColumnarRapTree` column is exactly
-one contiguous numpy array, which is precisely the shape
-``multiprocessing.shared_memory`` hands out: a shard worker builds its
-tree with :class:`ShmArena` as the column allocator, so every column —
-and every ``_grow`` remap — lands in a ``SharedMemory`` segment the
-parent can map by name. Snapshot folds then attach the quiesced
-worker's segments read-only (:class:`ShmAttachment`) and wrap them via
-``ColumnarRapTree.attach_columns`` without copying a single column.
+The parent allocates each shard's frame ring in a :class:`ShmArena`,
+and the worker maps it by name (:class:`ShmAttachment`). Every
+:class:`~repro.core.columnar.ColumnarRapTree` column is exactly one
+contiguous numpy array, which is precisely the shape
+``multiprocessing.shared_memory`` hands out, so a shard worker builds
+its tree with :class:`ShmArena` as the column allocator too and every
+column — and every ``_grow`` remap — lands in a ``SharedMemory``
+segment.
+
+The parent no longer maps the columns: a worker sends its counter rows
+with each sync reply, and snapshots fold those. The columns stay here
+all the same, because it costs less worker memory: in a scratch trial
+heap columns raised perfbench value-reports ``worker_private_mb``
+11–13% (6.08/6.13 → 6.88/6.83 MB), past that metric's 10% bound.
+Moving them off shared memory waits for an allocation shown to be
+memory-neutral.
 
 This module is the **only** place in the package that may touch
 ``multiprocessing.shared_memory`` directly (RAP-LINT024 enforces
@@ -19,9 +27,9 @@ must not be scattered around call sites:
   registered segments when the first process exits — which would tear
   shared columns out from under a still-running sibling and spam
   ``KeyError`` warnings at shutdown. Both sides here unregister
-  immediately and own unlink explicitly: the worker unlinks what it
-  created, the parent sweeps the name prefix as a crash backstop
-  (:func:`sweep_prefix`).
+  immediately and own unlink explicitly: each side unlinks what it
+  created, and the parent sweeps the name prefix as a crash backstop
+  (:func:`sweep_prefix`), as does a worker whose parent died.
 * **Grow is remap, not resize.** POSIX shared memory cannot grow a
   mapping in place portably, so ``_grow`` re-allocates every column
   and copies the live prefix. The arena is a *slab* allocator: each
@@ -37,11 +45,11 @@ must not be scattered around call sites:
   ``segment.buf`` is **not** one — close unmaps immediately and the
   next column read is a segfault, not an exception.
 * **Names are the contract.** Slabs are named ``<prefix>slab-g<n>``;
-  the worker ships the current column table (slab name, dtype,
-  capacity, byte offset) to the parent in its sync frame, and the
-  parent never guesses — except in :func:`sweep_prefix`, which
-  deliberately matches the whole prefix so even slabs orphaned
-  mid-grow by a crash are reclaimed.
+  an arena's :meth:`ShmArena.segment_table` (slab name, dtype,
+  capacity, byte offset per region) is what a peer maps, and nobody
+  guesses a name — except :func:`sweep_prefix`, which deliberately
+  matches the whole prefix so even slabs orphaned mid-grow by a crash
+  are reclaimed.
 """
 
 from __future__ import annotations
@@ -186,8 +194,9 @@ class ShmArena:
     def segment_table(self) -> Dict[str, Tuple[str, str, int, int]]:
         """Current ``column -> (slab name, dtype str, capacity, offset)``.
 
-        Plain strings and ints — the shape that crosses the pipe in a
-        worker's sync frame for :class:`ShmAttachment` to consume.
+        Plain strings and ints — the shape that crosses to the peer
+        process (a ring's table goes to its worker as a start-up
+        argument) for :class:`ShmAttachment` to consume.
         """
         return {
             name: (self._slabs[index].name, dtype.str, capacity, offset)
@@ -245,12 +254,16 @@ class ShmArena:
 
 
 class ShmAttachment:
-    """Parent-side read-only mapping of a worker's segment table.
+    """A peer's mapping of an arena's segment table.
 
-    Attaches each named slab once (columns share slabs) and exposes
-    ``column -> ndarray`` views at their recorded offsets;
-    :meth:`close` drops the mappings (never unlinks — the worker owns
-    segment lifetime while it lives). Callers must drop every
+    A worker maps its shard's ring, allocated by the parent, with one.
+    The parent maps no worker's columns: snapshots fold the counter
+    rows a worker sends with each sync reply instead.
+
+    Attaches each named slab once (regions share slabs) and exposes
+    ``region -> ndarray`` views at their recorded offsets;
+    :meth:`close` drops the mappings (never unlinks — the arena's
+    owner owns segment lifetime while it lives). Callers must drop every
     array/tree reference derived from :attr:`arrays` before closing,
     or the stdlib raises ``BufferError``; close therefore swallows
     that error and leaves such mappings to process exit.

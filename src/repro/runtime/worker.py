@@ -2,10 +2,10 @@
 
 ``worker_main`` is the entry point the process executor spawns once per
 shard. The worker owns a :class:`~repro.core.columnar.ColumnarRapTree`
-whose columns live in a :class:`~repro.runtime.shm.ShmArena` (so the
-parent can attach them zero-copy at fold time), confines it to itself,
-and consumes the partitioned event stream from a shared-memory SPSC
-ring (:class:`~repro.runtime.ring.RingConsumer`) the parent allocated.
+whose columns live in a :class:`~repro.runtime.shm.ShmArena`, confines
+it to itself, and consumes the partitioned event stream from a
+shared-memory SPSC ring (:class:`~repro.runtime.ring.RingConsumer`)
+the parent allocated.
 
 Data frames arrive as binary counted frames (:mod:`repro.core.serialize`),
 decoded as read-only ndarray *views* over ring memory. Frames are
@@ -21,17 +21,22 @@ ingest failure is remembered and surfaced on the next sync.
 Sync frames travel *in-band* through the ring, so they order behind
 every data frame by construction: a sync flushes the combining buffer,
 then the worker replies ``("synced", payload)`` on the control pipe.
-The payload carries the shared-memory segment table, the tree's scalar
-state (:meth:`~repro.core.columnar.ColumnarRapTree.column_state`),
-ingest statistics, the recorded failure (if any), the worker
-sanitizer's report and the sync frame's sequence number.
+The payload carries the tree's generation (the parent's snapshot epoch
+key), ingest statistics, the recorded failure (if any), the worker
+sanitizer's report and the sync frame's sequence number. Exactly one
+raw block follows it (``send_bytes``; format in
+:mod:`repro.core.serialize`), the shard's fold input, gathered into a
+buffer reused across syncs: the nonzero counter rows, or for the
+profile's only shard its compact columns (the payload then carries
+their ``column_state`` too), which the parent clones as the serial
+executor clones its lone tree. The parent never maps the columns.
 
 The duplex control pipe carries only low-rate messages. The worker
-sends ``("ready", None)`` once warmed up, ``("synced", payload)`` per
-sync frame and ``("bye",)`` on the way out. A worker whose columns
-cannot be placed in shared memory sends ``("ready", reason)`` instead
-and exits at once; the parent's ``open()`` turns that into an
-``OSError``. It accepts:
+sends ``("ready", None)`` once warmed up, ``("synced", payload)`` and
+its block per sync frame, and ``("bye",)`` on the way out. A worker
+whose columns cannot be placed in shared memory sends
+``("ready", reason)`` instead and exits at once; the parent's
+``open()`` turns that into an ``OSError``. It accepts:
 
 ``("wake",)``
     Nudge: the producer wrote into an empty ring.
@@ -53,22 +58,31 @@ entirely on the parent side, where the producer blocks on the ring
 itself. Since the worker holds no ring bytes past a push, a producer
 blocked on space always waits on progress the worker can make. If the
 pipe dies (parent crash), the worker cleans up its segments and exits
-— the arena is unlinked on every path out of :func:`worker_main`.
+— the arena is unlinked on every path out of :func:`worker_main` —
+and sweeps the whole session's shared-memory prefix, since no parent
+is left to unlink the rings. A forked worker sees the pipe die only
+because it first closes the parent ends it inherited: a copy kept open
+here would hide the parent's death from every worker.
 """
 
 from __future__ import annotations
 
 import gc
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import RapConfig
 from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
-from ..core.serialize import FRAME_SYNC
+from ..core.serialize import (
+    FRAME_SYNC,
+    ROW_FIELDS,
+    BlockBuffer,
+    encode_columns,
+)
 from .ring import RingConsumer
-from .shm import ShmArena, ShmAttachment
+from .shm import ShmArena, ShmAttachment, sweep_prefix
 from .window import CombiningWindow
 
 # How long the ring consumer parks on the control pipe when the ring is
@@ -110,20 +124,30 @@ def _warm_ingest_path(config: RapConfig) -> None:
 
 def worker_main(
     conn: Any,
+    parent_ends: Sequence[Any],
     config: RapConfig,
     shard_index: int,
+    lone: bool,
     shm_prefix: str,
     ring_table: Dict[str, Tuple[str, str, int, int]],
     frame_events: int,
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
 
-    ``conn`` is the worker end of a duplex pipe; ``config`` is the
-    (epsilon-adjusted) shard tree configuration; ``shm_prefix`` names
-    this worker's shared-memory namespace, where its tree columns live.
+    ``conn`` is the worker end of a duplex pipe; ``parent_ends`` are
+    the parent's ends of every control pipe made so far, which a forked
+    worker inherits and closes at once. ``config`` is the
+    (epsilon-adjusted) shard tree configuration; ``lone`` says this is
+    the profile's only shard, which syncs its compact columns rather
+    than its counter rows. ``shm_prefix`` is the profiler's
+    shared-memory namespace; this worker's tree columns live under it.
     ``ring_table`` is the parent-allocated ring region's segment table;
     ``frame_events`` is the longest frame the parent writes into it.
     """
+    # A copy of a parent end held here would keep the pipe open after
+    # the parent dies, and this worker would never see EOF.
+    for end in parent_ends:
+        end.close()
     # Everything alive now was inherited from the parent (under fork)
     # or built by the import (under spawn), and none of it is this
     # worker's garbage. Freezing it moves it out of the collector's
@@ -169,19 +193,29 @@ def worker_main(
 
     failed: Optional[str] = None
     window = CombiningWindow(frame_events)
+    block = BlockBuffer()
 
-    def sync_payload(sync_seq: int) -> Dict[str, object]:
+    def reply_synced(sync_seq: int) -> None:
         arena.reap_retired()
-        payload = _sync_payload(label, tree, arena, failed, sanitizer)
+        payload = _sync_payload(label, tree, failed, sanitizer)
         payload["sync_seq"] = sync_seq
-        return payload
+        if lone:
+            columns, state = tree.compact_columns()
+            payload["column_state"] = state
+            data = encode_columns(columns, block)
+        else:
+            los = tree.counter_rows(block.rows)[0]
+            data = block.words(ROW_FIELDS * los.size)  # the block just filled
+        conn.send(("synced", payload))
+        conn.send_bytes(data)
 
-    def ring_loop(consumer: RingConsumer) -> None:
+    def ring_loop(consumer: RingConsumer) -> bool:
         # Data and sync frames arrive in-band through the ring; the
         # pipe is polled only when the ring runs empty, and then with a
         # timeout, so a "wake" nudge (or the backstop timeout) gets the
         # worker back onto the ring. Frames are *views* into ring
         # memory: each is released as soon as the window has copied it.
+        # Returns whether the parent is gone (the pipe hit EOF).
         nonlocal failed
         while True:
             frame = consumer.try_next()
@@ -189,7 +223,10 @@ def worker_main(
                 if frame.kind == FRAME_SYNC:
                     consumer.release()
                     failed = _flush(window, tree, failed)
-                    conn.send(("synced", sync_payload(frame.sequence)))
+                    try:
+                        reply_synced(frame.sequence)
+                    except (BrokenPipeError, OSError):
+                        return True
                 else:
                     full = window.push(frame.values, frame.counts)
                     consumer.release()
@@ -201,19 +238,20 @@ def worker_main(
                     continue
                 message = conn.recv()
             except (EOFError, OSError):
-                return
+                return True
             kind = message[0]
             if kind == "wake":
                 continue  # nudge: data is (or was) in the ring
             if kind == "exit":
-                return
+                return False
             else:  # pragma: no cover - protocol bug, not a data path
                 failed = f"unknown worker control {kind!r}"
 
     ring_attachment: Optional[ShmAttachment] = None
+    orphaned = False
     try:
         ring_attachment = ShmAttachment(ring_table)
-        ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
+        orphaned = ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
     finally:
         tree.unconfine()
         # Drop every ndarray/memoryview export over the arena's buffers
@@ -227,6 +265,10 @@ def worker_main(
         arena.close()
         if ring_attachment is not None:
             ring_attachment.close()
+        if orphaned:
+            # No parent is left to unlink its rings or sweep a crashed
+            # sibling's slabs: the whole session's namespace goes.
+            sweep_prefix(shm_prefix)
         try:
             conn.send(("bye",))
         except (BrokenPipeError, OSError):
@@ -257,15 +299,13 @@ def _flush(
 def _sync_payload(
     label: str,
     tree: ColumnarRapTree,
-    arena: ShmArena,
     failed: Optional[str],
     sanitizer: Any,
 ) -> Dict[str, object]:
     stats = tree.stats
     return {
         "label": label,
-        "table": arena.segment_table(),
-        "state": tree.column_state(),
+        "generation": tree.mutation_generation,
         "events": tree.events,
         "node_count": tree.node_count,
         "splits": stats.splits,

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.continuous import ContinuousMergeRap, FixedIntervalScheduler
-from repro.core import RapConfig, RapTree
+from repro.core import RapConfig, RapTree, combine_many, native
 from repro.core.hot_ranges import find_hot_ranges
+
+from tests.core.test_columnar_kernel import no_compiler  # noqa: F401 - fixture
 
 
 class TestFixedIntervalScheduler:
@@ -82,3 +84,15 @@ class TestContinuousMergeRap:
         tree = ContinuousMergeRap(config, merge_interval=32)
         tree.extend(self.stream(3_000))
         tree.check_invariants()
+
+    def test_fold_follows_the_config_without_a_compiler(self, no_compiler):
+        # A linked tree by inheritance: its config says so, and a fold
+        # of such trees goes by descent without loading the kernel.
+        tree = ContinuousMergeRap(RapConfig(range_max=256, epsilon=0.05))
+        for value in range(150):
+            tree.add(value % 7)
+        assert tree.config.backend == "object"
+        folded = combine_many([tree, tree])
+        assert type(folded) is RapTree
+        assert folded.events == 300
+        assert native._loaded is None  # noqa: SLF001 - the kernel stays unloaded

@@ -18,6 +18,7 @@ from repro.core import (
     find_hot_ranges,
 )
 from repro.core.combine import (
+    CounterRows,
     combine_by_descent,
     combine_many,
     combine_trees,
@@ -227,9 +228,12 @@ class TestArrayFoldMatchesDescent:
             min_size=1, max_size=6,
         ),
         mismatched=st.booleans(),
+        heavy=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_dump_is_byte_identical(self, universe, branching, shards, mismatched):
+    def test_dump_is_byte_identical(
+        self, universe, branching, shards, mismatched, heavy
+    ):
         trees = []
         for seed, events, backend, epsilon in shards:
             if universe > 2**64:
@@ -241,12 +245,29 @@ class TestArrayFoldMatchesDescent:
                 merge_initial_interval=64,
                 backend=backend,
             )
-            trees.append(shard_of(config, seed, events))
+            tree = shard_of(config, seed, events)
+            if heavy:
+                # Two such shards take the total past int64: the fold
+                # goes by descent.
+                tree.add(seed % universe, 2**62 + 1)
+            trees.append(tree)
         folded = combine_many(trees, allow_mismatched_epsilon=mismatched)
         reference = combine_by_descent(
             trees, allow_mismatched_epsilon=mismatched
         )
         assert dump_tree(folded) == dump_tree(reference)
+        if universe > 2**64:
+            return  # counter rows hold 64-bit bounds
+        # The same shards as counter rows fold to the same tree; a lone
+        # shard's rows are folded, not passed through.
+        rows = [CounterRows.of(tree) for tree in trees]
+        from_rows = combine_many(rows, allow_mismatched_epsilon=mismatched)
+        assert dump_tree(from_rows) == dump_tree(
+            combine_by_descent(rows, allow_mismatched_epsilon=mismatched)
+        )
+        if len(trees) > 1:
+            assert dump_tree(from_rows) == dump_tree(folded)
+            assert type(from_rows) is type(folded)
         folded.check_invariants()
         # Both folds run one merge batch over the same complete
         # partition (a single shard passes through as itself).

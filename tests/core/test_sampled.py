@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RapConfig
+from repro.core import (
+    ColumnarRapTree,
+    RapConfig,
+    RapTree,
+    combine_many,
+    native,
+)
 from repro.core.sampled import SampledRapTree
+
+from tests.core.test_columnar_kernel import no_compiler  # noqa: F401 - fixture
 
 CONFIG = RapConfig(range_max=2**20, epsilon=0.05)
 
@@ -106,3 +114,19 @@ class TestBounds:
         assert sampled.memory_bytes() == sampled.tree.memory_bytes()
         assert sampled.node_count == sampled.tree.node_count
         assert sampled.config is CONFIG
+
+
+class TestTreeFollowsTheConfig:
+    def test_default_config_samples_into_a_columnar_tree(self):
+        sampled = SampledRapTree(CONFIG, rate=0.5, seed=14)
+        assert type(sampled.tree) is ColumnarRapTree
+
+    def test_object_config_needs_no_compiler(self, no_compiler):
+        config = CONFIG.with_updates(backend="object")
+        sampled = SampledRapTree(config, rate=0.5, seed=15)
+        sampled.feed_array(np.arange(2_000, dtype=np.uint64) % 37)
+        assert type(sampled.tree) is RapTree
+        folded = combine_many([sampled.tree, sampled.tree])
+        assert type(folded) is RapTree
+        assert folded.events == 2 * sampled.events_sampled
+        assert native._loaded is None  # noqa: SLF001 - the kernel stays unloaded

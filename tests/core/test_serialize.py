@@ -1,11 +1,28 @@
-"""Unit tests for the ASCII dump format (Section 3.2)."""
+"""Unit tests for the ASCII dump format (Section 3.2) and the sync blocks."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import RapConfig, RapTree, combine_many, dump_tree, load_tree
-from repro.core.serialize import dump_to_file, load_from_file
+from repro.core import (
+    ColumnarRapTree,
+    RapConfig,
+    RapTree,
+    combine_many,
+    dump_tree,
+    load_tree,
+)
+from repro.core.serialize import (
+    ROW_FIELDS,
+    BlockBuffer,
+    FrameError,
+    decode_columns,
+    decode_counter_rows,
+    dump_to_file,
+    encode_columns,
+    load_from_file,
+)
 
 
 def sample_tree() -> RapTree:
@@ -179,3 +196,74 @@ class TestFiles:
         dump_to_file(tree, path)
         clone = load_from_file(path)
         assert dump_tree(clone) == dump_tree(tree)
+
+
+class TestSyncBlocks:
+    """The raw blocks a shard worker sends after each sync reply."""
+
+    def columnar_tree(self) -> ColumnarRapTree:
+        tree = ColumnarRapTree(RapConfig(range_max=2**64, epsilon=0.05))
+        spread = np.uint64(0x9E3779B97F4A7C15)
+        values = np.arange(3_000, dtype=np.uint64) * spread
+        tree.add_counted_arrays(np.sort(values), np.full(3_000, 2, np.int64))
+        tree.add(2**64 - 1, 2**40)
+        return tree
+
+    def test_counter_rows_round_trip(self):
+        tree = self.columnar_tree()
+        buffer = BlockBuffer()
+        rows = tree.counter_rows(buffer.rows)
+        data = bytes(buffer.words(ROW_FIELDS * rows[0].size))
+        decoded = decode_counter_rows(data)
+        expected = tree.counter_rows()
+        assert [column.dtype for column in decoded] == [
+            np.dtype("<u8"), np.dtype("<u8"), np.dtype("<i8"), np.dtype("<i8"),
+        ]
+        for got, want in zip(decoded, expected):
+            assert np.array_equal(got, want)
+        assert int(decoded[2].sum()) == tree.events
+        assert not decoded[0].flags.writeable  # views of the bytes
+
+    def test_empty_row_block(self):
+        tree = ColumnarRapTree(RapConfig(range_max=256, epsilon=0.05))
+        buffer = BlockBuffer()
+        assert tree.counter_rows(buffer.rows)[0].size == 0
+        decoded = decode_counter_rows(bytes(buffer.words(0)))
+        assert [column.shape for column in decoded] == [(0,)] * ROW_FIELDS
+
+    def test_buffer_is_reused(self):
+        buffer = BlockBuffer()
+        first = buffer.rows(100)
+        assert np.shares_memory(buffer.rows(60), first)
+        assert buffer.rows(60).flags.c_contiguous
+
+    def test_partial_row_is_rejected(self):
+        with pytest.raises(FrameError, match="whole"):
+            decode_counter_rows(bytes(8 * (ROW_FIELDS + 1)))
+
+    def test_compact_columns_round_trip(self):
+        tree = self.columnar_tree()
+        columns, state = tree.compact_columns()
+        data = bytes(encode_columns(columns, BlockBuffer()))
+        decoded = decode_columns(
+            data, ColumnarRapTree.COLUMN_DTYPES, state["capacity"]
+        )
+        for name, column in columns.items():
+            assert decoded[name].dtype == column.dtype
+            assert np.array_equal(decoded[name], column)
+        rebuilt = ColumnarRapTree.attach_columns(tree.config, decoded, state)
+        assert dump_tree(rebuilt.clone()) == dump_tree(tree)
+        with pytest.raises(FrameError, match="slots need"):
+            decode_columns(
+                data[:-1], ColumnarRapTree.COLUMN_DTYPES, state["capacity"]
+            )
+
+    def test_empty_column_block(self):
+        columns = {
+            name: np.zeros(0, dtype)
+            for name, dtype in ColumnarRapTree.COLUMN_DTYPES.items()
+        }
+        data = bytes(encode_columns(columns, BlockBuffer()))
+        assert data == b""
+        decoded = decode_columns(data, ColumnarRapTree.COLUMN_DTYPES, 0)
+        assert set(decoded) == set(ColumnarRapTree.COLUMN_DTYPES)

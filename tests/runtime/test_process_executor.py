@@ -20,6 +20,8 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ import pytest
 from repro.core import ColumnarRapTree, RapConfig, dump_tree, find_hot_ranges
 from repro.runtime import Profiler, WorkerCrashed
 from repro.runtime import profiler as profiler_module
+from repro.runtime.shm import sweep_prefix
 
 from tests.core.test_tree_fastpath import zipf_stream
 
@@ -43,12 +46,21 @@ def process_config(**overrides) -> RapConfig:
     return RapConfig(UNIVERSE, **options)
 
 
-def shm_leftovers() -> list:
+def shm_leftovers(prefix: str = "rap-") -> list:
     try:
         entries = os.listdir("/dev/shm")
     except OSError:
         return []
-    return [entry for entry in entries if entry.startswith("rap-")]
+    return [entry for entry in entries if entry.startswith(prefix)]
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 def assert_no_leaks() -> None:
@@ -132,6 +144,60 @@ class TestLifecycle:
         assert profiler._processes == []  # noqa: SLF001
         assert_no_leaks()
 
+    def test_killed_parent_leaves_no_worker_and_no_segment(self):
+        # A worker notices its parent is gone only when the control pipe
+        # hits EOF, which needs every copy of the parent's end closed;
+        # the orphans then unlink the whole session, rings included.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers inherit the parent's ends only under fork")
+        if not (os.path.isdir("/proc") and os.path.isdir("/dev/shm")):
+            pytest.skip("needs /proc and /dev/shm")
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from repro.core import RapConfig\n"
+            "from repro.runtime import Profiler\n"
+            f"config = RapConfig({UNIVERSE}, epsilon={EPS})\n"
+            "profiler = Profiler(config, shards=2, executor='process')\n"
+            "profiler.open()\n"
+            "profiler.ingest(np.arange(10_000, dtype=np.uint64) % 4_999)\n"
+            "pids = [str(p.pid) for p in profiler._processes]\n"
+            "print(profiler._shm_prefix, *pids, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env=env,
+            start_new_session=True,
+            text=True,
+        )
+        prefix = ""
+        try:
+            # Read one line only: the workers hold the pipe open too.
+            prefix, *pids = child.stdout.readline().split()
+            assert len(pids) == 2 and shm_leftovers(prefix)
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait()
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                alive = [pid for pid in map(int, pids) if running(pid)]
+                if not alive and not shm_leftovers(prefix):
+                    break
+                time.sleep(0.05)
+            assert [pid for pid in map(int, pids) if running(pid)] == []
+            assert shm_leftovers(prefix) == []
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.stdout.close()
+            child.wait()
+            if prefix:
+                sweep_prefix(prefix)
+
     def test_unknown_backpressure_rejected_before_open(self):
         # The ring only blocks: there is no policy knob left to pass,
         # and passing one fails in the constructor, before open() maps
@@ -190,23 +256,24 @@ class TestLifecycle:
 
 class TestColumnarSnapshot:
     def test_two_shard_fold_owns_its_columns(self, monkeypatch):
-        # The fold runs while the workers' segments are attached; check
-        # the result against them there, then read it after close()
+        # The fold reads the counter rows the workers synced; check the
+        # result owns none of their memory, then read it after close()
         # has unlinked every segment.
         real_fold = profiler_module.combine_many
         aliased = []
 
-        def fold(trees):
-            folded = real_fold(trees)
-            names = ColumnarRapTree.COLUMN_DTYPES
-            attached = [
-                getattr(tree, name) for tree in trees for name in names
+        def fold(shards):
+            folded = real_fold(shards)
+            rows = [
+                column
+                for shard in shards
+                for column in shard[3:]  # los, his, counts, depths
             ]
             aliased.append(
                 any(
                     np.shares_memory(getattr(folded, name), column)
-                    for name in names
-                    for column in attached
+                    for name in ColumnarRapTree.COLUMN_DTYPES
+                    for column in rows
                 )
             )
             return folded
@@ -241,6 +308,32 @@ class TestColumnarSnapshot:
         assert dump_tree(snapshot) == dump
         assert [snapshot.estimate(lo, hi) for lo, hi in ranges] == estimates
         assert profiler.hot_ranges() == hot
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_snapshot_maps_no_worker_memory(monkeypatch, shards):
+    # The sync replies carry every shard's fold input, so a snapshot
+    # opens no shared-memory segment by name.
+    from multiprocessing import shared_memory
+
+    opened = []
+
+    class CountingSharedMemory(shared_memory.SharedMemory):
+        def __init__(self, name=None, create=False, size=0):
+            if not create:
+                opened.append(name)
+            super().__init__(name=name, create=create, size=size)
+
+    values = np.arange(20_000, dtype=np.uint64) % 3_001
+    with Profiler.from_config(process_config(shards=shards)) as profiler:
+        monkeypatch.setattr(
+            shared_memory, "SharedMemory", CountingSharedMemory
+        )
+        profiler.ingest(values)
+        snapshot = profiler.snapshot()
+        assert opened == []
+        assert snapshot.events == len(values)
+    assert_no_leaks()
 
 
 def committed(profiler: Profiler) -> list:

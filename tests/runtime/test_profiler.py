@@ -99,13 +99,20 @@ class TestSingleShardPassthrough:
             assert profiler.query(7, 7) >= 10_000 * (1 - 0.05)
             assert profiler.query(8, UNIVERSE - 1) == 0
 
-    def test_snapshot_does_not_alias_the_live_tree(self):
-        with Profiler(config(), shards=1, executor="serial") as profiler:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_snapshot_does_not_alias_the_live_tree(self, executor):
+        with Profiler(config(), shards=1, executor=executor) as profiler:
             profiler.ingest([7] * 100)
             snapshot = profiler.snapshot()
             profiler.ingest([9] * 50)
             assert snapshot.events == 100  # unchanged by later ingest
-            assert profiler.snapshot().events == 150
+            # A writable copy: growing it leaves the profile untouched.
+            for value in range(0, UNIVERSE, 97):
+                snapshot.add(value, 3)
+            snapshot.check_invariants()
+            live = profiler.snapshot()
+            assert live.events == 150
+            assert live.estimate(0, UNIVERSE - 1) == 150
 
 
 class TestSerialIngestion:
