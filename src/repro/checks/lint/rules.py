@@ -709,17 +709,17 @@ class SharedMemoryImportRule(Rule):
 class HotPathPickleRule(Rule):
     code = "RAP-LINT025"
     name = "hot-path-pickle"
-    scope = "runtime/{profiler,worker,ring}.py"
+    scope = "runtime/{profiler,process,worker,ring}.py"
     catches = "pickle imports and dumps/loads calls on the shard data path"
     rationale = (
         "the ring transport's zero-copy contract holds only while the "
         "shard data path never serializes: frames are counted binary "
         "records (repro.core.serialize) written straight into shared "
         "memory and decoded as read-only ndarray views. A pickle-family "
-        "import or a dumps/loads call in the producer (profiler.py), "
-        "the consumer (worker.py) or the ring itself quietly "
-        "reintroduces the per-frame encode/copy the transport was "
-        "built to delete — quietly, because pickled frames decode to "
+        "import or a dumps/loads call in the producer (profiler.py, "
+        "process.py), the consumer (worker.py) or the ring itself "
+        "quietly reintroduces the per-frame encode/copy the transport "
+        "was built to delete — quietly, because pickled frames decode to "
         "the same values, so every result stays correct while the "
         "throughput claim rots"
     )
@@ -734,9 +734,11 @@ class HotPathPickleRule(Rule):
         "pickling happens inside the stdlib, not in these modules"
     )
 
-    #: The zero-copy data path: producer, consumer, and the ring itself.
+    #: The zero-copy data path: producer (the front and the process
+    #: executor that writes its frames), consumer, and the ring itself.
     _hot_paths = (
         "runtime/profiler.py",
+        "runtime/process.py",
         "runtime/worker.py",
         "runtime/ring.py",
     )

@@ -431,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 # deterministic.
                 def _race() -> None:
                     try:
-                        profiler._trees[0].add(0)  # noqa: SLF001 - deliberate fault injection
+                        profiler.shard_trees()[0].add(0)  # deliberate fault injection
                     except RapSanitizerError:
                         pass  # recorded by the sanitizer; reported below
                 intruder = threading.Thread(

@@ -6,15 +6,21 @@ called from online analysis or to post process trace files", Section
 shards of a long run (or different cores / trace files) independently,
 then merge the trees into one summary whose guarantees still hold:
 
-* the combined estimate for a range is at least the sum of the shard
-  estimates (weight only ever moves to *finer* placement, never coarser),
-  so it remains a lower bound on the true combined count;
-* the undercount of the combined tree is at most the sum of the shards'
-  undercounts, i.e. at most ``epsilon * (n1 + ... + nk)`` when all
-  shards ran with the same epsilon. Mismatched epsilons silently void
-  this guarantee, so they are rejected unless explicitly allowed — in
-  which case the result's config records the *largest* shard epsilon,
-  the only value for which the combined bound still holds;
+* the combined estimate for a range never exceeds the true combined
+  count (``test_combined_estimate_still_lower_bound``), and the
+  combined tree keeps every shard's weight
+  (``test_weight_conservation_and_validity``, both in
+  ``tests/core/test_combine.py``);
+* its undercount is *not* bounded by the sum of the shards'
+  undercounts: the final merge batch moves weight to *coarser*
+  placement. Two object trees over ``R = 256`` (ε 0.05, b 4), fed the
+  even and odd values of 40,000 uniform draws (``random.Random(7)``),
+  fold to a tree that undercounts 31,957 of the 32,896 ranges by more
+  than the two shards together, and ``[209, 238]`` by 4,048 against
+  their 2,320, past ``epsilon * n`` = 2,000. ROADMAP item 10 tracks
+  the bound that ships. Mismatched epsilons are rejected unless
+  explicitly allowed — in which case the result's config records the
+  *largest* shard epsilon;
 * memory is re-pruned with a final merge batch, so the result obeys the
   same worst-case bound.
 
@@ -145,13 +151,14 @@ def combine_many(
     :func:`combine_by_descent` for ``"object"`` and for every fold
     above ``2**64``), and it passed ``check_invariants``.
 
-    Error bound: each shard ``i`` undercounts any range by at most
-    ``epsilon_i * n_i``, and the fold deposits every shard counter at
-    its exact range, so the combined tree undercounts by at most the sum
-    ``sum_i(epsilon_i * n_i)``. With equal epsilons that is the familiar
-    ``epsilon * (n_1 + ... + n_k)``; with ``allow_mismatched_epsilon=True``
-    the result's config records ``max_i(epsilon_i)``, the smallest
-    single epsilon for which the bound still reads ``epsilon * n``.
+    Accuracy: the fold deposits every shard counter at its exact
+    range, then runs one merge batch, so the result never overcounts
+    and keeps every shard's weight. That merge batch can move weight
+    to coarser ranges, so the combined undercount is not bounded by
+    ``sum_i(epsilon_i * n_i)`` (a counterexample is in the module
+    docstring; ROADMAP item 10). With
+    ``allow_mismatched_epsilon=True`` the result's config records
+    ``max_i(epsilon_i)``.
     """
     trees, config = _fold_inputs(trees, allow_mismatched_epsilon)
     if _lone_tree(trees):

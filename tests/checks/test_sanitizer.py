@@ -64,7 +64,7 @@ class TestConfinementViolations:
 
             def intrude() -> None:
                 try:
-                    profiler._trees[0].add(1)  # noqa: SLF001 - fault injection
+                    profiler.shard_trees()[0].add(1)  # fault injection
                 except RapSanitizerError as error:
                     caught.append(error)
 
@@ -84,7 +84,7 @@ class TestConfinementViolations:
 
             def intrude() -> None:
                 with pytest.raises(RapSanitizerError):
-                    profiler._trees[0].add(1)  # noqa: SLF001 - fault injection
+                    profiler.shard_trees()[0].add(1)  # fault injection
 
             intruder = threading.Thread(target=intrude)
             intruder.start()

@@ -102,9 +102,9 @@ class TestLifecycle:
         # The first shard's ring arena is created for real, the second
         # fails: open() must unlink the first, spawn no worker and
         # surface the OSError instead of downgrading to another path.
-        from repro.runtime import profiler as profiler_module
+        from repro.runtime import process as process_module
 
-        real_arena = profiler_module.ShmArena
+        real_arena = process_module.ShmArena
         created = []
 
         def flaky_arena(prefix):
@@ -113,13 +113,13 @@ class TestLifecycle:
             created.append(real_arena(prefix))
             return created[-1]
 
-        monkeypatch.setattr(profiler_module, "ShmArena", flaky_arena)
+        monkeypatch.setattr(process_module, "ShmArena", flaky_arena)
         profiler = Profiler.from_config(process_config())
         with pytest.raises(OSError, match="executor='serial'") as excinfo:
             profiler.open()
         assert "shared memory disabled" in str(excinfo.value.__cause__)
         assert len(created) == 1
-        assert profiler._processes == []  # noqa: SLF001
+        assert profiler._executor._processes == []  # noqa: SLF001
         assert_no_leaks()
 
     def test_worker_arena_failure_fails_open_typed(self, monkeypatch):
@@ -141,7 +141,7 @@ class TestLifecycle:
             profiler.open()
         message = str(excinfo.value)
         assert "shard 0" in message and "shared memory disabled" in message
-        assert profiler._processes == []  # noqa: SLF001
+        assert profiler._executor._processes == []  # noqa: SLF001
         assert_no_leaks()
 
     def test_killed_parent_leaves_no_worker_and_no_segment(self):
@@ -161,8 +161,8 @@ class TestLifecycle:
             "profiler = Profiler(config, shards=2, executor='process')\n"
             "profiler.open()\n"
             "profiler.ingest(np.arange(10_000, dtype=np.uint64) % 4_999)\n"
-            "pids = [str(p.pid) for p in profiler._processes]\n"
-            "print(profiler._shm_prefix, *pids, flush=True)\n"
+            "pids = [str(p.pid) for p in profiler._executor._processes]\n"
+            "print(profiler._executor._shm_prefix, *pids, flush=True)\n"
             "time.sleep(60)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -225,6 +225,34 @@ class TestLifecycle:
         assert len(metrics.shards) == 4
         assert all(shard.node_count > 0 for shard in metrics.shards)
         assert_no_leaks()
+
+    def test_transport_metrics_survive_close(self):
+        # A minimum ring holds ~1 KiB of frames; 20,000 uint64 values
+        # over 2 shards push ~80 KiB through each, wrapping it many
+        # times. close() unmaps the rings, so the post-close reading
+        # comes from the counters kept at teardown.
+        from repro.runtime import MIN_RING_BYTES
+
+        transport = ("transport_stalls", "transport_stall_s", "ring_peak_bytes")
+        profiler = Profiler.from_config(
+            process_config(shards=2),
+            ring_bytes=MIN_RING_BYTES,
+            batch_size=256,
+            clock=time.perf_counter,
+        ).open()
+        try:
+            profiler.ingest(np.arange(20_000, dtype=np.uint64) % 15_000)
+            profiler.drain()
+            before = profiler.metrics
+        finally:
+            profiler.close()
+        after = profiler.metrics
+        assert_no_leaks()
+        assert after.events == before.events == 20_000
+        for pre, post in zip(before.shards, after.shards):
+            assert pre.ring_peak_bytes > 0
+            for name in transport:
+                assert getattr(post, name) >= getattr(pre, name)
 
     def test_shard_trees_are_not_reachable(self):
         with Profiler.from_config(process_config()) as profiler:
@@ -338,7 +366,7 @@ def test_snapshot_maps_no_worker_memory(monkeypatch, shards):
 
 def committed(profiler: Profiler) -> list:
     """Frames each shard's ring has committed (data and sync alike)."""
-    return [ring.committed_frames for ring in profiler._rings]  # noqa: SLF001 - the sync rule is observable only on the rings
+    return [ring.committed_frames for ring in profiler._executor._rings]  # noqa: SLF001 - the sync rule is observable only on the rings
 
 
 def values_on_shard(profiler: Profiler, shard: int, count: int) -> list:
@@ -394,9 +422,9 @@ class TestCrashedWorker:
     """A killed worker is a diagnosable error, never a hang."""
 
     def _kill_shard(self, profiler: Profiler, shard: int) -> None:
-        os.kill(profiler._processes[shard].pid, signal.SIGKILL)  # noqa: SLF001 - crash injection needs the real pid
+        os.kill(profiler._executor._processes[shard].pid, signal.SIGKILL)  # noqa: SLF001 - crash injection needs the real pid
         deadline = time.monotonic() + 10.0
-        while profiler._processes[shard].is_alive():  # noqa: SLF001
+        while profiler._executor._processes[shard].is_alive():  # noqa: SLF001
             if time.monotonic() > deadline:  # pragma: no cover
                 pytest.fail("killed worker still alive")
             time.sleep(0.01)
