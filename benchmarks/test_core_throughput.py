@@ -142,9 +142,10 @@ def test_wide_universe_value_profiling(benchmark, value_stream):
 def test_hot_range_extraction(benchmark, backend, value_stream):
     """Hot-range fold over a settled profile, per backend.
 
-    The columnar lineage times the level-kernel fast path
-    (``_hot_range_rows``); the object lineage times the reference
-    post-order walk. Both must return the identical ranges.
+    The columnar lineage times the compiled post-order walk over the
+    sibling chains (``rap_hot``, behind ``_hot_range_rows``); the object
+    lineage times the reference walk. Both must return the identical
+    ranges.
     """
     tree = RapTree.from_config(
         RapConfig(

@@ -14,10 +14,14 @@
  * rap_bootstrap builds a fresh tree's first frame offline (the cold-start
  * bulk build of ColumnarRapTree.bootstrap_counted_arrays), rap_merge is
  * RapTree.merge_now's post-order pass, and rap_fold lays out the pruned
- * snapshot fold of shard counter rows (combine.py's _fold_columns).
+ * snapshot fold of shard counter rows (combine.py's _fold_columns). The
+ * report path's two walks follow: rap_check (check_invariants) and
+ * rap_hot (find_hot_ranges' post-order walk).
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef __int128 i128;
 typedef unsigned __int128 u128;
@@ -659,4 +663,200 @@ int64_t rap_fold(rap_tree *t, const uint64_t *los, const uint64_t *his,
     t->node_count = t->size;
     t->free_top = 0;
     return t->size;
+}
+
+/* ---- Report path --------------------------------------------------- */
+
+/* rap_check's findings, in the order it checks them (native.py's
+ * CHECK_MESSAGES holds the message for each). */
+enum { C_OK = 0, C_CAPACITY, C_NODE_COUNT, C_ROOT_DEAD, C_FREE_RANGE,
+       C_FREE_DUP, C_FREE_LIVE, C_ACCOUNTING, C_FREE_DIRTY, C_NEGATIVE,
+       C_WEIGHT, C_EMPTY, C_ROOT, C_PARENT, C_DEPTH, C_CHAIN,
+       C_N_CHILDREN, C_OVERLAP, C_ROOT_CELL, C_CELL, C_NO_MEMORY };
+
+/* Whether [lo, hi] is a partition cell of the splittable range
+ * [plo, phi]: the cell formula (the first `extra` cells are base + 1
+ * wide) inverted at lo, then re-applied. Deliberately not cells_of,
+ * the code that made the cells. */
+static int is_cell(const rap_tree *t, uint64_t plo, uint64_t phi,
+                   uint64_t lo, uint64_t hi)
+{
+    if (phi <= plo || lo < plo) return 0;
+    u128 width = (u128)phi - plo + 1;
+    u128 n = width < (u128)t->branching ? width : (u128)t->branching;
+    u128 base = width / n, extra = width % n;
+    u128 offset = (u128)lo - plo, wide = extra * (base + 1);
+    u128 cell = offset < wide ? offset / (base + 1)
+                              : extra + (offset - wide) / base;
+    u128 start = plo + cell * base + (cell < extra ? cell : extra);
+    u128 end = start + base - (cell >= extra);
+    return cell < n && start == lo && end == hi;
+}
+
+#define FAIL(code, where) do { *at = (where); return (code); } while (0)
+
+/* rap_check's passes; kids[size] is zeroed scratch. Every index read
+ * from a column is range-checked before it is used, and each chain
+ * walk stops after the children that name its parent. */
+static int check_tree(const rap_tree *t, int64_t *kids, int64_t *at)
+{
+    int64_t size = t->size, top = t->free_top, live_n = 0;
+    const int32_t *stack = t->free_slots, *parents = t->parents;
+    const int32_t *first = t->first_child, *next = t->next_sibling;
+    const uint64_t *los = t->los, *his = t->his;
+    const uint8_t *live = t->live;
+    for (int64_t s = 0; s < size; s++) live_n += live[s] != 0;
+    if (live_n != t->node_count) FAIL(C_NODE_COUNT, live_n);
+    if (!size || !live[0]) FAIL(C_ROOT_DEAD, 0);
+
+    /* Slot accounting: the free stack holds exactly the dead slots,
+     * each restored to the allocation defaults a split relies on. */
+    for (int64_t i = 0; i < top; i++)
+        if (stack[i] < 0 || stack[i] >= size) FAIL(C_FREE_RANGE, i);
+    for (int64_t i = 0; i < top; i++) {
+        if (kids[stack[i]]) FAIL(C_FREE_DUP, stack[i]);
+        kids[stack[i]] = 1;
+    }
+    for (int64_t i = 0; i < top; i++)
+        if (live[stack[i]]) FAIL(C_FREE_LIVE, stack[i]);
+    if (top + live_n != size) FAIL(C_ACCOUNTING, NO_SLOT);
+    for (int64_t i = 0; i < top; i++) {
+        int64_t s = stack[i];
+        if (t->counts[s] || first[s] != NO_SLOT || t->n_children[s])
+            FAIL(C_FREE_DIRTY, s);
+    }
+
+    /* Counts: non-negative, summed exactly to the event total. */
+    i128 weight = 0;
+    for (int64_t s = 0; s < size; s++) {
+        if (!live[s]) continue;
+        if (t->counts[s] < 0) FAIL(C_NEGATIVE, s);
+        weight += t->counts[s];
+    }
+    if (weight != t->events) FAIL(C_WEIGHT, NO_SLOT);
+    for (int64_t s = 0; s < size; s++)
+        if (live[s] && los[s] > his[s]) FAIL(C_EMPTY, s);
+
+    /* Pointers: every non-root live slot hangs one level below a live
+     * parent, so the parent graph is a tree rooted at slot 0. */
+    if (los[0] != 0 || his[0] != t->root_hi || t->depth[0] != 0
+        || parents[0] != NO_SLOT)
+        FAIL(C_ROOT, 0);
+    memset(kids, 0, (size_t)size * sizeof *kids);
+    for (int64_t s = 1; s < size; s++) {
+        if (!live[s]) continue;
+        int64_t p = parents[s];
+        if (p < 0 || p >= size || !live[p]) FAIL(C_PARENT, s);
+        kids[p]++;
+    }
+    for (int64_t s = 1; s < size; s++)
+        if (live[s] && t->depth[s] != (int64_t)t->depth[parents[s]] + 1)
+            FAIL(C_DEPTH, s);
+
+    /* Chains: slot p's chain is its kids[p] children, strictly
+     * ascending in (lo, slot), then the end; so every live slot is on
+     * exactly one chain, its parent's. */
+    if (next[0] != NO_SLOT) FAIL(C_CHAIN, 0);
+    for (int64_t p = 0; p < size; p++) {
+        if (!live[p]) continue;
+        int64_t kid = first[p], prev = NO_SLOT;
+        for (int64_t k = 0; k < kids[p]; k++) {
+            if (kid < 0 || kid >= size || !live[kid] || parents[kid] != p
+                || (prev != NO_SLOT
+                    && (los[prev] > los[kid]
+                        || (los[prev] == los[kid] && prev > kid))))
+                FAIL(C_CHAIN, p);
+            prev = kid;
+            kid = next[kid];
+        }
+        if (kid != NO_SLOT) FAIL(C_CHAIN, p);
+    }
+    for (int64_t p = 0; p < size; p++)
+        if (live[p] && t->n_children[p] != kids[p]) FAIL(C_N_CHILDREN, p);
+
+    /* Geometry: siblings sorted and disjoint; each child one of its
+     * parent's partition cells, the root's first. */
+    for (int64_t p = 0; p < size; p++) {
+        if (!live[p]) continue;
+        for (int64_t kid = first[p]; kid != NO_SLOT && next[kid] != NO_SLOT;
+             kid = next[kid])
+            if (his[kid] >= los[next[kid]]) FAIL(C_OVERLAP, next[kid]);
+    }
+    for (int64_t p = 0; p < size; p++) {
+        if (!live[p]) continue;
+        for (int64_t kid = first[p]; kid != NO_SLOT; kid = next[kid])
+            if (!is_cell(t, los[p], his[p], los[kid], his[kid]))
+                FAIL(p ? C_CELL : C_ROOT_CELL, kid);
+    }
+    return C_OK;
+}
+
+/*
+ * ColumnarRapTree.check_invariants: returns C_OK, or the first broken
+ * invariant's C_ code with the slot (or free stack entry) it found in
+ * *at. Reads columns that may be corrupt: indices are range-checked and
+ * the walks are bounded, so a bad tree costs O(size) and no stray read.
+ */
+int rap_check(const rap_tree *t, int64_t *at)
+{
+    *at = NO_SLOT;
+    if (t->size < 0 || t->size > t->capacity || t->free_top < 0
+        || t->free_top > t->capacity)
+        return C_CAPACITY;
+    int64_t *kids = calloc((size_t)t->size + 1, sizeof *kids);
+    if (!kids) return C_NO_MEMORY;
+    int code = check_tree(t, kids, at);
+    free(kids);
+    return code;
+}
+
+/* Deepest walk rap_hot follows: a 2**64 universe split in two is 65
+ * levels deep. */
+#define HOT_DEPTH 66
+
+/*
+ * find_hot_ranges' post-order walk (hot_ranges._walk) over the sibling
+ * chains, in any slot layout: a node's inclusive weight is its subtree's,
+ * its exclusive weight folds in only the children at or below cut_m1
+ * (ceil(cutoff) - 1), and a node whose exclusive weight passes cut_m1
+ * is hot. Writes the hot nodes as (slot, exclusive, inclusive, depth)
+ * rows to out (room for t->size rows), in the order the reference walk
+ * appends them, and returns their count; -1 when the size passes the
+ * capacity, or the chains reach past the slots, visit more than t->size
+ * slots or nest past HOT_DEPTH.
+ */
+int64_t rap_hot(const rap_tree *t, int64_t cut_m1, int64_t *out)
+{
+    struct { int64_t slot, kid, exclusive, inclusive; } stack[HOT_DEPTH];
+    int64_t top = 0, found = 0, visits = 1;
+    if (t->size < 1 || t->size > t->capacity) return -1;
+    stack[0].slot = 0;
+    stack[0].kid = t->first_child[0];
+    stack[0].exclusive = stack[0].inclusive = t->counts[0];
+    for (;;) {
+        int64_t kid = stack[top].kid;
+        if (kid != NO_SLOT) {
+            if (kid < 0 || kid >= t->size || ++visits > t->size
+                || top + 1 == HOT_DEPTH)
+                return -1;
+            stack[top].kid = t->next_sibling[kid];
+            top++;
+            stack[top].slot = kid;
+            stack[top].kid = t->first_child[kid];
+            stack[top].exclusive = stack[top].inclusive = t->counts[kid];
+            continue;
+        }
+        int64_t exclusive = stack[top].exclusive;
+        if (exclusive > cut_m1) {
+            out[4 * found] = stack[top].slot;
+            out[4 * found + 1] = exclusive;
+            out[4 * found + 2] = stack[top].inclusive;
+            out[4 * found + 3] = top;
+            found++;
+        }
+        if (!top) return found;
+        stack[top - 1].inclusive += stack[top].inclusive;
+        if (exclusive <= cut_m1) stack[top - 1].exclusive += exclusive;
+        top--;
+    }
 }

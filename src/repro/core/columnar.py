@@ -14,7 +14,7 @@ column                    dtype         meaning
 ``_first_child``          int32         head of the sorted sibling chain
 ``_next_sibling``         int32         next sibling in ``lo`` order
 ``_n_children``           int32         chain length (avoids walks)
-``_depth``                int32         node depth (root 0; level kernels)
+``_depth``                int32         node depth (root 0)
 ``_live``                 bool          slot is an allocated node
 ``_free_slots``           int32         free stack (``_free_top`` entries)
 ========================  ============  ===================================
@@ -55,10 +55,12 @@ finger) in its ``KernelState`` struct; the ``_size``/``_events``/...
 attributes read and write it. A fresh tree's first frame may instead
 take the cold-start bulk build, one compiled breadth-first pass
 (:meth:`~ColumnarRapTree.bootstrap_counted_arrays`). The merge pass
-(:meth:`~ColumnarRapTree.merge_now`, ``rap_merge``) and the snapshot
+(:meth:`~ColumnarRapTree.merge_now`, ``rap_merge``), the snapshot
 fold's layout (:meth:`~ColumnarRapTree.from_counter_rows`,
-``rap_fold``) are compiled too; estimates, hot ranges and
-``check_invariants`` stay numpy passes.
+``rap_fold``), the structural check (:meth:`check_invariants`,
+``rap_check``) and the hot-range walk (``rap_hot``) are compiled too;
+the report path's compiled passes follow the sibling chains, so they
+serve any slot layout. Estimates stay numpy passes.
 
 Construct through ``RapTree.from_config(RapConfig(backend="columnar"))``
 — importing this module's internals elsewhere is flagged by RAP-LINT012.
@@ -89,6 +91,12 @@ import numpy as np
 
 from .config import MergeScheduler, RapConfig
 from .native import (
+    C_CELL,
+    C_NO_MEMORY,
+    C_OK,
+    C_ROOT_CELL,
+    C_WEIGHT,
+    CHECK_MESSAGES,
     F_BELOW_ITEM,
     F_OFF_PARTITION,
     K_BAD,
@@ -101,7 +109,7 @@ from .native import (
     KernelState,
     load_kernel,
 )
-from .node import RapNode, partition_range
+from .node import RapNode
 from .stats import TreeStats
 
 _NO_SLOT = -1
@@ -109,8 +117,6 @@ _INITIAL_CAPACITY = 64
 # Timeline samples the kernel buffers before handing them to TreeStats.
 _TIMELINE_BUFFER = 64
 
-# 32-bit split for exact int64 sums (check_invariants).
-_LOW32 = (1 << 32) - 1
 _INT64_MAX = 2**63 - 1
 _UINT64_MAX = 2**64 - 1
 
@@ -190,9 +196,9 @@ class ColumnarRapTree:
     :class:`~repro.core.node.RapNode` view of the columns (cached per
     mutation generation) so serialization and auditing treat both
     backends identically. Mutating the view does not affect the tree.
-    The compiled kernel (updates, bootstrap, merge, fold layout),
-    estimates, hot ranges and ``check_invariants`` read the columns
-    directly and never build the view.
+    The compiled kernel (updates, bootstrap, merge, fold layout, the
+    structural check and the hot-range walk) and the estimates read
+    the columns directly and never build the view.
     """
 
     #: dtype of every slot column plus the free stack, in
@@ -227,23 +233,7 @@ class ColumnarRapTree:
             Callable[[str, np.dtype, int], np.ndarray]
         ] = None,
     ) -> None:
-        if config.range_max - 1 > _UINT64_MAX:
-            raise ValueError(
-                "the columnar backend holds ranges in uint64: range_max "
-                f"must be at most 2**64, got {config.range_max}"
-            )
-        # Fail construction, not the first update, without a kernel.
-        load_kernel()
-        self._kstate = KernelState()
-        self._kstate_at = ctypes.addressof(self._kstate)
-        self._config = config
-        # Optional column allocator hook: ``allocator(name, dtype,
-        # capacity)`` returns a zero-filled 1-D array of exactly
-        # ``capacity`` elements. The process-executor runtime passes the
-        # shared-memory arena's allocator so every column (and every
-        # ``_grow`` remap) lands in a SharedMemory block the parent can
-        # attach; ``None`` keeps plain heap-backed numpy arrays.
-        self._allocator = allocator
+        self._setup(config, allocator)
         capacity = _INITIAL_CAPACITY
         self._capacity = capacity
         for name in _ARRAY_COLUMNS + ("_free_slots",):
@@ -261,18 +251,53 @@ class ColumnarRapTree:
         self._first_child.fill(_NO_SLOT)
         self._live.fill(True)
         self._rebind_views()
-        self._root_hi = config.range_max - 1
         # The root: slot 0, never anyone's child.
         self._his[0] = self._root_hi
         self._parents[0] = _NO_SLOT
         self._next_sibling[0] = _NO_SLOT
         self._size = 1
-        self._free_top = 0
         self._node_count = 1
-        self._events = 0
-        # The kernel's finger (same role as RapTree's ``_cached_node``);
-        # reset to the root after merges recycle slots.
-        self._cached_slot = 0
+
+    @classmethod
+    def _bare(cls, config: RapConfig) -> "ColumnarRapTree":
+        """A heap-backed tree with its scalar state and no columns.
+
+        For :meth:`clone`, :meth:`attach_columns` and
+        :meth:`from_counter_rows`, which size the columns themselves:
+        the caller sets every column, ``_capacity`` and the slot
+        accounting, then calls :meth:`_rebind_views`.
+        """
+        tree = cls.__new__(cls)
+        tree._setup(config, None)
+        return tree
+
+    def _setup(
+        self,
+        config: RapConfig,
+        allocator: Optional[Callable[[str, np.dtype, int], np.ndarray]],
+    ) -> None:
+        """Everything but the columns: the kernel state (slot accounting
+        zeroed), the merge schedule and the statistics."""
+        if config.range_max - 1 > _UINT64_MAX:
+            raise ValueError(
+                "the columnar backend holds ranges in uint64: range_max "
+                f"must be at most 2**64, got {config.range_max}"
+            )
+        # Fail construction, not the first update, without a kernel.
+        load_kernel()
+        # Zeroed: no slots, no events, and the kernel's finger (the
+        # role of RapTree's ``_cached_node``) on the root slot.
+        self._kstate = KernelState()
+        self._kstate_at = ctypes.addressof(self._kstate)
+        self._config = config
+        # Optional column allocator hook: ``allocator(name, dtype,
+        # capacity)`` returns a zero-filled 1-D array of exactly
+        # ``capacity`` elements. The process-executor runtime passes the
+        # shared-memory arena's allocator so every column (and every
+        # ``_grow`` remap) lands in a SharedMemory block the parent can
+        # attach; ``None`` keeps plain heap-backed numpy arrays.
+        self._allocator = allocator
+        self._root_hi = config.range_max - 1
         kstate = self._kstate
         kstate.root_hi = self._root_hi
         kstate.branching = config.branching
@@ -289,10 +314,12 @@ class ColumnarRapTree:
         self._next_audit = config.audit_every
         self._generation = 0
         self._confined_ident: Optional[Tuple[int, int]] = None
-        # Timeline samples buffered by the kernel, (events, nodes) pairs.
-        self._timeline = np.zeros(2 * _TIMELINE_BUFFER, dtype=np.int64)
-        kstate.timeline = self._timeline.ctypes.data
-        kstate.timeline_cap = _TIMELINE_BUFFER
+        if config.timeline_sample_every > 0:
+            # Timeline samples buffered by the kernel, (events, nodes)
+            # pairs; the kernel touches the buffer only when sampling.
+            self._timeline = np.zeros(2 * _TIMELINE_BUFFER, dtype=np.int64)
+            kstate.timeline = self._timeline.ctypes.data
+            kstate.timeline_cap = _TIMELINE_BUFFER
         # One-item arguments for add().
         self._one_value = ctypes.c_uint64()
         self._one_count = ctypes.c_int64()
@@ -489,7 +516,7 @@ class ColumnarRapTree:
         confined shard tree can be cloned by the fold coordinator while
         the owning worker is quiesced.
         """
-        other = ColumnarRapTree(self._config)
+        other = self._bare(self._config)
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             setattr(other, name, getattr(self, name).copy())
         other._capacity = self._capacity
@@ -544,7 +571,7 @@ class ColumnarRapTree:
         an accidental mutation of live worker state raises immediately
         instead of corrupting the shard.
         """
-        tree = cls(config)
+        tree = cls._bare(config)
         capacity = int(state["capacity"])
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             arr = np.asarray(columns[name])
@@ -565,9 +592,6 @@ class ColumnarRapTree:
         tree._scheduler.next_at = float(state["next_at"])
         tree._scheduler.batches_fired = int(state["batches_fired"])
         tree._generation = int(state["generation"])
-        tree._cached_slot = 0
-        tree._view_root = None
-        tree._view_generation = -1
         tree._rebind_views()
         return tree
 
@@ -597,7 +621,7 @@ class ColumnarRapTree:
             los.shape == his.shape == counts.shape == depths.shape
         ):
             raise ValueError("counter rows must be matching 1-D arrays")
-        tree = cls(config)
+        tree = cls._bare(config)
         order = np.lexsort((depths, los))
         los = np.ascontiguousarray(los[order], dtype=np.uint64)
         his = np.ascontiguousarray(his[order], dtype=np.uint64)
@@ -1157,72 +1181,30 @@ class ColumnarRapTree:
     ) -> List[Tuple[int, int, int, int, int]]:
         """Hot nodes as ``(lo, hi, exclusive, inclusive, depth)`` rows.
 
-        The vectorized port of :func:`repro.core.hot_ranges.find_hot_ranges`'
-        post-order walk: inclusive weights are plain subtree sums;
-        exclusive weights fold in only the children that are themselves
-        below the cutoff, accumulated level by level. The float cutoff
-        is compared on the integer side (``e < cutoff`` iff
-        ``e <= ceil(cutoff) - 1`` for integral ``e``), matching the
-        reference's exact int-float comparisons.
-
-        Rows are ordered exactly as the reference walk appends them —
-        post-order position, which over a laminar range family is
-        ``(hi ascending, depth descending)`` — so the caller's stable
-        sort by weight produces the identical final order, ties and all.
-
-        Everything runs on the *compacted* live set (``node_count``
-        rows), not the slot space: inclusive weights come from one
-        int64 prefix sum over the preorder layout (a subtree is a
-        contiguous preorder run — laminar family, siblings disjoint —
-        whose end is the first later position with ``lo > hi``), and
-        the exclusive fold walks levels through a compact parent-
-        position map with ``np.add.at``. Cost is O(n log n) in the
-        live node count, independent of tree depth and slot capacity.
+        :func:`repro.core.hot_ranges.find_hot_ranges`' post-order walk,
+        compiled: ``rap_hot`` follows the sibling chains, so any slot
+        layout works (folds, clones, live trees with recycled slots),
+        and sums the weights in int64. The float cutoff is compared on
+        the integer side (``e < cutoff`` iff ``e <= ceil(cutoff) - 1``
+        for integral ``e``), matching the reference's exact int-float
+        comparisons. Rows come in the order the reference walk appends
+        them, so the caller's stable sort by weight produces the
+        identical final order, ties and all.
         """
-        size = self._size
-        live_idx = np.flatnonzero(self._live[:size])
-        n = int(live_idx.size)
-        depth = self._depth[live_idx]
-        # Preorder: lo ascending, ancestors (shallower) before equal-lo
-        # descendants.
-        order = np.lexsort((depth, self._los[live_idx]))
-        slots = live_idx[order]
-        pre_los = self._los[slots]
-        pre_his = self._his[slots]
-        pre_depth = depth[order]
-        pre_counts = self._counts[slots]
-        csum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(pre_counts, out=csum[1:])
-        ends = np.searchsorted(pre_los, pre_his, side="right")
-        inclusive = csum[ends] - csum[:n]
+        rows = np.empty((self._size, 4), dtype=np.int64)
         cut_m1 = min(math.ceil(cutoff) - 1, _INT64_MAX)
-        # Exclusive fold, bottom-up by level: a child below the cutoff
-        # donates its (already folded) weight to its parent. np.add.at
-        # accumulates duplicates exactly in int64.
-        pos_of = np.empty(size, dtype=np.int64)
-        pos_of[slots] = np.arange(n, dtype=np.int64)
-        parent_pos = pos_of[self._parents[slots]]
-        by_depth = np.argsort(pre_depth, kind="stable")
-        level_of = pre_depth[by_depth]
-        max_depth = int(level_of[-1]) if n else 0
-        bounds = np.searchsorted(level_of, np.arange(max_depth + 2))
-        exclusive = pre_counts.astype(np.int64, copy=True)
-        for level in range(max_depth, 0, -1):
-            rows = by_depth[bounds[level] : bounds[level + 1]]
-            cold = rows[exclusive[rows] <= cut_m1]
-            np.add.at(exclusive, parent_pos[cold], exclusive[cold])
-        hot_rows = np.flatnonzero(exclusive > cut_m1)
-        if not hot_rows.size:
-            return []
-        post = np.lexsort((-pre_depth[hot_rows], pre_his[hot_rows]))
-        hot_rows = hot_rows[post]
+        hot = load_kernel().rap_hot
+        found = hot(self._kstate_at, cut_m1, rows.ctypes.data)
+        if found < 0:
+            raise AssertionError("the sibling chains do not form a tree")
+        slots, exclusive, inclusive, depth = rows[:found].T
         return list(
             zip(
-                pre_los[hot_rows].tolist(),
-                pre_his[hot_rows].tolist(),
-                exclusive[hot_rows].tolist(),
-                inclusive[hot_rows].tolist(),
-                pre_depth[hot_rows].tolist(),
+                self._los[slots].tolist(),
+                self._his[slots].tolist(),
+                exclusive.tolist(),
+                inclusive.tolist(),
+                depth.tolist(),
             )
         )
 
@@ -1287,13 +1269,13 @@ class ColumnarRapTree:
 
         Checks the structural properties
         :meth:`repro.core.tree.RapTree.check_invariants` checks of a
-        linked tree, in array passes over the live slots (no node view,
-        no per-slot loop; ``combine_many`` runs this on every fold):
+        linked tree, in one compiled pass (``rap_check``; no node view,
+        and ``combine_many`` runs this on every fold):
 
         * geometry: every child is a ``partition_range`` cell of its
-          parent (the ``(base, extra)`` cell formula; the root's cells
-          in Python ints, since its width can be ``2**64``), and
-          siblings are sorted and disjoint;
+          parent (the ``(base, extra)`` cell formula inverted, in
+          128-bit integers, since the root's width can be ``2**64``),
+          and siblings are sorted and disjoint;
         * counts: counters are non-negative and sum exactly to
           ``events``, and the live slots number ``node_count``;
         * pointers: parent pointers and depths agree, and
@@ -1301,141 +1283,33 @@ class ColumnarRapTree:
           the ``(parent, lo)`` ordering of the live slots.
 
         Then the columnar bookkeeping: the free stack against the live
-        column, and the allocation defaults of freed slots.
+        column, and the allocation defaults of freed slots. The pass
+        reads every column index range-checked and bounds every chain
+        walk, so a corrupt tree raises instead of reading astray.
         """
-        size = self._size
-        live = self._live[:size]
-        live_idx = np.flatnonzero(live)
-        assert live_idx.size == self._node_count, (
-            f"live column counts {live_idx.size} slots, "
-            f"node_count says {self._node_count}"
-        )
-        assert size and live[0], "the root slot must be live"
-        counts = self._counts[:size]
-        los = self._los[:size]
-        his = self._his[:size]
-        parents = self._parents[:size]
-        depth = self._depth[:size]
-
-        # Slot accounting: the free stack holds exactly the dead slots,
-        # each restored to the allocation defaults a split relies on.
-        free = self._free_slots[: self._free_top]
-        assert np.all((free >= 0) & (free < size)), (
-            "free stack holds a slot outside the allocated prefix"
-        )
-        on_stack = np.zeros(size, dtype=np.bool_)
-        on_stack[free] = True
-        assert np.count_nonzero(on_stack) == free.size, (
-            "free stack has duplicates"
-        )
-        assert not np.any(on_stack & live), "a free slot is still live"
-        assert free.size + live_idx.size == size, (
-            "free stack and live column disagree on slot accounting"
-        )
-        assert not (
-            np.any(counts[free])
-            or np.any(self._first_child[free] != _NO_SLOT)
-            or np.any(self._n_children[free])
-        ), "a free slot was not reset to the allocation defaults"
-
-        # Counts: non-negative, summed exactly (32-bit halves keep every
-        # int64 partial sum in range) to the event total.
-        live_counts = counts[live_idx]
-        negative = live_idx[live_counts < 0]
-        assert not negative.size, f"negative counter at slot {negative[0]}"
-        weight = (int(np.sum(live_counts >> 32)) << 32) + int(
-            np.sum(live_counts & _LOW32)
-        )
-        assert weight == self._events, (
-            f"tree weight {weight} != events {self._events}"
-        )
-        assert np.all(los[live_idx] <= his[live_idx]), (
-            "a live slot has an empty range"
-        )
-
-        # Pointers: every non-root live slot hangs one level below a
-        # live parent (so the parent graph is a tree rooted at slot 0),
-        # and the chains are the (parent, lo) ordering of those slots.
-        assert (
-            los[0] == 0
-            and int(his[0]) == self._root_hi
-            and depth[0] == 0
-            and parents[0] == _NO_SLOT
-        ), "slot 0 is not the root of the universe"
-        kids = live_idx[1:]
-        up = parents[kids].astype(np.int64)
-        assert np.all((up >= 0) & (up < size)) and np.all(live[up]), (
-            "a live slot's parent pointer misses a live slot"
-        )
-        assert np.array_equal(depth[kids], depth[up] + 1), (
-            "a child's depth disagrees with its parent's"
-        )
-        order = np.lexsort((los[kids], up))
-        kids = kids[order]
-        up = up[order]
-        same = up[1:] == up[:-1]
-        heads = np.ones(kids.size, dtype=np.bool_)
-        heads[1:] = ~same
-        heads = np.flatnonzero(heads)
-        first_child = np.full(size, _NO_SLOT, dtype=np.int64)
-        first_child[up[heads]] = kids[heads]
-        next_sibling = np.full(size, _NO_SLOT, dtype=np.int64)
-        next_sibling[kids[:-1][same]] = kids[1:][same]
-        n_children = np.bincount(up, minlength=size)
-        assert np.array_equal(
-            self._first_child[live_idx], first_child[live_idx]
-        ) and np.array_equal(
-            self._next_sibling[live_idx], next_sibling[live_idx]
-        ), "a sibling chain disagrees with the (parent, lo) order"
-        assert np.array_equal(
-            self._n_children[live_idx], n_children[live_idx]
-        ), "an n_children count disagrees with its chain"
-
-        # Geometry: siblings sorted and disjoint; each child one of its
-        # parent's partition cells.
-        assert np.all(his[kids[:-1][same]] < los[kids[1:][same]]), (
-            "children overlap/unsorted"
-        )
-        at_root = up == 0
-        cells = set(partition_range(0, self._root_hi, self._config.branching))
-        for lo, hi in zip(
-            los[kids[at_root]].tolist(), his[kids[at_root]].tolist()
-        ):
-            assert (lo, hi) in cells, (
-                f"child [{lo}, {hi}] is not a partition cell of the root"
+        at = ctypes.c_int64()
+        code = load_kernel().rap_check(self._kstate_at, ctypes.byref(at))
+        if code == C_OK:
+            return
+        if code == C_NO_MEMORY:
+            raise MemoryError("check_invariants: no scratch memory")
+        slot, size = at.value, self._size
+        fields = {
+            "slot": slot,
+            "events": self._events,
+            "node_count": self._node_count,
+        }
+        if code == C_WEIGHT:
+            fields["weight"] = sum(
+                self._counts[:size][self._live[:size]].tolist()
             )
-        child = kids[~at_root]
-        parent = up[~at_root]
-        parent_lo = los[parent]
-        width = his[parent] - parent_lo + np.uint64(1)
-        splittable = width >= np.uint64(2)  # 0 after a 2**64 wrap too
-        width[~splittable] = 2
-        cells_n = np.minimum(width, np.uint64(self._config.branching))
-        base = width // cells_n
-        extra = width % cells_n
-        # Invert the cell formula, then re-apply it: the first ``extra``
-        # cells are ``base + 1`` wide, the rest ``base``.
-        offset = los[child] - parent_lo
-        wide = extra * (base + np.uint64(1))
-        cell = np.where(
-            offset < wide,
-            offset // (base + np.uint64(1)),
-            extra + (offset - wide) // base,
-        )
-        start = parent_lo + cell * base + np.minimum(cell, extra)
-        end = start + base - (cell >= extra).astype(np.uint64)
-        misfit = child[
-            ~(
-                splittable
-                & (cell < cells_n)
-                & (start == los[child])
-                & (end == his[child])
+        elif code in (C_ROOT_CELL, C_CELL):
+            fields.update(
+                lo=int(self._los[slot]),
+                hi=int(self._his[slot]),
+                parent=int(self._parents[slot]),
             )
-        ]
-        assert not misfit.size, (
-            f"child [{los[misfit[0]]}, {his[misfit[0]]}] is not a "
-            f"partition cell of its parent slot {parents[misfit[0]]}"
-        )
+        raise AssertionError(CHECK_MESSAGES[code].format(**fields))
 
     def __len__(self) -> int:
         return self._node_count

@@ -44,8 +44,8 @@ already pruned, in a second: the complete partition is never built.
 All shards go into one accumulator and each shard is read once (a
 pairwise fold re-copies the accumulated tree per shard, quadratic in
 the number of shards). The result passes the columnar
-``check_invariants`` (array passes), so reads of a columnar profile
-stay on array paths.
+``check_invariants`` (one compiled pass, ``rap_check``), so reads of a
+columnar profile stay on compiled and array paths.
 
 Object-config shards, universes above ``2**64`` and totals above
 ``2**63 - 1`` (columns hold 64-bit bounds and counters) take the

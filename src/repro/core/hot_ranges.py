@@ -81,11 +81,10 @@ def find_hot_ranges(
     cutoff = hot_fraction * events
     rows = getattr(tree, "_hot_range_rows", None)
     if rows is not None:
-        # Columnar fast path: the backend computes the same post-order
-        # exclusive/inclusive fold with level-wise array kernels and
-        # returns rows in the reference walk's append order, so the
-        # stable sort below reproduces the object ordering exactly,
-        # ties included.
+        # Columnar fast path: the compiled kernel (rap_hot) runs the
+        # same post-order walk over the sibling chains and returns rows
+        # in the reference walk's append order, so the stable sort
+        # below reproduces the object ordering exactly, ties included.
         found = [
             HotRange(
                 lo=lo,

@@ -25,7 +25,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("_native_cache")
@@ -46,6 +46,39 @@ _loaded: Optional[ctypes.CDLL] = None
 K_DONE, K_MERGE, K_GROW, K_BAD, K_OVERFLOW, K_TIMELINE, K_UNCOVERED = range(7)
 # rap_fold error returns.
 F_OFF_PARTITION, F_BELOW_ITEM = -1, -2
+# rap_check findings, in the order it checks them.
+(
+    C_OK, C_CAPACITY, C_NODE_COUNT, C_ROOT_DEAD, C_FREE_RANGE, C_FREE_DUP,
+    C_FREE_LIVE, C_ACCOUNTING, C_FREE_DIRTY, C_NEGATIVE, C_WEIGHT, C_EMPTY,
+    C_ROOT, C_PARENT, C_DEPTH, C_CHAIN, C_N_CHILDREN, C_OVERLAP,
+    C_ROOT_CELL, C_CELL, C_NO_MEMORY,
+) = range(21)
+# ColumnarRapTree.check_invariants' AssertionError text for each finding;
+# ``slot`` is the slot rap_check names (for C_NODE_COUNT, the live slot
+# count).
+CHECK_MESSAGES: Dict[int, str] = {
+    C_CAPACITY: "size or free stack top past the column capacity",
+    C_NODE_COUNT: "live column counts {slot} slots, node_count says "
+    "{node_count}",
+    C_ROOT_DEAD: "the root slot must be live",
+    C_FREE_RANGE: "free stack holds a slot outside the allocated prefix",
+    C_FREE_DUP: "free stack has duplicates",
+    C_FREE_LIVE: "a free slot is still live",
+    C_ACCOUNTING: "free stack and live column disagree on slot accounting",
+    C_FREE_DIRTY: "a free slot was not reset to the allocation defaults",
+    C_NEGATIVE: "negative counter at slot {slot}",
+    C_WEIGHT: "tree weight {weight} != events {events}",
+    C_EMPTY: "a live slot has an empty range",
+    C_ROOT: "slot 0 is not the root of the universe",
+    C_PARENT: "a live slot's parent pointer misses a live slot",
+    C_DEPTH: "a child's depth disagrees with its parent's",
+    C_CHAIN: "a sibling chain disagrees with the (parent, lo) order",
+    C_N_CHILDREN: "an n_children count disagrees with its chain",
+    C_OVERLAP: "children overlap/unsorted",
+    C_ROOT_CELL: "child [{lo}, {hi}] is not a partition cell of the root",
+    C_CELL: "child [{lo}, {hi}] is not a partition cell of its parent "
+    "slot {parent}",
+}
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -196,5 +229,9 @@ def load_kernel() -> ctypes.CDLL:
     library.rap_fold.argtypes = (
         [_PTR] * 5 + [_I64, ctypes.c_double] + [_PTR] * 2
     )
+    library.rap_check.restype = ctypes.c_int
+    library.rap_check.argtypes = [_PTR] * 2
+    library.rap_hot.restype = ctypes.c_int64
+    library.rap_hot.argtypes = [_PTR, _I64, _PTR]
     _loaded = library
     return library

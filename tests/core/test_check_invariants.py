@@ -11,7 +11,11 @@ so the assertion that fires is the one that owns the property; the
 
 Some properties exist on one backend only: the columnar root slot,
 ``n_children`` and depth columns, free stack, allocation defaults have
-no counterpart in a linked tree.
+no counterpart in a linked tree. So do the chain hazards of a compiled
+walk over the columns: a sibling chain that cycles, a chain index past
+the slots or past the columns, a live slot that no chain reaches. The
+check and the hot-range walk must raise on them without hanging or
+reading outside the columns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColumnarRapTree, RapConfig, RapTree, dump_tree
+from repro.core.hot_ranges import find_hot_ranges
 from repro.workloads.distributions import make_rng
 
 UNIVERSE = 2**16
@@ -223,6 +228,29 @@ def col_free_slot_lost(tree: ColumnarRapTree) -> None:
     tree._free_top -= 1  # noqa: SLF001
 
 
+# Chain hazards: the compiled check walks the chains, so a bad index must
+# be refused before it is read, and a cycle must not hang it.
+
+
+def col_sibling_cycle(tree: ColumnarRapTree) -> None:
+    first, second = sibling_pair(tree)
+    tree._next_sibling[second] = first  # noqa: SLF001
+
+
+def col_first_child_past_size(tree: ColumnarRapTree) -> None:
+    tree._first_child[0] = tree._size + 3  # noqa: SLF001
+
+
+def col_next_sibling_past_columns(tree: ColumnarRapTree) -> None:
+    first, _ = sibling_pair(tree)
+    tree._next_sibling[first] = 2**31 - 1  # noqa: SLF001
+
+
+def col_unreachable_slot(tree: ColumnarRapTree) -> None:
+    first, second = sibling_pair(tree)
+    tree._next_sibling[first] = tree._next_sibling[second]  # noqa: SLF001
+
+
 # ----------------------------------------------------------------------
 # Seeded defects: linked nodes
 # ----------------------------------------------------------------------
@@ -327,7 +355,26 @@ DEFECTS: Dict[str, Tuple[Seed, Seed, str]] = {
     "dead slot off the free stack": (
         col_free_slot_lost, None, "slot accounting"
     ),
+    "sibling chain cycles": (
+        col_sibling_cycle, None, "sibling chain disagrees"
+    ),
+    "first_child past the slots": (
+        col_first_child_past_size, None, "sibling chain disagrees"
+    ),
+    "next_sibling past the columns": (
+        col_next_sibling_past_columns, None, "sibling chain disagrees"
+    ),
+    "live slot on no chain": (
+        col_unreachable_slot, None, "sibling chain disagrees"
+    ),
 }
+
+#: Chain defects the hot-range walk must refuse rather than follow.
+BROKEN_CHAINS = (
+    "sibling chain cycles",
+    "first_child past the slots",
+    "next_sibling past the columns",
+)
 
 
 def test_backends_grow_the_same_tree(columnar, reference_dump):
@@ -352,3 +399,10 @@ def test_object_check_catches(linked, defect):
     seed(linked)
     with pytest.raises(AssertionError, match=pattern):
         linked.check_invariants()
+
+
+@pytest.mark.parametrize("defect", BROKEN_CHAINS)
+def test_hot_walk_refuses_broken_chains(columnar, defect):
+    DEFECTS[defect][0](columnar)
+    with pytest.raises(AssertionError, match="do not form a tree"):
+        find_hot_ranges(columnar, 0.01)

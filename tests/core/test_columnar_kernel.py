@@ -16,13 +16,17 @@ Build: the kernel is compiled with the host's gcc and there is no
 Python fallback, so a missing compiler must fail columnar construction
 and ``Profiler.open()`` with a typed error (and leave no worker or
 shared-memory segment behind), while the object backend keeps working.
-The source must also compile cleanly under ``-Wall -Wextra -Werror``.
+The source must also compile cleanly under ``-Wall -Wextra -Werror``,
+and every exported ``rap_*`` function must be declared to ctypes with
+its C signature.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 
@@ -330,6 +334,34 @@ class TestBuild:
             text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_every_entry_point_is_declared(self):
+        """Each exported ``rap_*`` function has the ctypes ``restype`` and
+        ``argtypes`` of its C signature. Undeclared, ctypes passes every
+        argument as a C ``int``, truncating 64-bit addresses."""
+        scalars = {
+            "int": ctypes.c_int,
+            "int64_t": ctypes.c_int64,
+            "uint64_t": ctypes.c_uint64,
+            "double": ctypes.c_double,
+        }
+        source = native._SOURCE.read_text()
+        library = native.load_kernel()
+        defined = re.findall(
+            r"^(\w+)\s+(rap_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE
+        )
+        assert {name for _, name, _ in defined} >= {
+            "rap_ingest", "rap_fold", "rap_check", "rap_hot"
+        }
+        for returns, name, params in defined:
+            expected = [
+                ctypes.c_void_p if "*" in param else scalars[param.split()[-2]]
+                for param in params.split(",")
+                if param.strip() != "void"
+            ]
+            function = getattr(library, name)
+            assert function.restype is scalars[returns], name
+            assert function.argtypes == expected, name
 
     def test_library_is_cached_by_source_hash(self):
         library = native.load_kernel()

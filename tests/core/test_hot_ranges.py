@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from repro.core import RapConfig, RapTree
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    ColumnarRapTree,
+    RapConfig,
+    RapTree,
+    dump_tree,
+    load_tree,
+)
 from repro.core.hot_ranges import (
     coverage_of_hot_ranges,
     find_hot_ranges,
     hot_tree,
 )
+from repro.runtime import Profiler
 
 
 def profiled_tree(values, epsilon=0.02, universe=256) -> RapTree:
@@ -108,6 +120,115 @@ class TestFindHotRanges:
             (i.lo, i.hi) for i in find_hot_ranges(tree, 0.20) if i.width == 1
         }
         assert high <= low
+
+
+def phased_values(seed: int, events: int, universe: int) -> list:
+    """Four phases, each a few hot values over a tail of its own width,
+    so merges free the last phase's nodes and splits recycle the slots."""
+    rnd = random.Random(seed)
+    values = []
+    for _ in range(4):
+        hot = [rnd.randrange(universe) for _ in range(rnd.randint(1, 4))]
+        width = rnd.choice([16, 4096, universe])
+        base = rnd.randrange(universe)
+        values.extend(
+            rnd.choice(hot)
+            if rnd.random() < 0.6
+            else (base + rnd.randrange(width)) % universe
+            for _ in range(events // 4)
+        )
+    return values
+
+
+def exact_fractions(tree: RapTree, data) -> list:
+    """A few fixed fractions, plus some whose cutoff lands exactly on a
+    node's count or subtree weight (the event total is a power of two,
+    so ``weight / events * events == weight``)."""
+    weights = sorted(
+        {node.count for node in tree.nodes() if node.count}
+        | {node.subtree_weight() for node in tree.nodes()}
+    )
+    picked = data.draw(
+        st.lists(st.sampled_from(weights), min_size=1, max_size=4)
+    )
+    for weight in picked:
+        assert weight / tree.events * tree.events == weight
+    return [0.01, 0.1, 0.5, 1.0] + [weight / tree.events for weight in picked]
+
+
+def preorder_slots(tree: ColumnarRapTree) -> list:
+    out, stack = [], [0]
+    while stack:
+        slot = stack.pop()
+        out.append(slot)
+        stack.extend(reversed(tree._children_slots(slot)))  # noqa: SLF001
+    return out
+
+
+class TestColumnarMatchesObject:
+    """The compiled walk (``rap_hot``) against the object reference walk
+    on trees grown online, where merges free slots and splits recycle
+    them, so the slot order is not the tree order."""
+
+    def test_recycled_slots_are_out_of_tree_order(self):
+        config = RapConfig(range_max=2**16, epsilon=0.05,
+                           merge_initial_interval=64, backend="columnar")
+        tree = RapTree.from_config(config)
+        tree.extend(phased_values(3, 4096, 2**16))
+        assert isinstance(tree, ColumnarRapTree)
+        created = tree.node_count + tree.stats.nodes_merged
+        assert tree._size < created  # noqa: SLF001 - slots were reused
+        slots = preorder_slots(tree)
+        assert slots != sorted(slots)
+        reference = load_tree(dump_tree(tree))
+        for fraction in (0.01, 0.05, 0.1, 0.3):
+            assert find_hot_ranges(tree, fraction) == find_hot_ranges(
+                reference, fraction
+            )
+
+    @given(
+        universe=st.sampled_from([256, 2**16, 2**64]),
+        branching=st.sampled_from([2, 3, 4, 8]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        events=st.sampled_from([1024, 2048, 4096]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_live_tree_matches_object(
+        self, universe, branching, seed, events, data
+    ):
+        values = phased_values(seed, events, universe)
+
+        def grown(backend: str) -> RapTree:
+            tree = RapTree.from_config(
+                RapConfig(range_max=universe, epsilon=0.05,
+                          branching=branching, merge_initial_interval=64,
+                          backend=backend)
+            )
+            tree.extend(values)
+            return tree
+
+        columnar, reference = grown("columnar"), grown("object")
+        assert isinstance(columnar, ColumnarRapTree)
+        for fraction in exact_fractions(reference, data):
+            assert find_hot_ranges(columnar, fraction) == find_hot_ranges(
+                reference, fraction
+            )
+
+        # A one-shard serial Profiler's snapshot is a clone of its lone
+        # shard, read through the same walk.
+        with Profiler(
+            RapConfig(range_max=universe, epsilon=0.05, branching=branching),
+            shards=1,
+            executor="serial",
+        ) as profiler:
+            profiler.ingest(np.array(values, dtype=np.uint64))
+            snapshot = profiler.snapshot()
+            linked = load_tree(dump_tree(snapshot))
+            for fraction in exact_fractions(linked, data):
+                assert profiler.hot_ranges(fraction) == find_hot_ranges(
+                    linked, fraction
+                )
 
 
 class TestHotTree:

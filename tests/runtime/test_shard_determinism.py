@@ -1,15 +1,17 @@
 """Sharded profiles vs the single-tree oracle, and run-to-run determinism.
 
 Splitting a stream across ``N`` shards (each profiling at the inherited
-``epsilon``) and folding with ``combine_many`` must preserve the RAP
-accuracy contract: for any range, the folded estimate is a lower bound
-on the exact count and undercounts by at most
-``sum_i(epsilon * n_i) = epsilon * n``. These tests pin that bound on
-seeded zipf and phased streams for 1, 2, and 8 shards, check that
+``epsilon``) and folding with ``combine_many`` keeps two properties,
+pinned here on seeded zipf and phased streams for 1, 2 and 8 shards:
+the folded estimate of a range never overcounts, and the fold conserves
+the stream's weight. No undercount bound is claimed for the fold
+(``repro.core.combine`` gives a counterexample to ``epsilon * n``); the
+``epsilon * n`` comparisons below are spot checks on 60 random ranges
+of streams where the gap does not show. The tests also check that
 sharded ingestion is a deterministic function of the stream, and run
 the acceptance scenario: a 4-shard profiler over a 200k-event zipf
-stream whose hot-range report agrees with a single-tree oracle within
-the documented bound.
+stream whose hot-range report passes the same spot checks against a
+single-tree oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def profiled_snapshot(values: Sequence[int], shards: int, **options) -> RapTree:
 
 
 class TestAccuracyBoundAcrossShardCounts:
-    """Undercount <= eps * n for every shard count, on every stream."""
+    """No overcount and conserved weight for every shard count, with
+    ``eps * n`` spot checks on these seeded streams."""
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
     @pytest.mark.parametrize("make_stream", [zipf_stream, phased_stream])
