@@ -74,7 +74,7 @@ BATCH_KERNEL_MIN_EVENTS = 10_000
 
 #: The process-executor value proposition (the ``executor="process"``
 #: acceptance gate): sustained 4-shard ingest through worker processes
-#: over shared-memory columnar trees must beat the serial executor's
+#: owning columnar trees must beat the serial executor's
 #: 4 in-process shards on the same columnar backend. Intra-run min
 #: ratio like the other two gates, applied only at the full scale — at
 #: smoke scale the ratio drowns in process spawn and pipe handshakes.

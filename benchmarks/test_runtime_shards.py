@@ -99,7 +99,7 @@ def _multi_shard(values, universe):
 
 def _process_shard(values, universe):
     """The multiprocess path: same partition/budget, worker processes
-    over shared-memory columnar trees fed raw partitioned frames that
+    owning columnar trees, fed raw partitioned frames that
     each worker duplicate-combines in its own combining buffer. The
     frames travel through one shared-memory ring per shard."""
     return Profiler(

@@ -649,12 +649,11 @@ class SharedMemoryImportRule(Rule):
     catches = "imports of multiprocessing.shared_memory outside the arena"
     rationale = (
         "the stdlib's shared-memory lifecycle needs three corrections "
-        "(manual resource-tracker ownership, grow-as-remap retirement "
-        "that must not close mapped segments early, prefix-named "
-        "segments for crash sweeps) that live in repro.runtime.shm; a "
-        "raw SharedMemory at any other call site reintroduces the "
-        "unlink races and segfault-on-close hazards the arena exists "
-        "to contain"
+        "(manual resource-tracker ownership, no close while a numpy "
+        "view still maps the segment, prefix-named segments for crash "
+        "sweeps) that live in repro.runtime.shm; a raw SharedMemory at "
+        "any other call site reintroduces the unlink races and "
+        "segfault-on-close hazards the arena exists to contain"
     )
     example = (
         "from multiprocessing import shared_memory   "
@@ -663,8 +662,9 @@ class SharedMemoryImportRule(Rule):
     fix = (
         "allocate through the arena: ShmArena(prefix).allocate(name, "
         "dtype, capacity) on the owning side, ShmAttachment(table) on "
-        "the attaching side, sweep_prefix(prefix) for crash cleanup "
-        "(all exported from repro.runtime)"
+        "the attaching side, ShmArena.close() to unlink, "
+        "sweep_prefix(prefix) for crash cleanup (all exported from "
+        "repro.runtime)"
     )
 
     # runtime/shm.py *is* the arena — the one sanctioned call site.
@@ -677,7 +677,7 @@ class SharedMemoryImportRule(Rule):
             node,
             "imports multiprocessing.shared_memory outside "
             "repro.runtime.shm; go through ShmArena / ShmAttachment / "
-            "sweep_prefix so segment ownership, retirement and crash "
+            "sweep_prefix so segment ownership, unlinking and crash "
             "sweeps stay in one place",
         )
 

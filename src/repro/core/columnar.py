@@ -43,9 +43,8 @@ operation sequences. The kernel contract:
   memory and never merges. It returns when a merge is due, and Python
   runs :meth:`merge_now` (the compiled ``rap_merge`` pass); it returns
   when a split needs more free slots than the columns hold, and Python
-  runs :meth:`_grow` (under the shared-memory allocator hook, a remap).
-  Either way the kernel then resumes at the item and remaining count
-  where it stopped.
+  runs :meth:`_grow`. Either way the kernel then resumes at the item
+  and remaining count where it stopped.
 * **Per-event hooks.** With ``timeline_sample_every`` or
   ``audit_every`` set, every entry point feeds the kernel one item at a
   time through :meth:`add`, so the hooks see every update.
@@ -202,9 +201,8 @@ class ColumnarRapTree:
     """
 
     #: dtype of every slot column plus the free stack, in
-    #: ``_ARRAY_COLUMNS + ("_free_slots",)`` order. The shared-memory
-    #: arena (:mod:`repro.runtime.shm`) sizes its segments from this
-    #: table, and :meth:`attach_columns` validates against it.
+    #: ``_ARRAY_COLUMNS + ("_free_slots",)`` order; :meth:`attach_columns`
+    #: validates against it.
     COLUMN_DTYPES: Dict[str, np.dtype] = {
         "_counts": np.dtype(np.int64),
         "_los": np.dtype(np.uint64),
@@ -225,22 +223,13 @@ class ColumnarRapTree:
     _events = _state_field("events")
     _cached_slot = _state_field("cached_slot")
 
-    def __init__(
-        self,
-        config: RapConfig,
-        *,
-        allocator: Optional[
-            Callable[[str, np.dtype, int], np.ndarray]
-        ] = None,
-    ) -> None:
-        self._setup(config, allocator)
+    def __init__(self, config: RapConfig) -> None:
+        self._setup(config)
         capacity = _INITIAL_CAPACITY
         self._capacity = capacity
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             setattr(
-                self,
-                name,
-                self._new_column(name, self.COLUMN_DTYPES[name], capacity),
+                self, name, np.zeros(capacity, dtype=self.COLUMN_DTYPES[name])
             )
         # Allocation-default pre-fill: fresh (never-allocated) slots
         # already hold the state a split writes — leaf chain head,
@@ -268,14 +257,10 @@ class ColumnarRapTree:
         accounting, then calls :meth:`_rebind_views`.
         """
         tree = cls.__new__(cls)
-        tree._setup(config, None)
+        tree._setup(config)
         return tree
 
-    def _setup(
-        self,
-        config: RapConfig,
-        allocator: Optional[Callable[[str, np.dtype, int], np.ndarray]],
-    ) -> None:
+    def _setup(self, config: RapConfig) -> None:
         """Everything but the columns: the kernel state (slot accounting
         zeroed), the merge schedule and the statistics."""
         if config.range_max - 1 > _UINT64_MAX:
@@ -290,13 +275,6 @@ class ColumnarRapTree:
         self._kstate = KernelState()
         self._kstate_at = ctypes.addressof(self._kstate)
         self._config = config
-        # Optional column allocator hook: ``allocator(name, dtype,
-        # capacity)`` returns a zero-filled 1-D array of exactly
-        # ``capacity`` elements. The process-executor runtime passes the
-        # shared-memory arena's allocator so every column (and every
-        # ``_grow`` remap) lands in a SharedMemory block the parent can
-        # attach; ``None`` keeps plain heap-backed numpy arrays.
-        self._allocator = allocator
         self._root_hi = config.range_max - 1
         kstate = self._kstate
         kstate.root_hi = self._root_hi
@@ -330,14 +308,6 @@ class ColumnarRapTree:
     # ------------------------------------------------------------------
     # Slot management
     # ------------------------------------------------------------------
-
-    def _new_column(
-        self, name: str, dtype: np.dtype, capacity: int
-    ) -> np.ndarray:
-        """Allocate one zero-filled column through the allocator hook."""
-        if self._allocator is not None:
-            return self._allocator(name, dtype, capacity)
-        return np.zeros(capacity, dtype=dtype)
 
     def _rebind_views(self) -> None:
         """Point the kernel at the current column arrays.
@@ -393,10 +363,7 @@ class ColumnarRapTree:
             capacity *= 2
         for name in _ARRAY_COLUMNS + ("_free_slots",):
             old = getattr(self, name)
-            # Under the allocator hook this is the shared-memory "grow
-            # by remap": a fresh (larger) segment per column, the live
-            # prefix copied over, the old segment retired by the arena.
-            grown = self._new_column(name, old.dtype, capacity)
+            grown = np.zeros(capacity, dtype=old.dtype)
             grown[: old.size] = old
             setattr(self, name, grown)
         # Restore the allocation-default pre-fill on the fresh tail
@@ -664,7 +631,7 @@ class ColumnarRapTree:
         """Every nonzero counter as ``(lo, hi, count, depth)`` columns.
 
         Fresh arrays (one fancy-index gather per column), so they stay
-        valid after an attached tree's shared memory is unmapped. Dead
+        valid after an attached tree's buffer is released. Dead
         slots hold zero, so the nonzero mask needs no liveness mask.
         With ``into``, a function of the row count returning a
         ``(4, n)`` ``uint64`` block, the rows are gathered into that

@@ -77,7 +77,7 @@ class RapConfig:
         from this config uses to drive its shards: ``"serial"`` (the
         default: each shard's combining window flushed inline on the
         calling thread — the oracle) or ``"process"`` (one worker
-        process per shard, each owning a columnar tree in shared memory
+        process per shard, each owning a columnar tree on its own heap
         and fed through a shared-memory ring). Like ``backend`` it
         selects an observably-equivalent engine, is construction-time
         only, and is never serialized.

@@ -13,7 +13,7 @@ consistent global snapshot on an epoch boundary:
     ingest(values)                  calling thread, ingest lock held
         └─ chunk (frame length) → partition → one frame per shard
              ├─ serial:  window[i] → shard i                  (inline)
-             └─ process: ring[i] ── worker i: window → shard i (shm)
+             └─ process: ring[i] (shm) ── worker i: window → shard i
     flush       =  combine the window's frames (one sort), then one
                    tree pass; when 2**17 events are buffered and at
                    every drain() / snapshot() / close()

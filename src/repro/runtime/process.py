@@ -3,15 +3,15 @@
 ``ProcessExecutor`` is the parent side of the shard-worker protocol
 (the worker side is :mod:`repro.runtime.worker`), one of the two
 executors behind the :class:`~repro.runtime.profiler.Profiler` front.
-Each worker owns a tree whose columns live in shared memory
-(:mod:`repro.runtime.shm`). The dispatching thread writes binary
-counted frames straight into a per-shard shared-memory ring
-(:mod:`repro.runtime.ring`), waiting for space when a ring is full.
+Each worker owns its shard tree on its own heap. The dispatching
+thread writes binary counted frames straight into a per-shard
+shared-memory ring (:mod:`repro.runtime.ring`, segments from
+:mod:`repro.runtime.shm`), waiting for space when a ring is full.
 Each worker answers a sync with its shard's counter rows (a lone
 shard: its compact columns) as one raw block on its control pipe, and
 snapshots fold those in the parent, mapping no worker memory. A host
-without usable shared memory for the rings or a worker's columns
-fails ``open()`` with an ``OSError``; nothing falls back.
+without usable shared memory for the rings fails ``open()`` with an
+``OSError``; nothing falls back.
 """
 
 from __future__ import annotations
@@ -249,21 +249,13 @@ class ProcessExecutor:
                 self._processes.append(process)
                 self._conns.append(parent_conn)
             # Wait for every worker's ready handshake (sent after it
-            # has built its tree and warmed its ingest path, or with
-            # the reason it could not build one), so
-            # open() returns a runtime that is actually ready to
-            # ingest — start-up cost lands here, not inside the first
+            # has built its tree and warmed its ingest path), so open()
+            # returns a runtime that is actually ready to ingest —
+            # start-up cost lands here, not inside the first
             # ingest/drain. Waiting after starting them all lets the
             # warm-ups overlap across workers.
             for shard in range(self._shards):
-                refused = self._recv_reply(shard, "ready")
-                if refused is not None:
-                    raise OSError(
-                        f"executor='process' could not place shard "
-                        f"{shard}'s tree columns in POSIX shared memory "
-                        f"({refused}); use executor='serial' instead, "
-                        "which needs none"
-                    )
+                self._recv_reply(shard, "ready")
         except BaseException:
             self.close()
             raise
@@ -271,10 +263,9 @@ class ProcessExecutor:
     def close(self) -> None:
         """Exit, join and if necessary kill every worker process.
 
-        Ends with a sweep of this executor's shared-memory namespace:
-        workers unlink their own segments on a clean exit, so the sweep
-        normally removes nothing — it exists for killed workers. Safe
-        to call repeatedly and on partially-constructed state.
+        Then unlinks the rings and sweeps this executor's shared-memory
+        namespace, a backstop that normally removes nothing. Safe to
+        call repeatedly and on partially-constructed state.
         """
         for conn in self._conns:
             try:
@@ -282,9 +273,9 @@ class ProcessExecutor:
             except (BrokenPipeError, OSError):
                 pass
         for shard, conn in enumerate(self._conns):
-            # Wait for the goodbye (sent *after* the worker unlinks its
-            # segments) so a clean shutdown leaves /dev/shm empty the
-            # moment close() returns; a dead worker just times out.
+            # Wait for the goodbye (sent after the worker unmaps its
+            # ring) so the joins below return at once; a dead worker
+            # just times out.
             process = self._processes[shard]
             waited = 0.0
             try:

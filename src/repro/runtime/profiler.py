@@ -129,7 +129,7 @@ class Profiler:
         ``None`` (default) inherits ``config.executor``. ``"serial"``
         flushes every shard's combining window inline on the calling
         thread — no workers, deterministic, the oracle; ``"process"`` runs one
-        worker process per shard over shared-memory columnar trees.
+        worker process per shard, fed through shared-memory rings.
     partition:
         ``"hash"`` (default) or ``"range"`` — see
         :mod:`repro.runtime.partition`.

@@ -2,8 +2,8 @@
 
 One :class:`RingProducer`/:class:`RingConsumer` pair per shard worker
 moves the partitioned event stream between the parent and its worker
-process through a byte ring buffer living in a
-:class:`~repro.runtime.shm.ShmArena` slab — zero pickle, zero
+process through a byte ring buffer living in one
+:class:`~repro.runtime.shm.ShmArena` segment — zero pickle, zero
 intermediate copies. The parent encodes binary counted frames
 (:mod:`repro.core.serialize`) straight from the partitioner's output
 arrays into the ring with two slice assignments; the worker decodes

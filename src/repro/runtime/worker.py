@@ -1,8 +1,7 @@
-"""Shard worker process: a columnar tree in shared memory.
+"""Shard worker process: a columnar tree fed through a ring.
 
 ``worker_main`` is the entry point the process executor spawns once per
-shard. The worker owns a :class:`~repro.core.columnar.ColumnarRapTree`
-whose columns live in a :class:`~repro.runtime.shm.ShmArena`, confines
+shard. The worker owns a columnar shard tree on its own heap, confines
 it to itself, and consumes the partitioned event stream from a
 shared-memory SPSC ring (:class:`~repro.runtime.ring.RingConsumer`)
 the parent allocated.
@@ -33,34 +32,26 @@ executor clones its lone tree. The parent never maps the columns.
 
 The duplex control pipe carries only low-rate messages. The worker
 sends ``("ready", None)`` once warmed up, ``("synced", payload)`` and
-its block per sync frame, and ``("bye",)`` on the way out. A worker
-whose columns cannot be placed in shared memory sends
-``("ready", reason)`` instead and exits at once; the parent's
-``open()`` turns that into an ``OSError``. It accepts:
+its block per sync frame, and ``("bye",)`` on the way out. It accepts:
 
 ``("wake",)``
     Nudge: the producer wrote into an empty ring.
 ``("exit",)``
-    Tear down: drop the tree, unlink every shared-memory segment,
-    reply ``("bye",)`` and return. The reply comes *after* the unlink,
-    so a parent that has seen it knows ``/dev/shm`` is clean.
+    Tear down: unmap the ring, reply ``("bye",)`` and return.
 
-The exit path collects garbage once, to break the sanitizer's cycle
-with the tree before the arena closes. ``worker_main`` calls
-``gc.freeze()`` on entry, so that collection (like any other in the
-worker) walks only the objects the worker itself allocated, never the
-heap it inherited from the parent under fork: walking that heap costs
-a forked child ~10 ms at exit and copy-on-write faults every page it
-touches.
+``worker_main`` calls ``gc.freeze()`` on entry, so every collection in
+the worker walks only the objects the worker itself allocated, never
+the heap it inherited from the parent under fork: walking that heap
+costs a forked child ~10 ms per full collection and copy-on-write
+faults every page it touches.
 
 The worker never touches the parent's locks; flow control lives
 entirely on the parent side, where the producer blocks on the ring
 itself. Since the worker holds no ring bytes past a push, a producer
 blocked on space always waits on progress the worker can make. If the
-pipe dies (parent crash), the worker cleans up its segments and exits
-— the arena is unlinked on every path out of :func:`worker_main` —
-and sweeps the whole session's shared-memory prefix, since no parent
-is left to unlink the rings. A forked worker sees the pipe die only
+pipe dies (parent crash), the worker sweeps the whole session's
+shared-memory prefix on its way out, since no parent is left to
+unlink the rings. A forked worker sees the pipe die only
 because it first closes the parent ends it inherited: a copy kept open
 here would hide the parent's death from every worker.
 """
@@ -74,15 +65,15 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import RapConfig
-from ..core.columnar import ColumnarRapTree  # noqa: RAP-LINT012 - the worker owns its shard kernel: the shm allocator hook and column_state/attach protocol are columnar-only by design
 from ..core.serialize import (
     FRAME_SYNC,
     ROW_FIELDS,
     BlockBuffer,
     encode_columns,
 )
+from ..core.tree import RapTree
 from .ring import RingConsumer
-from .shm import ShmArena, ShmAttachment, sweep_prefix
+from .shm import ShmAttachment, sweep_prefix
 from .window import CombiningWindow
 
 # How long the ring consumer parks on the control pipe when the ring is
@@ -99,8 +90,8 @@ def _warm_ingest_path(config: RapConfig) -> None:
 
     Runs the exact code the first real flush runs — cross-frame
     combining, the offline bootstrap build, the online counted kernel —
-    over a tiny synthetic stream on heap-backed columns. Purely a
-    warm-up: nothing escapes, and the profiler's trees are untouched.
+    over a tiny synthetic stream. Purely a warm-up: nothing escapes,
+    and the profiler's trees are untouched.
     The scratch universe is capped at 2**12, which holds every warm-up
     value: over a 2**64 universe the hot values would burst ~30 levels
     down, several times the cost for the same functions exercised.
@@ -110,7 +101,7 @@ def _warm_ingest_path(config: RapConfig) -> None:
         window = CombiningWindow(2048)
         window.push((np.arange(2048, dtype=np.uint64) * 7) % span)
         window.push(np.arange(8, dtype=np.uint64), np.ones(8, np.int64))
-        scratch = ColumnarRapTree(config.with_updates(range_max=span))
+        scratch = RapTree.from_config(config.with_updates(range_max=span))
         window.flush(scratch)
         window.push(
             np.arange(16, dtype=np.uint64), np.full(16, 2, dtype=np.int64)
@@ -129,7 +120,7 @@ def worker_main(
     shard_index: int,
     lone: bool,
     shm_prefix: str,
-    ring_table: Dict[str, Tuple[str, str, int, int]],
+    ring_table: Dict[str, Tuple[str, str, int]],
     frame_events: int,
 ) -> None:
     """Run one shard worker until ``exit`` or pipe loss.
@@ -140,8 +131,8 @@ def worker_main(
     (epsilon-adjusted) shard tree configuration; ``lone`` says this is
     the profile's only shard, which syncs its compact columns rather
     than its counter rows. ``shm_prefix`` is the profiler's
-    shared-memory namespace; this worker's tree columns live under it.
-    ``ring_table`` is the parent-allocated ring region's segment table;
+    shared-memory namespace, swept if the parent dies. ``ring_table``
+    is the parent-allocated ring region's segment table;
     ``frame_events`` is the longest frame the parent writes into it.
     """
     # A copy of a parent end held here would keep the pipe open after
@@ -151,23 +142,13 @@ def worker_main(
     # Everything alive now was inherited from the parent (under fork)
     # or built by the import (under spawn), and none of it is this
     # worker's garbage. Freezing it moves it out of the collector's
-    # generations, so no collection here — the exit path's included —
-    # walks the inherited heap and copy-on-write faults its pages.
+    # generations, so no collection here walks the inherited heap and
+    # copy-on-write faults its pages.
     gc.freeze()
     label = f"shard[{shard_index}]"
-    arena = ShmArena(f"{shm_prefix}s{shard_index}-")
-    try:
-        tree = ColumnarRapTree(config, allocator=arena.allocate)
-    except OSError as error:
-        # No usable POSIX shared memory for the columns: refuse to
-        # start rather than run a shard the parent cannot attach.
-        arena.close()
-        try:
-            conn.send(("ready", f"{type(error).__name__}: {error}"))
-        except (BrokenPipeError, OSError):
-            pass
-        conn.close()
-        return
+    # A Profiler's shards are columnar (it rejects backend="object"),
+    # so the tree has the counter-row and compact-column sync surface.
+    tree = RapTree.from_config(config)
 
     sanitizer = None
     if config.debug_sanitize:
@@ -196,7 +177,6 @@ def worker_main(
     block = BlockBuffer()
 
     def reply_synced(sync_seq: int) -> None:
-        arena.reap_retired()
         payload = _sync_payload(label, tree, failed, sanitizer)
         payload["sync_seq"] = sync_seq
         if lone:
@@ -254,20 +234,11 @@ def worker_main(
         orphaned = ring_loop(RingConsumer(ring_attachment.arrays["ring"]))
     finally:
         tree.unconfine()
-        # Drop every ndarray/memoryview export over the arena's buffers
-        # before unlinking, so the segments can actually close. The
-        # sanitizer's method wrappers form a reference cycle with the
-        # tree, so a collect is needed to actually release the views;
-        # it walks only what this worker allocated since ``gc.freeze``.
-        del tree
-        window.clear()
-        gc.collect()
-        arena.close()
         if ring_attachment is not None:
             ring_attachment.close()
         if orphaned:
-            # No parent is left to unlink its rings or sweep a crashed
-            # sibling's slabs: the whole session's namespace goes.
+            # No parent is left to unlink its rings: the whole
+            # session's namespace goes.
             sweep_prefix(shm_prefix)
         try:
             conn.send(("bye",))
@@ -277,7 +248,7 @@ def worker_main(
 
 
 def _flush(
-    window: CombiningWindow, tree: ColumnarRapTree, failed: Optional[str]
+    window: CombiningWindow, tree: RapTree, failed: Optional[str]
 ) -> Optional[str]:
     """Flush ``window`` into ``tree``; return the shard's failure, if any.
 
@@ -298,7 +269,7 @@ def _flush(
 
 def _sync_payload(
     label: str,
-    tree: ColumnarRapTree,
+    tree: RapTree,
     failed: Optional[str],
     sanitizer: Any,
 ) -> Dict[str, object]:

@@ -309,25 +309,25 @@ def test_builder_matches_the_reference_burst_rule(data):
     assert_same_profile(tree, ref)
 
 
-def test_bootstrap_grows_each_column_at_most_once():
-    allocations = []
+def test_bootstrap_grows_each_column_at_most_once(monkeypatch):
+    grows = []
+    real_grow = ColumnarRapTree._grow
 
-    def allocator(name, dtype, capacity):
-        allocations.append(name)
-        return np.zeros(capacity, dtype=dtype)
+    def grow(tree, slots):
+        grows.append(slots)
+        real_grow(tree, slots)
 
+    monkeypatch.setattr(ColumnarRapTree, "_grow", grow)
     tree = ColumnarRapTree(
-        RapConfig(2**64, epsilon=0.01, branching=4, backend="columnar"),
-        allocator=allocator,
+        RapConfig(2**64, epsilon=0.01, branching=4, backend="columnar")
     )
-    constructed = len(allocations)
     rng = random.Random(11)
     assert tree.bootstrap_counted_arrays(
         *counted_frame(zipf_stream(rng, 2**64, 40_000))
     )
     assert tree._size > 4 * 64  # past several doublings of 64 slots
-    grown = allocations[constructed:]
-    assert len(grown) == len(set(grown))
+    # One _grow reallocates every column once, however many doublings.
+    assert len(grows) == 1
     capacity = 64
     while capacity < tree._size:
         capacity *= 2

@@ -160,15 +160,17 @@ class TestDifferential:
         assert col.events > 2**54
         assert_same(obj, col)
 
-    def test_columns_grow_mid_ingest(self):
+    def test_columns_grow_mid_ingest(self, monkeypatch):
         grows = []
+        real_grow = ColumnarRapTree._grow
 
-        def allocator(name, dtype, capacity):
-            grows.append(capacity)
-            return np.zeros(capacity, dtype=dtype)
+        def grow(tree, slots):
+            real_grow(tree, slots)
+            grows.append(tree._capacity)
 
+        monkeypatch.setattr(ColumnarRapTree, "_grow", grow)
         config = RapConfig(2**64, epsilon=0.01, merge_initial_interval=64)
-        col = ColumnarRapTree(config, allocator=allocator)
+        col = ColumnarRapTree(config)
         obj = RapTree.from_config(config.with_updates(backend="object"))
         rng = np.random.default_rng(3)
         values = rng.integers(0, 2**64, size=3000, dtype=np.uint64)

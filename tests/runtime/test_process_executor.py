@@ -122,26 +122,22 @@ class TestLifecycle:
         assert profiler._executor._processes == []  # noqa: SLF001
         assert_no_leaks()
 
-    def test_worker_arena_failure_fails_open_typed(self, monkeypatch):
-        # A worker that cannot place its tree columns in shared memory
-        # refuses to start: open() raises, reaps every worker and
-        # unlinks every ring.
-        from repro.runtime import worker
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("workers inherit the patched arena only under fork")
-
-        class NoSharedMemory(worker.ShmArena):
-            def allocate(self, *args, **kwargs):
-                raise OSError("shared memory disabled for this test")
-
-        monkeypatch.setattr(worker, "ShmArena", NoSharedMemory)
-        profiler = Profiler.from_config(process_config())
-        with pytest.raises(OSError, match="executor='serial'") as excinfo:
-            profiler.open()
-        message = str(excinfo.value)
-        assert "shard 0" in message and "shared memory disabled" in message
-        assert profiler._executor._processes == []  # noqa: SLF001
+    def test_workers_create_no_segment(self):
+        # Shard trees live on the workers' heaps: however far they
+        # grow, the session's only segments are the parent's two rings.
+        config = RapConfig(2**64, epsilon=0.01, executor="process", shards=2)
+        rng = np.random.default_rng(5)
+        with Profiler.from_config(config) as profiler:
+            for _ in range(4):
+                profiler.ingest(rng.integers(0, 2**64, 50_000, np.uint64))
+            profiler.drain()
+            grown = [shard.node_count for shard in profiler.metrics.shards]
+            executor = profiler._executor  # noqa: SLF001
+            segments = sorted(shm_leftovers(executor._shm_prefix))
+            rings = sorted(table["ring"][0] for table in executor._ring_tables)
+        # Columns start at 64 slots and double: > 512 nodes is >= 3 grows.
+        assert min(grown) > 512
+        assert len(rings) == 2 and segments == rings
         assert_no_leaks()
 
     def test_killed_parent_leaves_no_worker_and_no_segment(self):
